@@ -196,7 +196,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         bundle = jio.load_decomposition(args.results)
-        datasets, truth, ds_manifest = jio.load_dataset(args.dataset)
+        truth, ds_manifest = jio.load_truth(args.dataset)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -75,6 +75,10 @@ def build_cost_matrix(
     one-tuple variant).  The experimental "per-voxel" estimator averages
     per-sample outer products instead of forming whole-sample cumulant
     vectors first.
+
+    The rows of ``z`` and of ``partners`` must be centered; the engine
+    only ever passes whitened or deflated data and standardized
+    estimates, so nothing is re-centered here.
     """
     z = np.asarray(z, dtype=float)
     partners = np.atleast_2d(np.asarray(partners, dtype=float))
@@ -84,13 +88,11 @@ def build_cost_matrix(
         )
     if alphas not in ("all", "first"):
         raise ValueError("alphas must be 'all' or 'first'")
-    zc = z - z.mean(axis=1, keepdims=True)
-    pc = partners - partners.mean(axis=1, keepdims=True)
     if estimator == "per-voxel":
-        return _build_per_voxel(zc, pc, weights, alphas)
+        return _build_per_voxel(z, partners, weights, alphas)
     if estimator != "sample-cumulant":
         raise ValueError(f"unknown estimator: {estimator!r}")
-    cv2, cv3, cv4 = cumulant_vectors_ring(zc, pc)
+    cv2, cv3, cv4 = cumulant_vectors_ring(z, partners)
     if alphas == "first":
         cv2, cv3, cv4 = cv2[:, :1], cv3[:, :1], cv4[:, :1]
     w2, w3, w4 = weights
@@ -340,6 +342,8 @@ def run_jpji_ica(
                     n_alpha = cm.n_alpha
                     if algorithm == "jithica" and not isinstance(config.sigma0, str):
                         floor = float(config.sigma0)
+                    elif not isinstance(config.mode_switch, str):
+                        floor = float(config.mode_switch)
                     else:
                         floor = mode_switch_threshold(
                             weights, n_alpha, zk.shape[0], v, n_partners=order.n

@@ -134,10 +134,7 @@ def load_dataset(
 ) -> tuple[list[SubjectDataset], GroundTruth | None, dict]:
     """Read a dataset directory back; inverse of :func:`save_dataset`."""
     directory = Path(directory)
-    manifest = _load_json(directory / "manifest.json")
-    if manifest.get("kind") != "dataset":
-        raise ValueError(f"{directory}: manifest is not a dataset manifest")
-    _check_version(manifest)
+    manifest = _load_dataset_manifest(directory)
     datasets = [
         SubjectDataset(
             subject_id=entry["id"],
@@ -145,38 +142,60 @@ def load_dataset(
         )
         for entry in manifest["subjects"]
     ]
-    idx_of = {ds.subject_id: k for k, ds in enumerate(datasets)}
-    truth = None
+    return datasets, _truth_from_manifest(directory, manifest), manifest
+
+
+def load_truth(directory: str | Path) -> tuple[GroundTruth | None, dict]:
+    """Ground truth and manifest of a dataset directory.
+
+    Same as :func:`load_dataset` without the observation matrices, which
+    are never read.
+    """
+    directory = Path(directory)
+    manifest = _load_dataset_manifest(directory)
+    return _truth_from_manifest(directory, manifest), manifest
+
+
+def _load_dataset_manifest(directory: Path) -> dict:
+    manifest = _load_json(directory / "manifest.json")
+    if manifest.get("kind") != "dataset":
+        raise ValueError(f"{directory}: manifest is not a dataset manifest")
+    _check_version(manifest)
+    return manifest
+
+
+def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
     gt = manifest.get("ground_truth")
-    if gt is not None:
-        sources, mixing, labels = [], [], []
-        for k, entry in enumerate(gt["subjects"]):
-            sources.append(load_matrix(directory / entry["sources"]))
-            mixing.append(load_matrix(directory / entry["mixing"]))
-            labels.append(
-                [
-                    SourceLabel(
-                        kind=SourceKind(lab["kind"]),
-                        peers=frozenset(idx_of[p] for p in lab["peers"]),
-                        n_subjects=len(datasets),
-                        subject=k,
-                    )
-                    for lab in entry["labels"]
-                ]
-            )
-        truth = GroundTruth(
-            sources=sources,
-            mixing=mixing,
-            labels=labels,
-            joint_count=gt["joint_count"],
-            pjoint_counts=list(gt["pjoint_counts"]),
-            individual_counts=list(gt["individual_counts"]),
-            cluster_map={
-                key: frozenset(idx_of[p] for p in members)
-                for key, members in gt["cluster_map"].items()
-            },
+    if gt is None:
+        return None
+    idx_of = {entry["id"]: k for k, entry in enumerate(manifest["subjects"])}
+    sources, mixing, labels = [], [], []
+    for k, entry in enumerate(gt["subjects"]):
+        sources.append(load_matrix(directory / entry["sources"]))
+        mixing.append(load_matrix(directory / entry["mixing"]))
+        labels.append(
+            [
+                SourceLabel(
+                    kind=SourceKind(lab["kind"]),
+                    peers=frozenset(idx_of[p] for p in lab["peers"]),
+                    n_subjects=len(manifest["subjects"]),
+                    subject=k,
+                )
+                for lab in entry["labels"]
+            ]
         )
-    return datasets, truth, manifest
+    return GroundTruth(
+        sources=sources,
+        mixing=mixing,
+        labels=labels,
+        joint_count=gt["joint_count"],
+        pjoint_counts=list(gt["pjoint_counts"]),
+        individual_counts=list(gt["individual_counts"]),
+        cluster_map={
+            key: frozenset(idx_of[p] for p in members)
+            for key, members in gt["cluster_map"].items()
+        },
+    )
 
 
 def save_decomposition(

@@ -3,9 +3,10 @@
 All estimators treat the columns of a matrix (or the entries of a
 vector) as equally weighted samples; moments are population-normalized
 (divide by V, not V-1) so that whitened data has exactly unit sample
-covariance.  Inputs to the cumulant routines are re-centered internally,
-which makes the estimates shift-invariant regardless of upstream
-normalization.
+covariance.  ``cross_cumulant`` and ``cumulant_vector`` re-center their
+inputs, which makes them shift-invariant regardless of upstream
+normalization.  The ring kernel ``cumulant_vectors_ring`` sits on the
+engine's hot path and does not: its inputs must already be row-centered.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ from .errors import (
 )
 
 SUPPORTED_ORDERS = (2, 3, 4)
+# Working-set budget of the ring kernel's per-block buffer (see _ring_block_width).
+_RING_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,25 @@ def cumulant_vector(z: np.ndarray, partners: list[np.ndarray], order: int) -> Cu
     return CumulantVector(values=vals, order=order)
 
 
+def _ring_block_width(n_partners: int) -> int:
+    """Voxel columns per block of :func:`cumulant_vectors_ring`.
+
+    The per-block product buffer holds 3 * n_partners rows of doubles;
+    the width keeps it near ``_RING_BLOCK_BYTES`` (inside a per-core L2
+    cache) and never below 256 columns, so small rings still get long
+    enough rows for the BLAS product.
+    """
+    return max(256, _RING_BLOCK_BYTES // (24 * n_partners))
+
+
+def _times_ring_shift(a: np.ndarray, rows: np.ndarray, shift: int, out: np.ndarray) -> None:
+    """out[i] = a[i] * rows[(i + shift) % n], without copying ``rows``."""
+    n = rows.shape[0]
+    s = shift % n
+    np.multiply(a[: n - s], rows[s:], out=out[: n - s])
+    np.multiply(a[n - s :], rows[:s], out=out[n - s :])
+
+
 def cumulant_vectors_ring(
     zc: np.ndarray, partners: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,30 +164,53 @@ def cumulant_vectors_ring(
     For n partner rows, position alpha uses partners alpha, alpha+1, ...
     wrapping modulo n, so column alpha of the order-eta output equals
     ``cumulant_vector(zc, [partners[alpha], ..., partners[(alpha+eta-2) % n]],
-    eta)``.  Inputs must already be row-centered; the outputs are (C, n)
-    matrices, one column per ring position.
+    eta)``.  The outputs are (C, n) matrices, one column per ring position.
+
+    Both ``zc`` and ``partners`` must already be row-centered (whitened
+    data, deflated data and standardized estimates all are); nothing is
+    re-centered here.  The voxel axis is walked once, in blocks of
+    ``min(V, _ring_block_width(n))`` columns.  Each block fills one reused
+    (3n x B) buffer with the partners p, the pair products p[a] p[a+1] and
+    the triple products p[a] p[a+1] p[a+2], and a single product with the
+    block of ``zc`` accumulates all three orders.  The partner pair
+    moments q01 and q02 come from the same buffer, and the order-4
+    corrections are applied once, at the end, on the small (C x n)
+    results, with ring index arrays in place of shifted copies.
     """
     zc = np.asarray(zc, dtype=float)
-    p0 = np.asarray(partners, dtype=float)
-    if p0.ndim != 2 or p0.shape[1] != zc.shape[1]:
-        raise PartnerLengthMismatch("partner rows must match the sample count of z")
-    n = p0.shape[0]
-    v = zc.shape[1]
-    p1 = np.roll(p0, -1, axis=0)
-    p2 = np.roll(p0, -2, axis=0)
-    a0 = zc @ p0.T / v
-    a1 = np.roll(a0, -1, axis=1)
-    a2 = np.roll(a0, -2, axis=1)
-    q01 = np.einsum("ij,ij->i", p0, p1) / v
-    q02 = np.einsum("ij,ij->i", p0, p2) / v
-    q12 = np.einsum("ij,ij->i", p1, p2) / v
-    cv2 = a0
-    cv3 = zc @ (p0 * p1).T / v
+    p = np.asarray(partners, dtype=float)
+    if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] != zc.shape[1]:
+        raise PartnerLengthMismatch("need partner rows matching the sample count of z")
+    n, v = p.shape
+    width = max(1, min(v, _ring_block_width(n)))
+    buf = np.empty((3 * n, width))
+    ones = np.ones(width)
+    moments = np.zeros((zc.shape[0], 3 * n))
+    q01 = np.zeros(n)
+    q02 = np.zeros(n)
+    s = 2 % n
+    for start in range(0, v, width):
+        b = min(width, v - start)
+        blk, pair, triple = buf[:n, :b], buf[n : 2 * n, :b], buf[2 * n :, :b]
+        blk[...] = p[:, start : start + b]
+        _times_ring_shift(blk, blk, 1, pair)
+        _times_ring_shift(pair, blk, 2, triple)
+        q01 += pair @ ones[:b]
+        q02[: n - s] += np.einsum("ij,ij->i", blk[: n - s], blk[s:])
+        q02[n - s :] += np.einsum("ij,ij->i", blk[n - s :], blk[:s])
+        moments += zc[:, start : start + b] @ buf[:, :b].T
+    moments /= v
+    q01 /= v
+    q02 /= v
+    i1 = (np.arange(n) + 1) % n
+    i2 = (np.arange(n) + 2) % n
+    cv2 = moments[:, :n]
+    cv3 = moments[:, n : 2 * n]
     cv4 = (
-        zc @ (p0 * p1 * p2).T / v
-        - a0 * q12[None, :]
-        - a1 * q02[None, :]
-        - a2 * q01[None, :]
+        moments[:, 2 * n :]
+        - cv2 * q01[i1][None, :]
+        - cv2[:, i1] * q02[None, :]
+        - cv2[:, i2] * q01[None, :]
     )
     return cv2, cv3, cv4
 
@@ -226,6 +271,18 @@ def covariance(x: np.ndarray) -> np.ndarray:
     xc = x - x.mean(axis=1, keepdims=True)
     r = xc @ xc.T / x.shape[1]
     return (r + r.T) / 2.0
+
+
+def covariance_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of :func:`covariance` of the rows of x, largest first.
+
+    The returned arrays are read-only, so one result can be shared.
+    """
+    w, e = np.linalg.eigh(covariance(x))
+    w, e = w[::-1].copy(), e[:, ::-1].copy()
+    w.flags.writeable = False
+    e.flags.writeable = False
+    return w, e
 
 
 def inverse_sqrt_psd(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:

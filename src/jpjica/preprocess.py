@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OrderExceedsRank
-from .numerics import covariance, inverse_sqrt_psd
+from .numerics import covariance, covariance_eig, inverse_sqrt_psd
 from .types import SubjectDataset
 
 _RANK_RTOL = 1e-12
@@ -48,10 +48,19 @@ class PreprocessedSubject:
         return self.z.shape[0]
 
 
-def _sorted_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the across-voxel covariance, descending."""
-    w, e = np.linalg.eigh(covariance(x))
-    return w[::-1].copy(), e[:, ::-1].copy()
+def _observations_and_eig(
+    data: SubjectDataset | np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Observation matrix and its descending covariance eigenpairs.
+
+    A SubjectDataset keeps its eigenpairs, so BIC order selection and PCA
+    of the same subject decompose its covariance once; a raw array is
+    decomposed on every call.
+    """
+    if isinstance(data, SubjectDataset):
+        return data.observations, data.covariance_eig
+    x = np.asarray(data, dtype=float)
+    return x, covariance_eig(x)
 
 
 def estimate_order_bic(data: SubjectDataset | np.ndarray, c_max: int | None = None) -> int:
@@ -63,14 +72,13 @@ def estimate_order_bic(data: SubjectDataset | np.ndarray, c_max: int | None = No
     is capped at the numerical rank, so noiseless low-rank data yields
     its exact rank.
     """
-    x = data.observations if isinstance(data, SubjectDataset) else np.asarray(data, dtype=float)
+    x, (lam, _) = _observations_and_eig(data)
     n, v = x.shape
     hard_cap = min(n, v) - 1
     if c_max is None:
         c_max = min(hard_cap, 60)
     if not 1 <= c_max <= hard_cap:
         raise ValueError(f"c_max must lie in [1, {hard_cap}]")
-    lam, _ = _sorted_eig(x)
     rank = int(np.sum(lam > _RANK_RTOL * max(lam[0], 0.0)))
     cap = max(1, min(c_max, rank))
     lam = np.clip(lam, 1e-300, None)
@@ -91,8 +99,7 @@ def pca_reduce(data: SubjectDataset | np.ndarray, order: int) -> PcaResult:
     Loadings columns are sign-fixed so their largest-magnitude entry is
     positive, which pins the rotation ambiguity of eigendecompositions.
     """
-    x = data.observations if isinstance(data, SubjectDataset) else np.asarray(data, dtype=float)
-    lam, vecs = _sorted_eig(x)
+    x, (lam, vecs) = _observations_and_eig(data)
     if order < 1 or order > x.shape[0]:
         raise OrderExceedsRank(f"order {order} outside [1, {x.shape[0]}]")
     if lam[order - 1] <= _RANK_RTOL * max(lam[0], 0.0):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     NonFiniteData,
     SingleSubjectWarning,
 )
+from .numerics import covariance_eig
 
 
 class SourceKind(enum.Enum):
@@ -85,6 +87,15 @@ class SubjectDataset:
     def n_voxels(self) -> int:
         return self.observations.shape[1]
 
+    @cached_property
+    def covariance_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of the across-voxel covariance, largest first.
+
+        Computed on first use and kept, so order selection and PCA of one
+        subject share a single eigendecomposition.
+        """
+        return covariance_eig(self.observations)
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -146,7 +157,9 @@ class AlgoConfig:
     mode_switch
         Cost floor below which a slot falls back to single-set extraction
         (partners carry no information about this subject); "auto" scales
-        a calibrated constant by weights, peer count and data size.
+        a calibrated constant by weights, peer count and data size, and a
+        float replaces that automatic floor (an explicit sigma0 of the
+        single-tuple baseline still takes precedence).
     tau_joint
         Relative tolerance of the per-peer contribution uniformity test
         used to detect joint sources.

@@ -312,3 +312,66 @@ def test_run_rejects_nonuniform_weights_config_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_jpji_ica(datasets, AlgoConfig(seed=0, n_components=1))
+
+
+def test_engine_cost_inputs_are_centered(monkeypatch):
+    """Whitened z0, deflated z_work and partner rows are already zero-mean.
+
+    build_cost_matrix and the ring kernel rely on this and do not
+    re-center; record every input the engine hands them.
+    """
+    import jpjica.engine as engine
+
+    seen = {"z": [], "partners": [], "ring": []}
+    real_build, real_ring = engine.build_cost_matrix, engine.cumulant_vectors_ring
+
+    def build(z, partners, *args, **kwargs):
+        seen["z"].append(np.array(z))
+        seen["partners"].append(np.array(partners))
+        return real_build(z, partners, *args, **kwargs)
+
+    def ring(zc, partners):
+        seen["ring"].append(np.vstack([zc, partners]))
+        return real_ring(zc, partners)
+
+    monkeypatch.setattr(engine, "build_cost_matrix", build)
+    monkeypatch.setattr(engine, "cumulant_vectors_ring", ring)
+    decomp, _, _ = _small_run(seed=2)
+    for zk in decomp.z:
+        assert np.abs(zk.mean(axis=1)).max() < 1e-12
+    deflated = [z for z in seen["z"] if not any(np.array_equal(z, zk) for zk in decomp.z)]
+    assert deflated, "the final sweep should hand deflated data to the cost build"
+    for rows in seen["z"] + seen["partners"] + seen["ring"]:
+        assert np.abs(rows.mean(axis=1)).max() < 1e-12
+
+
+def test_mode_switch_float_overrides_automatic_floor(monkeypatch):
+    import jpjica.engine as engine
+
+    calls = []
+    real = engine.mode_switch_threshold
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "mode_switch_threshold", counted)
+    default, _, _ = _small_run(seed=3)
+    n_default = len(calls)
+    auto, _, _ = _small_run(seed=3, mode_switch="auto")
+    assert n_default > 0 and len(calls) == 2 * n_default
+    for k in range(default.n_subjects):
+        np.testing.assert_array_equal(auto.demixing[k], default.demixing[k])
+        np.testing.assert_array_equal(auto.sources[k], default.sources[k])
+    np.testing.assert_array_equal(auto.extraction_costs, default.extraction_costs)
+    np.testing.assert_array_equal(auto.self_mode, default.self_mode)
+    assert not default.self_mode[0].any(), "the joint slot is extracted jointly"
+
+    calls.clear()
+    forced, _, _ = _small_run(seed=3, mode_switch=1e300)
+    assert not calls
+    assert forced.self_mode.all()
+    assert all(t.mode == "self" for t in forced.traces)
+    always, _, _ = _small_run(seed=3, mode_switch=0.0)
+    assert not always.self_mode.any()
+    assert all(t.mode == "joint" for t in always.traces)

@@ -8,6 +8,7 @@ evaluate -> report pipeline with the documented exit codes.
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -385,6 +386,26 @@ def test_cli_simulate_binary_roundtrip(tmp_path):
     assert manifest["binary"] is True
     assert truth is not None
     assert datasets[0].observations.shape == (60, 256)
+
+
+def test_cli_evaluate_does_not_read_observations(cli_dirs, tmp_path):
+    """evaluate needs only the manifest and the ground truth of a dataset."""
+    _, sim, res = cli_dirs
+    bare = tmp_path / "data"
+    shutil.copytree(sim, bare)
+    removed = sorted(bare.glob("*_obs.*"))
+    assert removed
+    for path in removed:
+        path.unlink()
+    truth, manifest = jio.load_truth(bare)
+    _, want_truth, want_manifest = jio.load_dataset(sim)
+    assert manifest == want_manifest
+    assert truth.labels == want_truth.labels
+    for got, want in zip(truth.sources, want_truth.sources):
+        np.testing.assert_array_equal(got, want)
+    out = tmp_path / "report.json"
+    assert cli.main(["evaluate", str(res), str(bare), "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == (res / "report.json").read_bytes()
 
 
 def test_cli_exit_code_bad_scenario(tmp_path):

@@ -14,6 +14,7 @@ from jpjica.errors import (
     ZeroSource,
 )
 from jpjica.numerics import (
+    _ring_block_width,
     bh_fdr,
     covariance,
     cross_cumulant,
@@ -391,3 +392,32 @@ def test_bh_fdr_null_false_positive_rate():
         hits += int(bh_fdr(p, 0.05).any())
     # under the global null, any rejection happens with prob <= q
     assert hits / 200 <= 0.09
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 19])
+def test_ring_kernel_matches_oracle_across_block_boundaries(n):
+    """Blocked ring kernel against the partition oracle at every block edge.
+
+    n = 1 and n = 2 give rings that repeat rows; V = 1 is a single
+    (hence all-zero, once centered) sample.
+    """
+    rng = np.random.default_rng(100 + n)
+    b = _ring_block_width(n)
+    for v in (1, b - 1, b, b + 1, 3 * b + 7):
+        z = rng.laplace(size=(6, v))
+        z -= z.mean(axis=1, keepdims=True)
+        partners = rng.laplace(size=(n, v)) ** 3
+        partners -= partners.mean(axis=1, keepdims=True)
+        want = []
+        for order in (2, 3, 4):
+            rings = [[partners[(a + j) % n] for j in range(order - 1)] for a in range(n)]
+            want.append(
+                np.array([[cumulant_partition(z[i], *ring) for ring in rings] for i in range(6)])
+            )
+        for rows in (1, 6):
+            got = cumulant_vectors_ring(z[:rows], partners)
+            for order, g, w in zip((2, 3, 4), got, want):
+                assert g.shape == (rows, n)
+                scale = float(np.abs(w[:rows]).max())
+                err = float(np.abs(g - w[:rows]).max())
+                assert err <= 1e-12 * scale, (v, rows, order, err, scale)

@@ -106,3 +106,28 @@ def test_resolve_orders_policies():
     assert resolve_orders(ds, "global-min") == [3, 3]
     with pytest.raises(ValueError):
         resolve_orders(ds, "median")
+
+
+def test_bic_and_pca_share_one_eigendecomposition(monkeypatch):
+    """Per subject: one covariance eigh for BIC and PCA, one for whitening."""
+    x = _low_rank(seed=5, rank=4, noise=0.01)
+    ds = SubjectDataset(subject_id="s0", observations=x)
+    raw_order = estimate_order_bic(x)
+    raw_pca = pca_reduce(x, raw_order)
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    (order,) = resolve_orders([ds], "auto-bic")
+    pre = preprocess_subject(ds, order)
+    assert order == raw_order
+    assert len(calls) == 2
+    pca = pca_reduce(ds, order)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(pca.scores, raw_pca.scores)
+    np.testing.assert_array_equal(pca.loadings, raw_pca.loadings)
+    assert pre.z.shape == (order, x.shape[1])
