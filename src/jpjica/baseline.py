@@ -11,20 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import build_features
-from .engine import build_cost_matrix, run_jpji_ica
+from .engine import run_jpji_ica
 from .types import AlgoConfig, Decomposition, SourceKind, SourceLabel, SubjectDataset
-
-
-def build_m_joint(
-    z: np.ndarray, partners: np.ndarray, weights: tuple[float, float, float]
-):
-    """Single-tuple cost matrix: ring position 0 only."""
-    return build_cost_matrix(z, partners, weights, alphas="first")
-
-
-def build_m_individual(z: np.ndarray, y: np.ndarray, weights: tuple[float, float, float]):
-    """Self-partner cost matrix used for individual extraction."""
-    return build_cost_matrix(z, np.atleast_2d(y), weights)
 
 
 def run_ji_thica(
@@ -39,18 +27,12 @@ def run_ji_thica(
     decomp = run_jpji_ica(datasets, config, algorithm="jithica")
     features = build_features(decomp)
     k_total = decomp.n_subjects
+    held = decomp.slot_rows >= 0
     labels: list[list[SourceLabel]] = []
     for k in range(k_total):
         subject_labels: list[SourceLabel] = []
-        own = 0
-        for c in range(decomp.n_slots):
-            if np.isnan(decomp.extraction_costs[c, k]):
-                continue
-            holders = frozenset(
-                j
-                for j in range(k_total)
-                if j != k and not np.isnan(decomp.extraction_costs[c, j])
-            )
+        for c in np.flatnonzero(held[:, k]):
+            holders = frozenset(int(j) for j in np.flatnonzero(held[c]) if j != k)
             if decomp.self_mode[c, k] or not holders:
                 kind, peers = SourceKind.INDIVIDUAL, frozenset()
             elif len(holders) == k_total - 1:
@@ -61,7 +43,6 @@ def run_ji_thica(
             subject_labels.append(
                 SourceLabel(kind=kind, peers=peers, n_subjects=k_total, subject=k)
             )
-            own += 1
         labels.append(subject_labels)
     decomp.features = features
     decomp.labels = labels

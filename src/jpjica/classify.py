@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import mode_switch_threshold
+from .engine import build_cost_matrix, mode_switch_threshold
 from .errors import (
     DegenerateCorrelation,
     GroupTooSmall,
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .numerics import (
     bh_fdr,
-    cumulant_vectors_ring,
     excess_kurtosis,
     kmeans,
     one_sample_t_columns,
@@ -44,17 +43,15 @@ def jpji_feature(
     Position alpha contributes the weighted squared cross-cumulants of
     ``y`` with partners alpha..alpha+2 (wrapping); the feature is the sum
     over positions.  With an empty partner set the source itself is the
-    partner (single-set cost).
+    partner (single-set cost).  Both inputs are re-centered first.
     """
     y = np.asarray(y, dtype=float).ravel()
     yc = (y - y.mean())[None, :]
     pool = np.atleast_2d(np.asarray(partners, dtype=float))
     if pool.size == 0:
         pool = yc
-    pool = pool - pool.mean(axis=1, keepdims=True)
-    cv2, cv3, cv4 = cumulant_vectors_ring(yc, pool)
-    w2, w3, w4 = weights
-    contr = w2 * cv2[0] ** 2 + w3 * cv3[0] ** 2 + w4 * cv4[0] ** 2
+    cm = build_cost_matrix(yc, pool - pool.mean(axis=1, keepdims=True), weights)
+    contr = cm.contributions.sum(axis=1)
     return float(contr.sum()), contr
 
 
@@ -70,47 +67,30 @@ def build_features(decomp: Decomposition) -> FeatureTable:
     cfg = decomp.config
     k_total = decomp.n_subjects
     n_slots = decomp.n_slots
-    slot_rows = _slot_rows(decomp)
+    rows = decomp.slot_rows
     jpjif = np.full((n_slots, k_total), np.nan)
     kurt = np.full((n_slots, k_total), np.nan)
     contributions = np.empty((n_slots, k_total), dtype=object)
     for c in range(n_slots):
-        holders = [k for k in range(k_total) if slot_rows[k][c] is not None]
+        holders = np.flatnonzero(rows[c] >= 0).tolist()
         for k in holders:
-            y = decomp.sources[k][slot_rows[k][c]]
-            peers = [j for j in holders if j != k]
-            if peers:
-                pool = np.stack(
-                    [decomp.sources[j][slot_rows[j][c]] for j in peers]
-                )
-                yc = y - y.mean()
-                pc = pool - pool.mean(axis=1, keepdims=True)
-                assoc = np.abs(pc @ yc) / y.size
-                pool = pool[np.argsort(-assoc, kind="stable")]
-            else:
-                pool = np.empty((0, y.size))
+            y = decomp.sources[k][rows[c, k]]
+            # Source rows are standardized, so a plain inner product ranks
+            # the peers by association.
+            peers = sorted(
+                (j for j in holders if j != k),
+                key=lambda j: -abs(float(decomp.sources[j][rows[c, j]] @ y)),
+            )
+            pool = (
+                np.stack([decomp.sources[j][rows[c, j]] for j in peers])
+                if peers
+                else np.empty((0, y.size))
+            )
             val, contr = jpji_feature(y, pool, cfg.weights)
             jpjif[c, k] = val
             contributions[c, k] = contr
             kurt[c, k] = excess_kurtosis(y)
     return FeatureTable(jpjif=jpjif, contributions=contributions, kurtosis=kurt)
-
-
-def _slot_rows(decomp: Decomposition) -> list[list[int | None]]:
-    """Map (subject, global slot) to the subject's source row index."""
-    n_slots = decomp.n_slots
-    rows: list[list[int | None]] = []
-    for k in range(decomp.n_subjects):
-        own = decomp.sources[k].shape[0]
-        mapping: list[int | None] = [None] * n_slots
-        # Slots are compacted per subject in global order.
-        have = [c for c in range(n_slots) if not np.isnan(decomp.extraction_costs[c, k])]
-        if len(have) != own:
-            have = list(range(own))
-        for i, c in enumerate(have):
-            mapping[c] = i
-        rows.append(mapping)
-    return rows
 
 
 def detect_joint_slots(
@@ -129,7 +109,7 @@ def detect_joint_slots(
     cfg = decomp.config
     tau = cfg.tau_joint
     v = decomp.sources[0].shape[1]
-    slot_rows = _slot_rows(decomp)
+    rows = decomp.slot_rows
     out: list[int] = []
     for c in range(features.jpjif.shape[0]):
         votes, holders = 0, 0
@@ -147,12 +127,12 @@ def detect_joint_slots(
                 # magnitude alone is unreliable; require the pair to share
                 # the majority of its variance as well.
                 peer_rows = [
-                    decomp.sources[j][slot_rows[j][c]]
+                    decomp.sources[j][rows[c, j]]
                     for j in range(features.jpjif.shape[1])
-                    if j != k and slot_rows[j][c] is not None
+                    if j != k and rows[c, j] >= 0
                 ]
                 if total >= floor and peer_rows:
-                    y = decomp.sources[k][slot_rows[k][c]]
+                    y = decomp.sources[k][rows[c, k]]
                     rho = float(peer_rows[0] @ y) / v
                     if rho * rho >= 0.5:
                         votes += 1
@@ -260,7 +240,7 @@ def cluster_subjects(
     """
     cfg = decomp.config
     k_total = decomp.n_subjects
-    slot_rows = _slot_rows(decomp)
+    slot_rows = decomp.slot_rows
     n_slots = kinds.shape[0]
     v = decomp.sources[0].shape[1]
     peer_sets: dict[tuple[int, int], frozenset[int]] = {}
@@ -279,7 +259,7 @@ def cluster_subjects(
                 kinds[c, k] = SourceKind.INDIVIDUAL
                 peer_sets[(c, k)] = frozenset()
             continue
-        rows = np.stack([decomp.sources[k][slot_rows[k][c]] for k in holders])
+        rows = np.stack([decomp.sources[k][slot_rows[c, k]] for k in holders])
         corr = np.abs(rows @ rows.T) / v
         if not np.isfinite(corr).all():
             raise DegenerateCorrelation(f"slot {c}: correlation undefined")

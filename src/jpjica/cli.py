@@ -21,7 +21,7 @@ from .engine import run_jpji_ica
 from .errors import JpjicaError
 from .metrics import acc_counts_run, acc_peer_sets_run, jsir, match_sources
 from .simulate import ScenarioSpec, generate_dataset
-from .types import AlgoConfig
+from .types import AlgoConfig, slot_rows
 
 EXIT_OK = 0
 EXIT_BAD_SCENARIO = 2
@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--sigma0", type=str, default="auto")
     p_dec.add_argument("--tau-joint", type=float, default=0.15)
     p_dec.add_argument("--n-clusters", type=int, default=None)
-    p_dec.add_argument("--estimator", choices=("sample-cumulant", "per-voxel"),
-                       default="sample-cumulant")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--binary", action="store_true")
     _common_flags(p_dec)
@@ -169,7 +167,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             sigma0=sigma0,
             tau_joint=args.tau_joint,
             n_clusters=args.n_clusters,
-            estimator=args.estimator,
             seed=args.seed,
         )
     except (JpjicaError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -214,11 +211,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
+    try:
+        features_rows = _feature_rows(bundle)
+    except ValueError as exc:
+        print(f"error: inconsistent results: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     matches = match_sources(truth.sources, bundle.sources)
     overall, per_subject = jsir(matches)
     counts = acc_counts_run(truth.labels, bundle.labels)
     peers = acc_peer_sets_run(truth.labels, bundle.labels, matches)
-    features_rows = _feature_rows(bundle)
     report = {
         "dataset": {
             "scenario": ds_manifest.get("scenario"),
@@ -258,29 +259,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _feature_rows(bundle: jio.ResultsBundle) -> list[dict]:
-    rows: list[dict] = []
+    """Report rows of the held (slot, subject) pairs, those with a finite jpjif, in slot order."""
     feats = bundle.features
-    if feats is None:
-        return rows
-    slot_counters = [0] * len(bundle.subject_ids)
-    for c in range(feats.jpjif.shape[0]):
-        for k, sid in enumerate(bundle.subject_ids):
-            if np.isnan(feats.jpjif[c, k]):
-                continue
-            kind = None
-            if bundle.labels is not None:
-                kind = bundle.labels[k][slot_counters[k]].kind.value
-            slot_counters[k] += 1
-            rows.append(
-                {
-                    "slot": c,
-                    "subject": sid,
-                    "jpjif": float(feats.jpjif[c, k]),
-                    "kurtosis": float(feats.kurtosis[c, k]),
-                    "kind": kind,
-                }
-            )
-    return rows
+    row_of = slot_rows(~np.isnan(feats.jpjif), [s.shape[0] for s in bundle.sources])
+    return [
+        {
+            "slot": int(c),
+            "subject": bundle.subject_ids[k],
+            "jpjif": float(feats.jpjif[c, k]),
+            "kurtosis": float(feats.kurtosis[c, k]),
+            "kind": bundle.labels[k][row_of[c, k]].kind.value,
+        }
+        for c, k in zip(*np.nonzero(row_of >= 0))
+    ]
 
 
 def cmd_report(args: argparse.Namespace) -> int:

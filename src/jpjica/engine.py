@@ -64,7 +64,6 @@ def build_cost_matrix(
     partners: np.ndarray,
     weights: tuple[float, float, float],
     alphas: str = "all",
-    estimator: str = "sample-cumulant",
 ) -> CostMatrix:
     """Cumulant cost matrix of ``z`` rows against a ring of partner rows.
 
@@ -72,9 +71,9 @@ def build_cost_matrix(
     cumulant vectors of z against partners alpha, (alpha, alpha+1), and
     (alpha, alpha+1, alpha+2), indices wrapping modulo the partner count.
     ``alphas="first"`` restricts to the single position alpha=0 (the
-    one-tuple variant).  The experimental "per-voxel" estimator averages
-    per-sample outer products instead of forming whole-sample cumulant
-    vectors first.
+    one-tuple variant).  This is the only place where the order weights
+    meet the cumulant vectors: slot ordering and the JpJI-feature both
+    read their cost from ``contributions``.
 
     The rows of ``z`` and of ``partners`` must be centered; the engine
     only ever passes whitened or deflated data and standardized
@@ -88,10 +87,6 @@ def build_cost_matrix(
         )
     if alphas not in ("all", "first"):
         raise ValueError("alphas must be 'all' or 'first'")
-    if estimator == "per-voxel":
-        return _build_per_voxel(z, partners, weights, alphas)
-    if estimator != "sample-cumulant":
-        raise ValueError(f"unknown estimator: {estimator!r}")
     cv2, cv3, cv4 = cumulant_vectors_ring(z, partners)
     if alphas == "first":
         cv2, cv3, cv4 = cv2[:, :1], cv3[:, :1], cv4[:, :1]
@@ -109,37 +104,6 @@ def build_cost_matrix(
     return CostMatrix(m=m, contributions=contributions)
 
 
-def _build_per_voxel(
-    zc: np.ndarray, pc: np.ndarray, weights: tuple[float, float, float], alphas: str
-) -> CostMatrix:
-    """Per-sample outer-product variant (experimental)."""
-    n, v = pc.shape
-    dim = zc.shape[0]
-    w2, w3, w4 = weights
-    n_alpha = 1 if alphas == "first" else n
-    m = np.zeros((dim, dim))
-    contributions = np.zeros((n_alpha, 3))
-    for a in range(n_alpha):
-        p0 = pc[a]
-        p1 = pc[(a + 1) % n]
-        p2 = pc[(a + 2) % n]
-        g2 = zc * p0[None, :]
-        g3 = zc * (p0 * p1)[None, :]
-        m01 = float(p0 @ p1) / v
-        m02 = float(p0 @ p2) / v
-        m12 = float(p1 @ p2) / v
-        g4 = (
-            zc * (p0 * p1 * p2)[None, :]
-            - m12 * zc * p0[None, :]
-            - m02 * zc * p1[None, :]
-            - m01 * zc * p2[None, :]
-        )
-        for w, g, j in ((w2, g2, 0), (w3, g3, 1), (w4, g4, 2)):
-            m += (w / v) * (g @ g.T)
-            contributions[a, j] = (w / v) * float(np.einsum("ij,ij->", g, g))
-    return CostMatrix(m=(m + m.T) / 2.0, contributions=contributions)
-
-
 def cost(u: np.ndarray, cm: CostMatrix) -> float:
     """Quadratic cost of a candidate demixing row."""
     u = np.asarray(u, dtype=float)
@@ -153,7 +117,6 @@ def inner_extract(
     u_init: np.ndarray,
     eps0: float = 1e-6,
     max_inner: int = 200,
-    estimator: str = "sample-cumulant",
 ) -> tuple[float, np.ndarray, list[float], bool]:
     """Extract one demixing row; returns (cost, u, trace, converged).
 
@@ -166,7 +129,7 @@ def inner_extract(
     u = np.asarray(u_init, dtype=float)
     u = u / np.linalg.norm(u)
     if partners is not None:
-        cm = build_cost_matrix(z, partners, weights, estimator=estimator)
+        cm = build_cost_matrix(z, partners, weights)
         trace = [cost(u, cm)]
         lam, u_new = dominant_eigenvector(cm.m)
         trace.append(lam)
@@ -174,7 +137,7 @@ def inner_extract(
     y = u @ z
     if float(y @ y) < 1e-20:
         raise ZeroSource("self-mode extraction started from a null direction")
-    cm = build_cost_matrix(z, standardize(y)[None, :], weights, estimator=estimator)
+    cm = build_cost_matrix(z, standardize(y)[None, :], weights)
     trace = [cost(u, cm)]
     lam = trace[0]
     converged = False
@@ -195,7 +158,7 @@ def inner_extract(
         if delta < eps0:
             converged = True
             break
-        cm = build_cost_matrix(z, standardize(u @ z)[None, :], weights, estimator=estimator)
+        cm = build_cost_matrix(z, standardize(u @ z)[None, :], weights)
     if not converged:
         warnings.warn(
             f"self-mode extraction hit the {max_inner}-iteration cap",
@@ -335,9 +298,7 @@ def run_jpji_ica(
                 if order is not None and order.n > 0:
                     pool = np.stack([y_cur[j][c] for j in order.order])
                     alphas = "first" if algorithm == "jithica" else "all"
-                    cm = build_cost_matrix(
-                        zk, pool, weights, alphas=alphas, estimator=config.estimator
-                    )
+                    cm = build_cost_matrix(zk, pool, weights, alphas=alphas)
                     lam, u_new = dominant_eigenvector(cm.m)
                     n_alpha = cm.n_alpha
                     if algorithm == "jithica" and not isinstance(config.sigma0, str):
@@ -354,13 +315,7 @@ def run_jpji_ica(
                         u_fin, lam_fin, converged = u_new, lam, True
                 if mode == "self":
                     lam_fin, u_fin, trace_vals, converged = inner_extract(
-                        zk,
-                        None,
-                        weights,
-                        u0,
-                        eps0=config.eps0,
-                        max_inner=config.max_inner,
-                        estimator=config.estimator,
+                        zk, None, weights, u0, eps0=config.eps0, max_inner=config.max_inner
                     )
                 u_work[k][c] = u_fin
                 y_raw = u_fin @ zk
@@ -473,7 +428,6 @@ def _order_slots(
     kurtosis of the first holder's estimate breaks ties.
     """
     n_slots = max(orders) if orders else 0
-    w2, w3, w4 = weights
     means = np.zeros(n_slots)
     kurt = np.zeros(n_slots)
     for c in range(n_slots):
@@ -486,7 +440,6 @@ def _order_slots(
             peers = [j for j in holders if j != k]
             yc = y_cur[k][c][None, :]
             pool = np.stack([y_cur[j][c] for j in peers]) if peers else yc
-            cv2, cv3, cv4 = cumulant_vectors_ring(yc, pool)
-            vals.append(float(w2 * cv2[0] @ cv2[0] + w3 * cv3[0] @ cv3[0] + w4 * cv4[0] @ cv4[0]))
+            vals.append(float(build_cost_matrix(yc, pool, weights).contributions.sum()))
         means[c] = float(np.mean(vals))
     return sorted(range(n_slots), key=lambda c: (-means[c], -kurt[c], c))

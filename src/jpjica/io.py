@@ -54,10 +54,10 @@ def load_matrix(path: str | Path) -> np.ndarray:
             version, rows, cols = struct.unpack("<III", header[4:])
             if version != 1:
                 raise ValueError(f"{path}: unsupported binary version {version}")
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
+            data = np.fromfile(fh, dtype="<f8", count=rows * cols)
             if data.size != rows * cols:
                 raise ValueError(f"{path}: truncated binary matrix")
-            return data.reshape(rows, cols).copy()
+            return data.reshape(rows, cols)
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
@@ -220,13 +220,13 @@ def save_decomposition(
         save_matrix(directory / entry["mean"], decomp.row_means[k][None, :])
         files[sid] = entry
     feats = decomp.features
-    slot_of = _slot_lookup(decomp)
+    slot_rows = decomp.slot_rows
     with open(directory / "features.csv", "w") as fh:
         fh.write("slot,subject,jpjif,kurtosis,kind,peers\n")
         for c in range(decomp.n_slots):
             for k, sid in enumerate(ids):
-                row = slot_of[k].get(c)
-                if row is None:
+                row = slot_rows[c, k]
+                if row < 0:
                     continue
                 jp = feats.jpjif[c, k] if feats is not None else float("nan")
                 ku = feats.kurtosis[c, k] if feats is not None else float("nan")
@@ -241,8 +241,8 @@ def save_decomposition(
             fh.write("slot,subject,kind,peers\n")
             for c in range(decomp.n_slots):
                 for k, sid in enumerate(ids):
-                    row = slot_of[k].get(c)
-                    if row is None:
+                    row = slot_rows[c, k]
+                    if row < 0:
                         continue
                     lab = decomp.labels[k][row]
                     peers = "|".join(sorted(ids[j] for j in lab.peers))
@@ -372,20 +372,6 @@ def load_report(path: str | Path) -> dict:
     return data
 
 
-def _slot_lookup(decomp: Decomposition) -> list[dict[int, int]]:
-    out: list[dict[int, int]] = []
-    for k in range(decomp.n_subjects):
-        have = [
-            c
-            for c in range(decomp.n_slots)
-            if not np.isnan(decomp.extraction_costs[c, k])
-        ]
-        if len(have) != decomp.sources[k].shape[0]:
-            have = list(range(decomp.sources[k].shape[0]))
-        out.append({c: i for i, c in enumerate(have)})
-    return out
-
-
 def _config_dict(cfg: AlgoConfig) -> dict:
     return {
         "weights": list(cfg.weights),
@@ -397,7 +383,6 @@ def _config_dict(cfg: AlgoConfig) -> dict:
         "mode_switch": cfg.mode_switch,
         "tau_joint": cfg.tau_joint,
         "n_clusters": cfg.n_clusters,
-        "estimator": cfg.estimator,
         "seed": cfg.seed,
     }
 

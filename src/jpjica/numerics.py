@@ -3,14 +3,11 @@
 All estimators treat the columns of a matrix (or the entries of a
 vector) as equally weighted samples; moments are population-normalized
 (divide by V, not V-1) so that whitened data has exactly unit sample
-covariance.  ``cross_cumulant`` and ``cumulant_vector`` re-center their
-inputs, which makes them shift-invariant regardless of upstream
-normalization.  The ring kernel ``cumulant_vectors_ring`` sits on the
-engine's hot path and does not: its inputs must already be row-centered.
+covariance.  The ring kernel ``cumulant_vectors_ring`` is the only
+cumulant estimator; it sits on the engine's hot path and does not
+re-center, so its inputs must already be row-centered.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -19,31 +16,16 @@ from .errors import (
     DegenerateSampleCount,
     InsufficientSamples,
     InvalidQ,
-    LengthMismatch,
     NonFinite,
     NotSymmetric,
-    OrderOutOfRange,
     PartnerLengthMismatch,
     SingularCovariance,
     TooFewPoints,
     ZeroSource,
 )
 
-SUPPORTED_ORDERS = (2, 3, 4)
 # Working-set budget of the ring kernel's per-block buffer (see _ring_block_width).
 _RING_BLOCK_BYTES = 2**19
-
-
-@dataclass(frozen=True)
-class CumulantVector:
-    """Cross-cumulants of each row of a matrix against one partner tuple."""
-
-    values: np.ndarray
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 1:
-            raise ValueError("cumulant vector must be one-dimensional")
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
@@ -54,87 +36,6 @@ def standardize(x: np.ndarray) -> np.ndarray:
     if s < 1e-300 or not np.isfinite(s):
         raise ZeroSource("cannot standardize a (near-)constant vector")
     return c / s
-
-
-def cross_cumulant(order: int, *series: np.ndarray) -> float:
-    """Sample cross-cumulant of ``order`` vectors.
-
-    Orders 2 and 3 are plain product moments of the centered series; at
-    order 4 the three pairwise-product corrections are subtracted, which
-    makes the statistic vanish for (jointly) Gaussian data.
-
-    Parameters
-    ----------
-    order
-        Cumulant order, one of 2, 3, 4.
-    *series
-        Exactly ``order`` equal-length sample vectors.
-    """
-    if order not in SUPPORTED_ORDERS:
-        raise OrderOutOfRange(f"order must be one of {SUPPORTED_ORDERS}, got {order}")
-    if len(series) != order:
-        raise LengthMismatch(f"expected {order} series, got {len(series)}")
-    arrs = [np.asarray(s, dtype=float).ravel() for s in series]
-    v = arrs[0].size
-    if v == 0:
-        raise LengthMismatch("series must be nonempty")
-    if any(a.size != v for a in arrs):
-        raise LengthMismatch("series lengths differ")
-    for a in arrs:
-        if not np.isfinite(a).all():
-            raise NonFinite("series contain NaN/Inf")
-    c = [a - a.mean() for a in arrs]
-    if order == 2:
-        return float(np.mean(c[0] * c[1]))
-    if order == 3:
-        return float(np.mean(c[0] * c[1] * c[2]))
-    a, b, d, e = c
-    m = lambda x, y: float(np.mean(x * y))
-    return (
-        float(np.mean(a * b * d * e))
-        - m(a, b) * m(d, e)
-        - m(a, d) * m(b, e)
-        - m(a, e) * m(b, d)
-    )
-
-
-def cumulant_vector(z: np.ndarray, partners: list[np.ndarray], order: int) -> CumulantVector:
-    """Cross-cumulant of every row of ``z`` against a shared partner tuple.
-
-    Element i equals ``cross_cumulant(order, z[i], *partners)``; the whole
-    vector is computed in O(rows * V) without forming V x V intermediates.
-    """
-    if order not in SUPPORTED_ORDERS:
-        raise OrderOutOfRange(f"order must be one of {SUPPORTED_ORDERS}, got {order}")
-    if len(partners) != order - 1:
-        raise LengthMismatch(f"expected {order - 1} partners, got {len(partners)}")
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[1] == 0:
-        raise LengthMismatch("z must be a nonempty 2-D array")
-    v = z.shape[1]
-    ps = []
-    for p in partners:
-        p = np.asarray(p, dtype=float).ravel()
-        if p.size != v:
-            raise PartnerLengthMismatch(f"partner length {p.size} != sample count {v}")
-        ps.append(p - p.mean())
-    zc = z - z.mean(axis=1, keepdims=True)
-    if order == 2:
-        vals = zc @ ps[0] / v
-    elif order == 3:
-        vals = zc @ (ps[0] * ps[1]) / v
-    else:
-        a, b, c = ps
-        m_ab = a @ b / v
-        m_ac = a @ c / v
-        m_bc = b @ c / v
-        vals = (
-            zc @ (a * b * c) / v
-            - (zc @ a / v) * m_bc
-            - (zc @ b / v) * m_ac
-            - (zc @ c / v) * m_ab
-        )
-    return CumulantVector(values=vals, order=order)
 
 
 def _ring_block_width(n_partners: int) -> int:
@@ -162,9 +63,9 @@ def cumulant_vectors_ring(
     """All order-2/3/4 cumulant vectors over a ring of partner rows.
 
     For n partner rows, position alpha uses partners alpha, alpha+1, ...
-    wrapping modulo n, so column alpha of the order-eta output equals
-    ``cumulant_vector(zc, [partners[alpha], ..., partners[(alpha+eta-2) % n]],
-    eta)``.  The outputs are (C, n) matrices, one column per ring position.
+    wrapping modulo n, so entry (i, alpha) of the order-eta output is the
+    sample cross-cumulant of zc[i] with partners alpha, ..., alpha+eta-2.
+    The outputs are (C, n) matrices, one column per ring position.
 
     Both ``zc`` and ``partners`` must already be row-centered (whitened
     data, deflated data and standardized estimates all are); nothing is

@@ -163,10 +163,6 @@ class AlgoConfig:
     tau_joint
         Relative tolerance of the per-peer contribution uniformity test
         used to detect joint sources.
-    estimator
-        "sample-cumulant" (default): cumulant vectors are whole-sample
-        statistics combined by outer products.  "per-voxel": experimental
-        variant averaging per-sample outer products instead.
     """
 
     weights: tuple[float, float, float] = (0.5, 0.75, 1.0)
@@ -178,7 +174,6 @@ class AlgoConfig:
     mode_switch: float | str = "auto"
     tau_joint: float = 0.15
     n_clusters: int | None = None
-    estimator: str = "sample-cumulant"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -203,8 +198,6 @@ class AlgoConfig:
             raise ValueError("tau_joint must lie in (0, 1)")
         if self.n_clusters is not None and self.n_clusters < 2:
             raise ValueError("n_clusters must be >= 2 when given")
-        if self.estimator not in ("sample-cumulant", "per-voxel"):
-            raise ValueError("estimator must be 'sample-cumulant' or 'per-voxel'")
 
 
 @dataclass(frozen=True)
@@ -287,6 +280,32 @@ class Decomposition:
     @property
     def n_slots(self) -> int:
         return self.extraction_costs.shape[0]
+
+    @property
+    def slot_rows(self) -> np.ndarray:
+        """Source row of each (slot, subject); -1 where the subject holds no source.
+
+        A subject holds the slots with a finite extraction cost.
+        """
+        return slot_rows(
+            ~np.isnan(self.extraction_costs), [s.shape[0] for s in self.sources]
+        )
+
+
+def slot_rows(held: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Map (slot, subject) to the subject's row index, -1 where not held.
+
+    ``held`` is a (slots x subjects) boolean mask.  Each subject's rows
+    are its held slots in increasing slot order, so subject k must hold
+    exactly ``orders[k]`` slots; any other count raises ValueError.
+    """
+    held = np.asarray(held, dtype=bool)
+    counts = held.sum(axis=0).tolist()
+    if counts != list(orders):
+        raise ValueError(
+            f"held slots per subject {counts} do not match row counts {list(orders)}"
+        )
+    return np.where(held, np.cumsum(held, axis=0) - 1, -1)
 
 
 def validate_analysis_input(datasets: Sequence[SubjectDataset]) -> None:

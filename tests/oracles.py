@@ -2,13 +2,15 @@
 
 Everything here is written the slow, obvious way (set partitions, power
 iteration, continued fractions, exhaustive search) precisely so it shares
-no code with the library under test.
+no code with the library under test; only the error types are imported.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from jpjica.errors import LengthMismatch, NonFinite, OrderOutOfRange
 
 
 def set_partitions(items):
@@ -44,6 +46,47 @@ def cumulant_partition(*series) -> float:
             prod *= float(np.mean(m))
         total += coef * prod
     return total
+
+
+def cross_cumulant(order: int, *series: np.ndarray) -> float:
+    """Sample cross-cumulant of ``order`` vectors.
+
+    Orders 2 and 3 are plain product moments of the centered series; at
+    order 4 the three pairwise-product corrections are subtracted, which
+    makes the statistic vanish for (jointly) Gaussian data.  Every series
+    is re-centered, so the statistic is shift-invariant.
+    """
+    if order not in (2, 3, 4):
+        raise OrderOutOfRange(f"order must be one of (2, 3, 4), got {order}")
+    if len(series) != order:
+        raise LengthMismatch(f"expected {order} series, got {len(series)}")
+    arrs = [np.asarray(s, dtype=float).ravel() for s in series]
+    v = arrs[0].size
+    if v == 0:
+        raise LengthMismatch("series must be nonempty")
+    if any(a.size != v for a in arrs):
+        raise LengthMismatch("series lengths differ")
+    for a in arrs:
+        if not np.isfinite(a).all():
+            raise NonFinite("series contain NaN/Inf")
+    c = [a - a.mean() for a in arrs]
+    if order == 2:
+        return float(np.mean(c[0] * c[1]))
+    if order == 3:
+        return float(np.mean(c[0] * c[1] * c[2]))
+    a, b, d, e = c
+    m = lambda x, y: float(np.mean(x * y))
+    return (
+        float(np.mean(a * b * d * e))
+        - m(a, b) * m(d, e)
+        - m(a, d) * m(b, e)
+        - m(a, e) * m(b, d)
+    )
+
+
+def cumulant_rows(z: np.ndarray, ring: list[np.ndarray]) -> np.ndarray:
+    """``cross_cumulant`` of every row of ``z`` against one partner tuple."""
+    return np.array([cross_cumulant(len(ring) + 1, row, *ring) for row in z])
 
 
 def power_iteration(m: np.ndarray, iters: int = 20000, tol: float = 1e-15):

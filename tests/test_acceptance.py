@@ -31,7 +31,7 @@ from jpjica.baseline import run_ji_thica
 from jpjica.classify import label_decomposition
 from jpjica.engine import inner_extract, run_jpji_ica
 from jpjica.metrics import acc_c, acc_k, evaluate_run
-from jpjica.numerics import bh_fdr, covariance, cumulant_vector, welch_t_columns
+from jpjica.numerics import bh_fdr, covariance, cumulant_vectors_ring, welch_t_columns
 from jpjica.preprocess import whiten
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SourceKind
@@ -137,7 +137,12 @@ def test_criterion_01_cumulant_vector_matches_partition_oracle():
             rng.standard_normal(v) * rng.uniform(0.5, 2.0) + rng.uniform(-1, 1)
             for _ in range(order - 1)
         ]
-        got = cumulant_vector(z, partners, order).values
+        # The kernel's contract: rows arrive centered.  Its column 0 is the
+        # tuple (partners[0], ..., partners[order - 2]), which the ring of
+        # order - 1 partners reproduces exactly.
+        zc = z - z.mean(axis=1, keepdims=True)
+        ring = np.stack([p - p.mean() for p in partners])
+        got = cumulant_vectors_ring(zc, ring)[order - 2][:, 0]
         want = np.array([cumulant_partition(z[i], *partners) for i in range(n_rows)])
         rel = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
         worst = max(worst, rel)

@@ -2,37 +2,20 @@
 import numpy as np
 import pytest
 
-from jpjica.baseline import build_m_individual, build_m_joint, run_ji_thica
-from jpjica.numerics import cross_cumulant, standardize
+from jpjica.baseline import run_ji_thica
+from jpjica.engine import build_cost_matrix
+from jpjica.numerics import standardize
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SourceKind
 
 WEIGHTS = (0.5, 0.75, 1.0)
 
 
-def test_build_m_joint_uses_one_tuple():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal((3, 300))
-    z -= z.mean(axis=1, keepdims=True)
-    partners = rng.standard_normal((4, 300))
-    partners -= partners.mean(axis=1, keepdims=True)
-    cm = build_m_joint(z, partners, WEIGHTS)
-    assert cm.n_alpha == 1
-    want = np.zeros((3, 3))
-    ring = [partners[0], partners[1], partners[2]]
-    for j, order in enumerate((2, 3, 4)):
-        cvec = np.array(
-            [cross_cumulant(order, z[i], *ring[: order - 1]) for i in range(3)]
-        )
-        want += WEIGHTS[j] * np.outer(cvec, cvec)
-    np.testing.assert_allclose(cm.m, want, rtol=1e-10, atol=1e-13)
-
-
 def test_build_m_individual_self_partner():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((2, 400))
     y = standardize(z[0])
-    cm = build_m_individual(z, y, WEIGHTS)
+    cm = build_cost_matrix(z, y[None, :], WEIGHTS)
     assert cm.m.shape == (2, 2)
     # the aligned row dominates its own cumulant cost
     assert cm.m[0, 0] > cm.m[1, 1]

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from jpjica import io as jio
 from jpjica.classify import (
     KurtosisFit,
     build_features,
@@ -16,9 +17,10 @@ from jpjica.classify import (
 )
 from jpjica.engine import run_jpji_ica
 from jpjica.errors import GroupTooSmall, NoJointSources
-from jpjica.numerics import cross_cumulant, standardize
+from jpjica.numerics import standardize
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, Decomposition, FeatureTable, SourceKind
+from oracles import cross_cumulant
 
 WEIGHTS = (0.5, 0.75, 1.0)
 
@@ -46,6 +48,17 @@ def _stub_decomp(sources, config=None):
 
 def _sharp(rng, v):
     return standardize(rng.laplace(size=v) ** 3)
+
+
+def test_slot_map_rejects_costs_that_disagree_with_sources(tmp_path):
+    """Subject 2 holds one slot by its costs but has two source rows."""
+    rng = np.random.default_rng(8)
+    decomp = _stub_decomp([np.stack([_sharp(rng, 400) for _ in range(2)]) for _ in range(3)])
+    decomp.extraction_costs[1, 2] = np.nan
+    with pytest.raises(ValueError, match="held slots"):
+        build_features(decomp)
+    with pytest.raises(ValueError, match="held slots"):
+        jio.save_decomposition(tmp_path / "res", decomp)
 
 
 def test_jpji_feature_matches_ring_oracle():

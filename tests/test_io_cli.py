@@ -260,6 +260,54 @@ def test_decomposition_labels_file(tmp_path, small_decomp):
     assert kinds <= {"joint", "pjoint", "individual"}
 
 
+@pytest.fixture(scope="module")
+def ragged_decomp():
+    """Per-subject BIC orders 2, 4, 3 and 5 on ragged time counts."""
+    spec = ScenarioSpec(
+        n_subjects=4,
+        n_joint=2,
+        n_individual=(0, 2, 1, 3),
+        n_voxels=1024,
+        n_time=(60, 80, 70, 90),
+        seed=0,
+    )
+    datasets, _ = generate_dataset(spec)
+    config = AlgoConfig(n_components="auto-bic", seed=0)
+    return label_decomposition(run_jpji_ica(datasets, config))
+
+
+def test_slot_rows_agree_across_layers_with_ragged_orders(tmp_path, ragged_decomp):
+    decomp = ragged_decomp
+    rows = decomp.slot_rows
+    held = rows >= 0
+    orders = [s.shape[0] for s in decomp.sources]
+    assert len(set(orders)) > 1
+    # Slot ordering leaves some subject with gaps between its held slots,
+    # so row index and slot index differ.
+    assert any(not held[:o, k].all() for k, o in enumerate(orders))
+
+    feats = decomp.features
+    assert np.array_equal(np.isfinite(feats.jpjif), held)
+    assert np.array_equal(np.vectorize(lambda x: x is not None)(feats.contributions), held)
+    assert [len(labs) for labs in decomp.labels] == orders
+
+    ids = decomp.subject_ids
+    want = [
+        (int(c), ids[k], decomp.labels[k][rows[c, k]].kind.value)
+        for c, k in zip(*np.nonzero(held))
+    ]
+    out = tmp_path / "res"
+    jio.save_decomposition(out, decomp)
+    for name, kind_col in (("features.csv", 4), ("labels.csv", 2)):
+        lines = [ln.split(",") for ln in (out / name).read_text().splitlines()[1:]]
+        assert [(int(f[0]), f[1], f[kind_col]) for f in lines] == want, name
+
+    bundle = jio.load_decomposition(out)
+    got = cli._feature_rows(bundle)
+    assert [(r["slot"], r["subject"], r["kind"]) for r in got] == want
+    assert [r["jpjif"] for r in got] == [float(v) for v in feats.jpjif[held]]
+
+
 def test_decomposition_rejects_wrong_kind(tmp_path, small_scene):
     _, datasets, _ = small_scene
     out = tmp_path / "ds"

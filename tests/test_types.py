@@ -14,6 +14,7 @@ from jpjica.types import (
     SourceKind,
     SourceLabel,
     SubjectDataset,
+    slot_rows,
     validate_analysis_input,
 )
 
@@ -94,8 +95,15 @@ def test_algo_config_defaults_and_validation():
         AlgoConfig(tau_joint=1.0)
     with pytest.raises(ValueError):
         AlgoConfig(n_clusters=1)
-    with pytest.raises(ValueError):
-        AlgoConfig(estimator="fancy")
+
+
+def test_slot_rows_maps_held_slots_in_order():
+    held = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
+    np.testing.assert_array_equal(
+        slot_rows(held, [2, 3, 2]), [[0, 0, -1], [-1, 1, 0], [1, 2, 1]]
+    )
+    with pytest.raises(ValueError, match="held slots"):
+        slot_rows(held, [2, 3, 3])
 
 
 def test_peer_order_rejects_repeats():
