@@ -329,17 +329,15 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
     joint_slots = detect_joint_slots(features, decomp)
     cfg = decomp.config
     if isinstance(cfg.sigma0, str):
-        sigma, ratio, ref = select_sigma_opt(features, joint_slots, decomp)
+        sigma, _, ref = select_sigma_opt(features, joint_slots, decomp)
     else:
         sigma = float(cfg.sigma0)
-        ratio = np.full_like(features.jpjif, np.nan)
         ref = float(np.nanmean(features.jpjif[joint_slots, :])) if joint_slots else float("nan")
     kinds = classify_by_feature(features, sigma, joint_slots)
     labels = cluster_subjects(decomp, kinds)
     features.joint_slots = sorted(joint_slots)
     features.sigma_opt = sigma
     features.jpjif_joint = ref
-    features.ratio = ratio
     return replace(decomp, features=features, labels=labels)
 
 

@@ -1,14 +1,14 @@
 """Command-line interface: simulate, decompose, evaluate, report.
 
-Exit codes: 0 success, 2 invalid simulation scenario, 3 invalid input
-to decomposition, 4 missing ground truth during evaluation, 5 no usable
+Exit codes: 0 success, 2 invalid simulation scenario (argparse also
+exits 2 on a command-line usage error), 3 invalid input to
+decomposition, 4 missing ground truth during evaluation, 5 no usable
 inputs for report aggregation.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,14 +31,7 @@ EXIT_NO_REPORTS = 5
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        threads = _resolve_threads(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    del threads  # validated upper bound; current implementation is single-threaded
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 
@@ -66,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--binary", action="store_true",
                        help="store matrices in the binary format")
     p_sim.add_argument("--out", required=True)
-    _common_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_dec = sub.add_parser("decompose", help="run a decomposition on a dataset directory")
@@ -83,38 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--n-clusters", type=int, default=None)
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--binary", action="store_true")
-    _common_flags(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_eval = sub.add_parser("evaluate", help="score results against ground truth")
     p_eval.add_argument("results", help="results directory")
     p_eval.add_argument("dataset", help="dataset directory with ground truth")
     p_eval.add_argument("--out", default=None, help="report path (default results/report.json)")
-    _common_flags(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="aggregate report files into CSV tables")
     p_rep.add_argument("reports", nargs="*", help="report.json files")
     p_rep.add_argument("--out", required=True, help="output directory for tables")
-    _common_flags(p_rep)
     p_rep.set_defaults(func=cmd_report)
     return parser
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="upper bound on worker threads (default: JPJI_THREADS or 1);"
-                        " results are identical for any value")
-
-
-def _resolve_threads(args: argparse.Namespace) -> int:
-    raw = args.threads
-    if raw is None:
-        raw = os.environ.get("JPJI_THREADS", "1")
-    threads = int(raw)
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-    return threads
 
 
 def _int_or_list(text: str) -> int | tuple[int, ...]:

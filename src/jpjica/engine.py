@@ -112,28 +112,20 @@ def cost(u: np.ndarray, cm: CostMatrix) -> float:
 
 def inner_extract(
     z: np.ndarray,
-    partners: np.ndarray | None,
     weights: tuple[float, float, float],
     u_init: np.ndarray,
     eps0: float = 1e-6,
     max_inner: int = 200,
 ) -> tuple[float, np.ndarray, list[float], bool]:
-    """Extract one demixing row; returns (cost, u, trace, converged).
+    """Self-mode extraction of one demixing row; returns (cost, u, trace, converged).
 
-    With fixed ``partners`` the cost matrix is static and the dominant
-    eigenvector is the exact maximizer, so a single eigendecomposition
-    suffices.  With ``partners=None`` (self mode) the row's own estimate
-    is the partner: the cost matrix is rebuilt from the current estimate
-    each iteration until 1 - (u . u_prev)^2 < eps0.
+    The row's own estimate is the partner: the cost matrix is rebuilt
+    from the current estimate each iteration until
+    1 - (u . u_prev)^2 < eps0.  (Joint extraction against a fixed peer
+    ring needs a single eigen step and is done inline by ``run_jpji_ica``.)
     """
     u = np.asarray(u_init, dtype=float)
     u = u / np.linalg.norm(u)
-    if partners is not None:
-        cm = build_cost_matrix(z, partners, weights)
-        trace = [cost(u, cm)]
-        lam, u_new = dominant_eigenvector(cm.m)
-        trace.append(lam)
-        return lam, u_new, trace, True
     y = u @ z
     if float(y @ y) < 1e-20:
         raise ZeroSource("self-mode extraction started from a null direction")
@@ -315,7 +307,7 @@ def run_jpji_ica(
                         u_fin, lam_fin, converged = u_new, lam, True
                 if mode == "self":
                     lam_fin, u_fin, trace_vals, converged = inner_extract(
-                        zk, None, weights, u0, eps0=config.eps0, max_inner=config.max_inner
+                        zk, weights, u0, eps0=config.eps0, max_inner=config.max_inner
                     )
                 u_work[k][c] = u_fin
                 y_raw = u_fin @ zk

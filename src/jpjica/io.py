@@ -24,6 +24,7 @@ from .types import (
     SourceKind,
     SourceLabel,
     SubjectDataset,
+    slot_rows,
 )
 
 FORMAT_VERSION = "1"
@@ -220,12 +221,12 @@ def save_decomposition(
         save_matrix(directory / entry["mean"], decomp.row_means[k][None, :])
         files[sid] = entry
     feats = decomp.features
-    slot_rows = decomp.slot_rows
+    row_of = decomp.slot_rows
     with open(directory / "features.csv", "w") as fh:
         fh.write("slot,subject,jpjif,kurtosis,kind,peers\n")
         for c in range(decomp.n_slots):
             for k, sid in enumerate(ids):
-                row = slot_rows[c, k]
+                row = row_of[c, k]
                 if row < 0:
                     continue
                 jp = feats.jpjif[c, k] if feats is not None else float("nan")
@@ -241,7 +242,7 @@ def save_decomposition(
             fh.write("slot,subject,kind,peers\n")
             for c in range(decomp.n_slots):
                 for k, sid in enumerate(ids):
-                    row = slot_rows[c, k]
+                    row = row_of[c, k]
                     if row < 0:
                         continue
                     lab = decomp.labels[k][row]
@@ -305,38 +306,39 @@ def load_decomposition(directory: str | Path) -> ResultsBundle:
         demixing.append(load_matrix(directory / entry["demixing"]))
         whiteners.append(load_matrix(directory / entry["whitener"]))
         means.append(load_matrix(directory / entry["mean"]).ravel())
-    n_slots = max(s.shape[0] for s in sources)
+    orders = [s.shape[0] for s in sources]
+    n_slots = max(orders)
     jpjif = np.full((n_slots, len(ids)), np.nan)
     kurt = np.full((n_slots, len(ids)), np.nan)
+    held = np.zeros((n_slots, len(ids)), dtype=bool)
     kinds: dict[tuple[int, int], tuple[str, frozenset[int]]] = {}
-    rows_seen = [0] * len(ids)
-    have_labels = False
     with open(directory / "features.csv") as fh:
         next(fh)
         for line in fh:
             slot_s, sid, jp, ku, kind, peers = line.rstrip("\n").split(",")
-            c, k = int(slot_s), idx_of[sid]
+            try:
+                k = idx_of[sid]
+                peer_idx = frozenset(idx_of[p] for p in peers.split("|") if p)
+            except KeyError as exc:
+                raise ValueError(f"features.csv names unknown subject {exc}") from None
+            c = int(slot_s)
+            if not 0 <= c < n_slots:
+                raise ValueError(f"features.csv: slot {c} outside [0, {n_slots})")
+            held[c, k] = True
             jpjif[c, k] = float(jp)
             kurt[c, k] = float(ku)
             if kind:
-                have_labels = True
-                peer_idx = frozenset(idx_of[p] for p in peers.split("|") if p)
-                kinds[(k, rows_seen[k])] = (kind, peer_idx)
-            rows_seen[k] += 1
+                kinds[(c, k)] = (kind, peer_idx)
+    row_of = slot_rows(held, orders)
     labels = None
-    if have_labels:
-        labels = [
-            [
-                SourceLabel(
-                    kind=SourceKind(kinds[(k, i)][0]),
-                    peers=kinds[(k, i)][1],
-                    n_subjects=len(ids),
-                    subject=k,
-                )
-                for i in range(sources[k].shape[0])
-            ]
-            for k in range(len(ids))
-        ]
+    if kinds:
+        if len(kinds) != held.sum():
+            raise ValueError("features.csv labels some sources but not others")
+        labels = [[None] * o for o in orders]
+        for (c, k), (kind, peer_idx) in kinds.items():
+            labels[k][row_of[c, k]] = SourceLabel(
+                kind=SourceKind(kind), peers=peer_idx, n_subjects=len(ids), subject=k
+            )
     features = FeatureTable(
         jpjif=jpjif,
         contributions=np.empty(jpjif.shape, dtype=object),

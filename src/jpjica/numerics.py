@@ -303,19 +303,20 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def _welch_from_stats(
-    mean_a: np.ndarray,
-    var_a: np.ndarray,
-    na: int,
-    mean_b: np.ndarray,
-    var_b: np.ndarray,
-    nb: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Welch t and two-sided p from per-group means and ddof-1 variances."""
-    sa = var_a / na
-    sb = var_b / nb
+def welch_t_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise Welch test (unequal variances) of two groups of rows.
+
+    Returns (t, two-sided p) arrays, one entry per column.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    na, nb = a.shape[0], b.shape[0]
+    if na < 2 or nb < 2:
+        raise InsufficientSamples("each group needs at least 2 rows")
+    sa = a.var(axis=0, ddof=1) / na
+    sb = b.var(axis=0, ddof=1) / nb
     se2 = sa + sb
-    diff = mean_a - mean_b
+    diff = a.mean(axis=0) - b.mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se2 > 0, diff / np.sqrt(np.where(se2 > 0, se2, 1.0)), 0.0)
         t = np.where((se2 <= 0) & (diff != 0), np.inf * np.sign(diff), t)
@@ -333,35 +334,6 @@ def _welch_from_stats(
     p = np.where(np.isinf(t), 0.0, 2.0 * stdtr(df, -np.abs(np.where(np.isinf(t), 0.0, t))))
     p = np.where((se2 <= 0) & (diff == 0), 1.0, p)
     return t, np.clip(p, 0.0, 1.0)
-
-
-def two_sample_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Welch two-sample t-test (unequal variances), two-sided p-value."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size < 2 or b.size < 2:
-        raise InsufficientSamples("each group needs at least 2 observations")
-    t, p = _welch_from_stats(
-        np.array([a.mean()]),
-        np.array([a.var(ddof=1)]),
-        a.size,
-        np.array([b.mean()]),
-        np.array([b.var(ddof=1)]),
-        b.size,
-    )
-    return float(t[0]), float(p[0])
-
-
-def welch_t_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise Welch test of two groups of rows; returns (t, p) arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise InsufficientSamples("each group needs at least 2 rows")
-    return _welch_from_stats(
-        a.mean(axis=0), a.var(axis=0, ddof=1), a.shape[0],
-        b.mean(axis=0), b.var(axis=0, ddof=1), b.shape[0],
-    )
 
 
 def one_sample_t_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -246,7 +246,6 @@ class FeatureTable:
     joint_slots: list[int] = field(default_factory=list)
     sigma_opt: float | None = None
     jpjif_joint: float | None = None
-    ratio: np.ndarray | None = None
 
 
 @dataclass

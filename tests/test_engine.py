@@ -86,20 +86,6 @@ def test_eigenvector_maximizes_cost():
         assert cost(r, cm) <= lam + 1e-10
 
 
-def test_inner_extract_static_partners():
-    rng = np.random.default_rng(6)
-    z = _centered(rng, (3, 400))
-    partners = _centered(rng, (4, 400))
-    u0 = np.array([1.0, 0.0, 0.0])
-    lam, u, trace, converged = inner_extract(z, partners, (0.5, 0.75, 1.0), u0)
-    assert converged
-    assert len(trace) == 2
-    cm = build_cost_matrix(z, partners, (0.5, 0.75, 1.0))
-    assert trace[0] == pytest.approx(cost(u0, cm), rel=1e-12)
-    assert trace[1] == pytest.approx(lam, rel=1e-12)
-    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_inner_extract_self_mode_finds_kurtotic_source():
     rng = np.random.default_rng(7)
     v = 4000
@@ -111,7 +97,7 @@ def test_inner_extract_self_mode_finds_kurtotic_source():
 
     z, _ = whiten(x)
     u0 = np.array([1.0, 1.0]) / np.sqrt(2)
-    lam, u, trace, converged = inner_extract(z, None, (0.5, 0.75, 1.0), u0)
+    lam, u, trace, converged = inner_extract(z, (0.5, 0.75, 1.0), u0)
     assert converged
     y = standardize(u @ z)
     assert abs(float(y @ s_sharp) / v) > 0.95
@@ -124,7 +110,7 @@ def test_inner_extract_self_mode_cap_warns():
     z = _centered(rng, (3, 500))
     u0 = np.array([1.0, 0.0, 0.0])
     with pytest.warns(ConvergenceWarning):
-        inner_extract(z, None, (0.5, 0.75, 1.0), u0, eps0=1e-16, max_inner=2)
+        inner_extract(z, (0.5, 0.75, 1.0), u0, eps0=1e-16, max_inner=2)
 
 
 def test_deflate_removes_component():
@@ -260,6 +246,8 @@ def test_run_trace_bookkeeping():
         per_pair[(t.sweep, t.slot, t.subject)] = per_pair.get((t.sweep, t.slot, t.subject), 0) + 1
     assert all(v == 1 for v in per_pair.values())
     assert all(t.mode in ("joint", "self") for t in decomp.traces)
+    # a joint extraction is one eigen step: [cost(u0), lambda]
+    assert all(len(t.costs) == 2 for t in decomp.traces if t.mode == "joint")
 
 
 def test_run_deflation_decorrelates_rows():

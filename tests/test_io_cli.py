@@ -7,7 +7,9 @@ evaluate -> report pipeline with the documented exit codes.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -23,12 +25,6 @@ from jpjica.classify import label_decomposition
 from jpjica.engine import run_jpji_ica
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SourceKind
-
-
-def _read_bytes_by_name(directory: Path) -> dict[str, bytes]:
-    return {
-        p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()
-    }
 
 
 # ---------------------------------------------------------------- matrices
@@ -520,25 +516,46 @@ def test_cli_exit_code_no_reports(tmp_path, capsys):
     assert "skipping" in capsys.readouterr().err
 
 
-def test_cli_threads_validation(tmp_path, monkeypatch):
-    monkeypatch.delenv("JPJI_THREADS", raising=False)
-    code = cli.main(
-        ["report", "--threads", "0", "--out", str(tmp_path)]
+def _drop_last_row(lines: list[str], n_slots: int) -> list[str]:
+    return lines[:-1]
+
+
+def _unknown_subject(lines: list[str], n_slots: int) -> list[str]:
+    f = lines[1].split(",")
+    f[1] = "nobody"
+    return [lines[0], ",".join(f), *lines[2:]]
+
+
+def _slot_out_of_range(lines: list[str], n_slots: int) -> list[str]:
+    f = lines[1].split(",")
+    f[0] = str(n_slots)
+    return [lines[0], ",".join(f), *lines[2:]]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_last_row, _unknown_subject, _slot_out_of_range], ids=lambda f: f.__name__
+)
+def test_cli_evaluate_rejects_malformed_features(cli_dirs, tmp_path, capsys, corrupt):
+    """A features.csv that does not map onto the source rows fails with exit 3."""
+    _, sim, res = cli_dirs
+    bad = tmp_path / "run"
+    shutil.copytree(res, bad)
+    n_slots = max(json.loads((bad / "results.json").read_text())["orders"])
+    path = bad / "features.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(corrupt(lines, n_slots)) + "\n")
+    assert cli.main(["evaluate", str(bad), str(sim)]) == cli.EXIT_BAD_INPUT
+    assert "cannot load inputs" in capsys.readouterr().err
+
+
+def test_readme_cli_flags_exist():
+    """Every --flag in the README's CLI section is an option of some subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    sub = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    assert code == cli.EXIT_BAD_INPUT
-    monkeypatch.setenv("JPJI_THREADS", "zero")
-    code = cli.main(["report", "--out", str(tmp_path)])
-    assert code == cli.EXIT_BAD_INPUT
-
-
-def test_cli_threads_do_not_change_bytes(cli_dirs, tmp_path, monkeypatch):
-    """Any --threads value must produce byte-identical results."""
-    monkeypatch.delenv("JPJI_THREADS", raising=False)
-    _, sim, _ = cli_dirs
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((a, "1"), (b, "7")):
-        code = cli.main(
-            ["decompose", str(sim), "--out", str(out), "--threads", threads]
-        )
-        assert code == cli.EXIT_OK
-    assert _read_bytes_by_name(a) == _read_bytes_by_name(b)
+    known = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    assert documented
+    assert documented <= known, sorted(documented - known)
