@@ -8,6 +8,8 @@ variant: every source comes out labeled joint or individual.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .classify import build_features
@@ -16,7 +18,7 @@ from .types import AlgoConfig, Decomposition, SourceKind, SourceLabel, SubjectDa
 
 
 def run_ji_thica(
-    datasets: list[SubjectDataset], config: AlgoConfig | None = None
+    datasets: Iterable[SubjectDataset], config: AlgoConfig | None = None
 ) -> Decomposition:
     """Run the single-tuple decomposition and attach two-way labels.
 

@@ -148,7 +148,7 @@ def detect_joint_slots(
 
 def select_sigma_opt(
     features: FeatureTable, joint_slots: list[int], decomp: Decomposition
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, float]:
     """Threshold separating partially joint from individual features.
 
     Joint slots set a reference level; the ratio of that level to each
@@ -158,7 +158,7 @@ def select_sigma_opt(
     partially joint feature.  Without joint slots the features
     themselves are clustered as a fallback.
 
-    Returns (sigma, ratio matrix, joint reference level).
+    Returns (sigma, joint reference level).
     """
     cfg = decomp.config
     jpjif = features.jpjif
@@ -171,20 +171,16 @@ def select_sigma_opt(
     vals = jpjif[non_joint, :]
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
-        return floor, np.full_like(jpjif, np.nan), float("nan")
-    ratio = np.full_like(jpjif, np.nan)
+        return floor, float("nan")
     seed = int(rng_for(cfg.seed, "clusters", 0).integers(2**31))
     if joint_slots:
-        ref_vals = jpjif[joint_slots, :]
-        ref = float(np.nanmean(ref_vals))
-        with np.errstate(divide="ignore"):
-            ratio[non_joint, :] = np.where(vals > 0, ref / np.clip(vals, 1e-300, None), np.inf)
-        points = ratio[non_joint, :][np.isfinite(vals)]
+        ref = float(np.nanmean(jpjif[joint_slots, :]))
+        points = np.where(finite > 0, ref / np.clip(finite, 1e-300, None), np.inf)
         points = np.where(np.isfinite(points), points, 1e15)
         # Ratios span decades within each class; cluster on log scale.
         points = np.log10(np.clip(points, 1e-300, None))
         if np.unique(points).size < 2:
-            return max(float(finite.max()) * 0.5, floor), ratio, ref
+            return max(float(finite.max()) * 0.5, floor), ref
         labels, centers, _ = kmeans(points[:, None], 2, seed=seed)
         pj_cluster = int(np.argmin(centers[:, 0]))
     else:
@@ -197,14 +193,14 @@ def select_sigma_opt(
     pj_vals = finite[labels == pj_cluster]
     iv_vals = finite[labels != pj_cluster]
     if pj_vals.size == 0 or iv_vals.size == 0:
-        return max(float(finite.max()) * 0.5, floor), ratio, ref
+        return max(float(finite.max()) * 0.5, floor), ref
     lower = float(iv_vals.max())
     upper = float(pj_vals.min())
     if lower >= upper:
         raise UnseparableFeatures(
             f"individual features reach {lower:.3g}, partially joint start at {upper:.3g}"
         )
-    return max((lower + upper) / 2.0, floor), ratio, ref
+    return max((lower + upper) / 2.0, floor), ref
 
 
 def classify_by_feature(
@@ -329,7 +325,7 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
     joint_slots = detect_joint_slots(features, decomp)
     cfg = decomp.config
     if isinstance(cfg.sigma0, str):
-        sigma, _, ref = select_sigma_opt(features, joint_slots, decomp)
+        sigma, ref = select_sigma_opt(features, joint_slots, decomp)
     else:
         sigma = float(cfg.sigma0)
         ref = float(np.nanmean(features.jpjif[joint_slots, :])) if joint_slots else float("nan")

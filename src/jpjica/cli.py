@@ -122,7 +122,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     try:
-        datasets, _, _ = jio.load_dataset(args.input)
+        subjects, _ = jio.read_subjects(args.input)
         components: int | str
         if args.components == "auto":
             components = "auto-bic"
@@ -147,11 +147,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     try:
         if args.algorithm == "jithica":
-            decomp = run_ji_thica(datasets, config)
+            decomp = run_ji_thica(subjects, config)
         else:
-            decomp = label_decomposition(run_jpji_ica(datasets, config))
+            decomp = label_decomposition(run_jpji_ica(subjects, config))
     except JpjicaError as exc:
         print(f"error: decomposition failed: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (ValueError, OSError) as exc:
+        print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     jio.save_decomposition(args.out, decomp, binary=args.binary)
     feats = decomp.features

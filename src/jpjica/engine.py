@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -220,7 +222,7 @@ def _decollide(u: np.ndarray, prior: list[np.ndarray]) -> np.ndarray:
 
 
 def run_jpji_ica(
-    datasets: list[SubjectDataset],
+    datasets: Iterable[SubjectDataset],
     config: AlgoConfig | None = None,
     algorithm: str = "jpji",
 ) -> Decomposition:
@@ -240,14 +242,20 @@ def run_jpji_ica(
     extraction uses one random partner tuple (up to three peers) instead
     of the full peer ring, and a threshold on the resulting cost decides
     between joint extraction and self-mode extraction.
+
+    ``datasets`` is iterated once, and each subject is reduced before the
+    next is requested: a lazy iterable (``io.read_subjects``) keeps one
+    observation matrix alive at a time.
     """
     if config is None:
         config = AlgoConfig()
     if algorithm not in ("jpji", "jithica"):
         raise ValueError(f"unknown algorithm: {algorithm!r}")
-    validate_analysis_input(datasets)
-    orders = resolve_orders(datasets, config.n_components)
-    pre = [preprocess_subject(ds, o) for ds, o in zip(datasets, orders)]
+    # Unlike a loop variable, map holds no subject once it is reduced.
+    reduced = list(map(preprocess_subject, datasets, repeat(config.n_components)))
+    validate_analysis_input(reduced)
+    pre = resolve_orders(reduced, config.n_components)
+    orders = [p.n_components for p in pre]
     n_sub = len(pre)
     n_slots = max(orders)
     v = pre[0].z.shape[1]

@@ -13,6 +13,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -134,16 +135,25 @@ def load_dataset(
     directory: str | Path,
 ) -> tuple[list[SubjectDataset], GroundTruth | None, dict]:
     """Read a dataset directory back; inverse of :func:`save_dataset`."""
+    subjects, manifest = read_subjects(directory)
+    return list(subjects), _truth_from_manifest(Path(directory), manifest), manifest
+
+
+def read_subjects(directory: str | Path) -> tuple[Iterator[SubjectDataset], dict]:
+    """Lazy subjects of a dataset directory, and its manifest, read at once.
+
+    Each observation matrix is read when the iterator reaches it.
+    """
     directory = Path(directory)
     manifest = _load_dataset_manifest(directory)
-    datasets = [
+    subjects = (
         SubjectDataset(
             subject_id=entry["id"],
             observations=load_matrix(directory / entry["observations"]),
         )
         for entry in manifest["subjects"]
-    ]
-    return datasets, _truth_from_manifest(directory, manifest), manifest
+    )
+    return subjects, manifest
 
 
 def load_truth(directory: str | Path) -> tuple[GroundTruth | None, dict]:

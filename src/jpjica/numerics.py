@@ -174,16 +174,15 @@ def covariance(x: np.ndarray) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def covariance_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of :func:`covariance` of the rows of x, largest first.
+def covariance_eig(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the covariance of the rows of xc, largest first.
 
-    The returned arrays are read-only, so one result can be shared.
+    The rows of ``xc`` must already be centred: a caller that holds one
+    centred copy of its data needs no second one.
     """
-    w, e = np.linalg.eigh(covariance(x))
-    w, e = w[::-1].copy(), e[:, ::-1].copy()
-    w.flags.writeable = False
-    e.flags.writeable = False
-    return w, e
+    r = xc @ xc.T / xc.shape[1]
+    w, e = np.linalg.eigh((r + r.T) / 2.0)
+    return w[::-1], e[:, ::-1]
 
 
 def inverse_sqrt_psd(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:

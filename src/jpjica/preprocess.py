@@ -2,7 +2,8 @@
 
 The observation matrix is time-by-voxel; covariance is taken across
 voxels (columns as samples), so order selection and reduction act on the
-time dimension.
+time dimension.  :func:`preprocess_subject` is the only step that reads a
+subject's observations; :func:`resolve_orders` works on the reductions.
 """
 from __future__ import annotations
 
@@ -29,6 +30,18 @@ class PcaResult:
 
 
 @dataclass(frozen=True)
+class ReducedSubject:
+    """PCA reduction of one subject, kept after its observations are dropped."""
+
+    subject_id: str
+    pca: PcaResult
+
+    @property
+    def n_voxels(self) -> int:
+        return self.pca.scores.shape[1]
+
+
+@dataclass(frozen=True)
 class PreprocessedSubject:
     """Whitened reduction of one subject.
 
@@ -40,40 +53,14 @@ class PreprocessedSubject:
     z: np.ndarray
     w_total: np.ndarray
     mean: np.ndarray
-    order: int
-    retained_variance: float
 
     @property
     def n_components(self) -> int:
         return self.z.shape[0]
 
 
-def _observations_and_eig(
-    data: SubjectDataset | np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Observation matrix and its descending covariance eigenpairs.
-
-    A SubjectDataset keeps its eigenpairs, so BIC order selection and PCA
-    of the same subject decompose its covariance once; a raw array is
-    decomposed on every call.
-    """
-    if isinstance(data, SubjectDataset):
-        return data.observations, data.covariance_eig
-    x = np.asarray(data, dtype=float)
-    return x, covariance_eig(x)
-
-
-def estimate_order_bic(data: SubjectDataset | np.ndarray, c_max: int | None = None) -> int:
-    """Model order via the probabilistic-PCA BIC score.
-
-    The score of order c combines the log-likelihood of keeping the top c
-    covariance eigenvalues (remaining variance pooled isotropically) with
-    a parameter-count penalty; the minimizing c is returned.  The search
-    is capped at the numerical rank, so noiseless low-rank data yields
-    its exact rank.
-    """
-    x, (lam, _) = _observations_and_eig(data)
-    n, v = x.shape
+def _bic_order(lam: np.ndarray, v: int, c_max: int | None = None) -> int:
+    n = lam.shape[0]
     hard_cap = min(n, v) - 1
     if c_max is None:
         c_max = min(hard_cap, 60)
@@ -93,13 +80,35 @@ def estimate_order_bic(data: SubjectDataset | np.ndarray, c_max: int | None = No
     return best_c
 
 
-def pca_reduce(data: SubjectDataset | np.ndarray, order: int) -> PcaResult:
+def estimate_order_bic(x: np.ndarray, c_max: int | None = None) -> int:
+    """Model order via the probabilistic-PCA BIC score.
+
+    The score of order c combines the log-likelihood of keeping the top c
+    covariance eigenvalues (remaining variance pooled isotropically) with
+    a parameter-count penalty; the minimizing c is returned.  The search
+    is capped at the numerical rank, so noiseless low-rank data yields
+    its exact rank.
+    """
+    x = np.asarray(x, dtype=float)
+    lam, _ = covariance_eig(x - x.mean(axis=1, keepdims=True))
+    return _bic_order(lam, x.shape[1], c_max)
+
+
+def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
     """Top-``order`` principal component scores (order x n_voxels).
 
-    Loadings columns are sign-fixed so their largest-magnitude entry is
-    positive, which pins the rotation ambiguity of eigendecompositions.
+    ``order=None`` takes the BIC order of :func:`estimate_order_bic`.  The
+    order choice and the projection share one centred copy of x and one
+    covariance eigendecomposition.  Loadings columns are sign-fixed so
+    their largest-magnitude entry is positive, which pins the rotation
+    ambiguity of eigendecompositions.
     """
-    x, (lam, vecs) = _observations_and_eig(data)
+    x = np.asarray(x, dtype=float)
+    mean = x.mean(axis=1)
+    xc = x - mean[:, None]
+    lam, vecs = covariance_eig(xc)
+    if order is None:
+        order = _bic_order(lam, x.shape[1])
     if order < 1 or order > x.shape[0]:
         raise OrderExceedsRank(f"order {order} outside [1, {x.shape[0]}]")
     if lam[order - 1] <= _RANK_RTOL * max(lam[0], 0.0):
@@ -109,11 +118,11 @@ def pca_reduce(data: SubjectDataset | np.ndarray, order: int) -> PcaResult:
         i = int(np.argmax(np.abs(loadings[:, j])))
         if loadings[i, j] < 0:
             loadings[:, j] = -loadings[:, j]
-    mean = x.mean(axis=1)
-    scores = loadings.T @ (x - mean[:, None])
     total = float(np.sum(np.clip(lam, 0.0, None)))
     retained = float(np.sum(lam[:order]) / total) if total > 0 else 1.0
-    return PcaResult(scores=scores, loadings=loadings, mean=mean, retained_variance=retained)
+    return PcaResult(
+        scores=loadings.T @ xc, loadings=loadings, mean=mean, retained_variance=retained
+    )
 
 
 def whiten(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,29 +133,33 @@ def whiten(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def preprocess_subject(data: SubjectDataset, order: int) -> PreprocessedSubject:
-    """PCA reduction to ``order`` followed by whitening."""
-    pca = pca_reduce(data, order)
-    z, w = whiten(pca.scores)
-    return PreprocessedSubject(
-        subject_id=data.subject_id,
-        z=z,
-        w_total=w @ pca.loadings.T,
-        mean=pca.mean,
-        order=order,
-        retained_variance=pca.retained_variance,
-    )
+def preprocess_subject(data: SubjectDataset, policy: int | str) -> ReducedSubject:
+    """PCA reduction of one subject.
+
+    A fixed order ``policy`` is used as given; under "auto-bic" and
+    "global-min" the subject is reduced to its own BIC order, which
+    :func:`resolve_orders` may lower afterwards.
+    """
+    order = policy if isinstance(policy, int) else None
+    return ReducedSubject(data.subject_id, pca_reduce(data.observations, order))
 
 
 def resolve_orders(
-    datasets: Sequence[SubjectDataset], policy: int | str, c_max: int | None = None
-) -> list[int]:
-    """Per-subject model orders under the configured selection policy."""
-    if isinstance(policy, int):
-        return [policy] * len(datasets)
-    orders = [estimate_order_bic(ds, c_max) for ds in datasets]
+    subjects: Sequence[ReducedSubject], policy: int | str
+) -> list[PreprocessedSubject]:
+    """Apply the order policy to the reductions of all subjects, then whiten each.
+
+    "global-min" truncates every reduction to the smallest order among
+    them, which is exact because PCA score rows do not depend on how many
+    are kept; a fixed order and "auto-bic" keep each subject's own order.
+    """
+    orders = [s.pca.scores.shape[0] for s in subjects]
     if policy == "global-min":
-        return [min(orders)] * len(datasets)
-    if policy == "auto-bic":
-        return orders
-    raise ValueError(f"unknown order policy: {policy!r}")
+        orders = [min(orders)] * len(orders)
+    elif not isinstance(policy, int) and policy != "auto-bic":
+        raise ValueError(f"unknown order policy: {policy!r}")
+    out = []
+    for s, o in zip(subjects, orders):
+        z, w = whiten(s.pca.scores[:o])
+        out.append(PreprocessedSubject(s.subject_id, z, w @ s.pca.loadings[:, :o].T, s.pca.mean))
+    return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import (
     NonFiniteData,
     SingleSubjectWarning,
 )
-from .numerics import covariance_eig
 
 
 class SourceKind(enum.Enum):
@@ -86,15 +84,6 @@ class SubjectDataset:
     @property
     def n_voxels(self) -> int:
         return self.observations.shape[1]
-
-    @cached_property
-    def covariance_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of the across-voxel covariance, largest first.
-
-        Computed on first use and kept, so order selection and PCA of one
-        subject share a single eigendecomposition.
-        """
-        return covariance_eig(self.observations)
 
 
 @dataclass(frozen=True)
@@ -307,10 +296,11 @@ def slot_rows(held: np.ndarray, orders: Sequence[int]) -> np.ndarray:
     return np.where(held, np.cumsum(held, axis=0) - 1, -1)
 
 
-def validate_analysis_input(datasets: Sequence[SubjectDataset]) -> None:
+def validate_analysis_input(datasets: Sequence) -> None:
     """Reject inputs the engine cannot process.
 
-    Raises EmptyInput / MismatchedVoxelCount / NonFiniteData; a single
+    Takes subjects or their reductions (anything with ``subject_id`` and
+    ``n_voxels``).  Raises EmptyInput / MismatchedVoxelCount; a single
     subject is accepted with a warning (the decomposition then reduces to
     plain single-set ICA with individual labels).
     """
@@ -322,8 +312,6 @@ def validate_analysis_input(datasets: Sequence[SubjectDataset]) -> None:
             raise MismatchedVoxelCount(
                 f"{ds.subject_id}: {ds.n_voxels} voxels, expected {v}"
             )
-        if not np.isfinite(ds.observations).all():
-            raise NonFiniteData(f"{ds.subject_id}: observations contain NaN/Inf")
     ids = [ds.subject_id for ds in datasets]
     if len(set(ids)) != len(ids):
         raise ValueError("subject ids must be unique")

@@ -156,12 +156,12 @@ def test_select_sigma_separates_feature_classes():
     decomp = _stub_decomp(sources)
     feats = build_features(decomp)
     joint = detect_joint_slots(feats, decomp)
-    sigma, ratio, ref = select_sigma_opt(feats, joint, decomp)
+    sigma, ref = select_sigma_opt(feats, joint, decomp)
     assert feats.jpjif[2].max() < sigma < feats.jpjif[1].min()
     assert ref == pytest.approx(float(np.nanmean(feats.jpjif[joint, :])), rel=1e-12)
-    # ratio defined exactly on the non-joint slots
-    assert np.isnan(ratio[0]).all()
-    assert np.isfinite(ratio[1]).all() and np.isfinite(ratio[2]).all()
+    # the reference comes from the joint slot alone
+    assert joint == [0]
+    assert ref == pytest.approx(float(np.mean(feats.jpjif[0])), rel=1e-12)
 
 
 def test_select_sigma_without_joint_reference():
@@ -174,7 +174,7 @@ def test_select_sigma_without_joint_reference():
         sources.append(np.stack([pj, own]))
     decomp = _stub_decomp(sources)
     feats = build_features(decomp)
-    sigma, ratio, ref = select_sigma_opt(feats, [], decomp)
+    sigma, ref = select_sigma_opt(feats, [], decomp)
     assert np.isnan(ref)
     assert feats.jpjif[1].max() < sigma < feats.jpjif[0].min()
 

@@ -1,9 +1,12 @@
 """Cost construction, extraction, deflation and the full engine loop."""
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from jpjica.classify import label_decomposition
 from jpjica.engine import (
     build_cost_matrix,
     cost,
@@ -20,6 +23,7 @@ from jpjica.errors import (
     ZeroSource,
 )
 from jpjica.numerics import dominant_eigenvector, standardize
+from jpjica.preprocess import pca_reduce, whiten
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SubjectDataset
 from oracles import cumulant_rows
@@ -351,3 +355,74 @@ def test_mode_switch_float_overrides_automatic_floor(monkeypatch):
     always, _, _ = _small_run(seed=3, mode_switch=0.0)
     assert not always.self_mode.any()
     assert all(t.mode == "joint" for t in always.traces)
+
+
+# ------------------------------------------------------------ streamed subjects
+
+
+def _ragged_datasets():
+    """Four noiseless subjects of ranks 2, 3, 2, 4."""
+    spec = ScenarioSpec(
+        n_subjects=4, n_joint=1, n_individual=(1, 2, 1, 3), n_clusters=1,
+        n_voxels=1024, n_time=60, seed=21,
+    )
+    return generate_dataset(spec)[0]
+
+
+def test_engine_holds_one_observation_matrix_at_a_time():
+    datasets = _ragged_datasets()
+    refs, alive = [], []
+
+    def stream():
+        for ds in datasets:
+            if refs:
+                gc.collect()
+                alive.append(refs[-1]() is not None)
+            sub = SubjectDataset(ds.subject_id, ds.observations.copy())
+            refs.append(weakref.ref(sub.observations))
+            yield sub
+            del sub
+
+    run_jpji_ica(stream(), AlgoConfig(seed=0, max_outer=1))
+    assert len(refs) == len(datasets)
+    assert alive == [False] * (len(datasets) - 1)
+
+
+@pytest.mark.parametrize(
+    "policy, orders",
+    [("auto-bic", [2, 3, 2, 4]), ("global-min", [2, 2, 2, 2]), (2, [2, 2, 2, 2])],
+)
+def test_streamed_and_listed_subjects_give_identical_runs(policy, orders):
+    datasets = _ragged_datasets()
+    cfg = AlgoConfig(seed=0, n_components=policy, max_outer=2)
+    listed = run_jpji_ica(datasets, cfg)
+    streamed = run_jpji_ica(iter(datasets), cfg)
+    assert [s.shape[0] for s in streamed.sources] == orders
+    assert [s.shape[0] for s in listed.sources] == orders
+    for k, ds in enumerate(datasets):
+        for field in ("z", "whiteners", "row_means", "demixing", "sources"):
+            np.testing.assert_array_equal(getattr(streamed, field)[k], getattr(listed, field)[k])
+        # a reduction truncated after the pass equals a direct reduction to the final order
+        z, _ = whiten(pca_reduce(ds.observations, orders[k]).scores)
+        np.testing.assert_allclose(streamed.z[k], z, atol=1e-10)
+        x = ds.observations - streamed.row_means[k][:, None]
+        np.testing.assert_allclose(streamed.whiteners[k] @ x, streamed.z[k], atol=1e-8)
+
+
+def test_rescaling_and_shifting_a_subject_changes_no_source_or_label():
+    spec = ScenarioSpec(
+        n_subjects=5, n_joint=1, n_individual=1, n_clusters=1,
+        n_voxels=1024, n_time=60, seed=11,
+    )
+    datasets, _ = generate_dataset(spec)
+    x = datasets[2].observations
+    offsets = np.random.default_rng(5).uniform(-50.0, 50.0, (x.shape[0], 1))
+    moved = list(datasets)
+    moved[2] = SubjectDataset(datasets[2].subject_id, 7.5 * x + offsets)
+    cfg = AlgoConfig(seed=11)
+    base = label_decomposition(run_jpji_ica(datasets, cfg))
+    got = label_decomposition(run_jpji_ica(moved, cfg))
+    for k in range(spec.n_subjects):
+        np.testing.assert_allclose(got.sources[k], base.sources[k], rtol=0, atol=1e-8)
+    assert got.labels == base.labels
+    assert got.features.joint_slots == base.features.joint_slots

@@ -466,6 +466,53 @@ def test_cli_exit_code_missing_dataset(tmp_path):
     assert code == cli.EXIT_BAD_INPUT
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _widen(path):
+    x = jio.load_matrix(path)
+    jio.save_matrix(path, np.random.default_rng(0).standard_normal((x.shape[0], x.shape[1] + 1)))
+
+
+def _poison(path):
+    x = jio.load_matrix(path)
+    x[0, 0] = np.nan
+    jio.save_matrix(path, x)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_truncate, "truncated"),
+        (Path.unlink, "No such file"),
+        (_widen, "voxels"),
+        (_poison, "NaN"),
+    ],
+    ids=["truncated", "deleted", "wider", "nan"],
+)
+def test_cli_decompose_rejects_bad_subject_file(tmp_path, capsys, corrupt, message):
+    """A bad file found after earlier subjects were read: exit 3, one error line, no results."""
+    sim = tmp_path / "ds"
+    code = cli.main(
+        [
+            "simulate", "--subjects", "3", "--joint", "1", "--individual", "1",
+            "--voxels", "256", "--time", "60", "--seed", "5", "--binary",
+            "--out", str(sim),
+        ]
+    )
+    assert code == cli.EXIT_OK
+    manifest = json.loads((sim / "manifest.json").read_text())
+    corrupt(sim / manifest["subjects"][-1]["observations"])
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert cli.main(["decompose", str(sim), "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_cli_exit_code_bad_components(cli_dirs, tmp_path):
     _, sim, _ = cli_dirs
     code = cli.main(

@@ -87,7 +87,7 @@ def test_preprocess_subject_w_total_reproduces_z():
     rng = np.random.default_rng(17)
     obs = rng.standard_normal((20, 256))
     ds = SubjectDataset(subject_id="s", observations=obs)
-    pre = preprocess_subject(ds, order=4)
+    (pre,) = resolve_orders([preprocess_subject(ds, 4)], 4)
     np.testing.assert_allclose(
         pre.z, pre.w_total @ (obs - pre.mean[:, None]), atol=1e-10
     )
@@ -96,38 +96,62 @@ def test_preprocess_subject_w_total_reproduces_z():
     np.testing.assert_allclose(cov, np.eye(4), atol=1e-10)
 
 
+def _resolved_orders(datasets, policy):
+    pre = resolve_orders([preprocess_subject(ds, policy) for ds in datasets], policy)
+    return [p.n_components for p in pre]
+
+
 def test_resolve_orders_policies():
     ds = [
         SubjectDataset(subject_id="a", observations=_low_rank(seed=21, rank=3)),
         SubjectDataset(subject_id="b", observations=_low_rank(seed=22, rank=5)),
     ]
-    assert resolve_orders(ds, 2) == [2, 2]
-    assert resolve_orders(ds, "auto-bic") == [3, 5]
-    assert resolve_orders(ds, "global-min") == [3, 3]
+    assert _resolved_orders(ds, 2) == [2, 2]
+    assert _resolved_orders(ds, "auto-bic") == [3, 5]
+    assert _resolved_orders(ds, "global-min") == [3, 3]
     with pytest.raises(ValueError):
-        resolve_orders(ds, "median")
+        _resolved_orders(ds, "median")
 
 
+@pytest.mark.filterwarnings("ignore::jpjica.errors.ConvergenceWarning")
 def test_bic_and_pca_share_one_eigendecomposition(monkeypatch):
-    """Per subject: one covariance eigh for BIC and PCA, one for whitening."""
-    x = _low_rank(seed=5, rank=4, noise=0.01)
-    ds = SubjectDataset(subject_id="s0", observations=x)
-    raw_order = estimate_order_bic(x)
-    raw_pca = pca_reduce(x, raw_order)
-    calls = []
-    real = np.linalg.eigh
+    """Streamed engine: one covariance eigh per subject in its reduction, one whitening eigh."""
+    import jpjica.engine as engine
+    from jpjica.engine import run_jpji_ica
+    from jpjica.types import AlgoConfig
+
+    xs = [_low_rank(seed=5 + k, rank=4 + k, noise=0.01) for k in range(3)]
+    datasets = [SubjectDataset(subject_id=f"s{k}", observations=x) for k, x in enumerate(xs)]
+    raw_orders = [estimate_order_bic(x) for x in xs]
+    raw_pcas = [pca_reduce(x, o) for x, o in zip(xs, raw_orders)]
+    calls = {"preprocess_subject": [], "resolve_orders": []}
+    inside = []
+    real_eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
+        if inside:
+            calls[inside[-1]].append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    def spanned(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    (order,) = resolve_orders([ds], "auto-bic")
-    pre = preprocess_subject(ds, order)
-    assert order == raw_order
-    assert len(calls) == 2
-    pca = pca_reduce(ds, order)
-    assert len(calls) == 2
-    np.testing.assert_array_equal(pca.scores, raw_pca.scores)
-    np.testing.assert_array_equal(pca.loadings, raw_pca.loadings)
-    assert pre.z.shape == (order, x.shape[1])
+    for name in calls:
+        monkeypatch.setattr(engine, name, spanned(name))
+    decomp = run_jpji_ica(iter(datasets), AlgoConfig(seed=0, n_components="auto-bic", max_outer=1))
+    n_time = xs[0].shape[0]
+    assert calls["preprocess_subject"] == [(n_time, n_time)] * 3
+    assert calls["resolve_orders"] == [(o, o) for o in raw_orders]
+    for k, pca in enumerate(raw_pcas):
+        assert decomp.z[k].shape == (raw_orders[k], xs[k].shape[1])
+        np.testing.assert_array_equal(decomp.whiteners[k], whiten(pca.scores)[1] @ pca.loadings.T)
