@@ -9,7 +9,6 @@ source from nobody.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -72,24 +71,17 @@ def build_features(decomp: Decomposition) -> FeatureTable:
     kurt = np.full((n_slots, k_total), np.nan)
     contributions = np.empty((n_slots, k_total), dtype=object)
     for c in range(n_slots):
-        holders = np.flatnonzero(rows[c] >= 0).tolist()
-        for k in holders:
-            y = decomp.sources[k][rows[c, k]]
-            # Source rows are standardized, so a plain inner product ranks
-            # the peers by association.
-            peers = sorted(
-                (j for j in holders if j != k),
-                key=lambda j: -abs(float(decomp.sources[j][rows[c, j]] @ y)),
-            )
-            pool = (
-                np.stack([decomp.sources[j][rows[c, j]] for j in peers])
-                if peers
-                else np.empty((0, y.size))
-            )
-            val, contr = jpji_feature(y, pool, cfg.weights)
+        holders = np.flatnonzero(rows[c] >= 0)
+        s = np.stack([decomp.sources[k][rows[c, k]] for k in holders])
+        # Source rows are standardized, so the Gram matrix ranks the
+        # peers by association; a stable sort keeps ties in subject order.
+        ranked = np.argsort(-np.abs(s @ s.T), axis=1, kind="stable")
+        for i, k in enumerate(holders.tolist()):
+            peers = ranked[i][ranked[i] != i]
+            val, contr = jpji_feature(s[i], s[peers], cfg.weights)
             jpjif[c, k] = val
             contributions[c, k] = contr
-            kurt[c, k] = excess_kurtosis(y)
+            kurt[c, k] = excess_kurtosis(s[i])
     return FeatureTable(jpjif=jpjif, contributions=contributions, kurtosis=kurt)
 
 
@@ -395,35 +387,3 @@ def classify_by_spatial(
             SpatialVerdict(slot=c, kind=kind, mask=mask, n_survivors=int(mask.sum()))
         )
     return out
-
-
-@dataclass(frozen=True)
-class KurtosisFit:
-    """Quadratic fit of feature values against source kurtosis."""
-
-    kurtosis: np.ndarray
-    jpjif: np.ndarray
-    coefficients: np.ndarray
-    r_squared: float
-
-
-def kurtosis_feature_fit(features: FeatureTable, joint_slots: list[int] | None = None) -> KurtosisFit:
-    """Fit jpjif ~ a*kurt^2 + b*kurt + c over (joint) sources."""
-    slots = joint_slots if joint_slots is not None else list(range(features.jpjif.shape[0]))
-    xs, ys = [], []
-    for c in slots:
-        for k in range(features.jpjif.shape[1]):
-            if np.isfinite(features.jpjif[c, k]) and np.isfinite(features.kurtosis[c, k]):
-                xs.append(features.kurtosis[c, k])
-                ys.append(features.jpjif[c, k])
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    if x.size < 3:
-        warnings.warn("too few points for a quadratic fit", UserWarning)
-        return KurtosisFit(x, y, np.full(3, np.nan), float("nan"))
-    design = np.stack([x**2, x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return KurtosisFit(x, y, coef, r2)

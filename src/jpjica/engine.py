@@ -32,7 +32,6 @@ from .seeding import rng_for
 from .types import (
     AlgoConfig,
     Decomposition,
-    PeerOrder,
     SubjectDataset,
     TraceRecord,
     validate_analysis_input,
@@ -195,12 +194,12 @@ def mode_switch_threshold(
     return MODE_SWITCH_C0 * scale * n_alpha * n_rows / n_samples
 
 
-def _decollide(u: np.ndarray, prior: list[np.ndarray]) -> np.ndarray:
-    """Project ``u`` off the span of prior rows and renormalize."""
-    if not prior:
+def _decollide(u: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Project ``u`` off the span of the rows of ``prior`` and renormalize."""
+    if not len(prior):
         nrm = float(np.linalg.norm(u))
         return u / nrm
-    q, _ = np.linalg.qr(np.stack(prior, axis=1))
+    q, _ = np.linalg.qr(prior.T)
     dim = u.shape[0]
 
     def residual(vec: np.ndarray) -> np.ndarray:
@@ -234,14 +233,31 @@ def run_jpji_ica(
     source while no deflation has happened yet.  In the last sweep each
     extracted source is regressed out of its subject's data immediately,
     and the demixing rows are accumulated back into the original whitened
-    frame.  After the last sweep each subject's rows are re-matched to
-    the consensus slots (see ``_align_rows``) and slots of the result are
-    ordered by decreasing mean final cost across subjects.
+    frame.  After the last sweep the slots of the result are ordered by
+    decreasing mean peer cost across subjects (see ``_order_slots``).
 
-    ``algorithm="jithica"`` switches to the single-tuple variant: each
-    extraction uses one random partner tuple (up to three peers) instead
-    of the full peer ring, and a threshold on the resulting cost decides
-    between joint extraction and self-mode extraction.
+    The current estimates are stored slot-major: ``est[c]`` is slot c's
+    K x V matrix of standardized estimates, and the row of a subject
+    holding fewer than c + 1 sources stays zero.  Each extraction draws a
+    random ring from the other holders of the slot and reads its partners
+    as ``est[c][ring]``; the new estimate is written back at once, so
+    later extractions in the slot see it.
+
+    ``algorithm`` fixes one policy before the sweeps:
+
+    ``"jpji"``
+        the ring holds every other holder and the cost sums over all ring
+        positions; the floor is ``config.mode_switch`` when it is a float
+        and the automatic ``mode_switch_threshold`` otherwise.  After the
+        last sweep each subject's rows are re-matched to the consensus
+        slots (see ``_align_rows``).
+    ``"jithica"``
+        the single-tuple variant: the ring is up to three random peers and
+        only ring position 0 enters the cost; an explicit ``config.sigma0``
+        is the floor, ahead of ``mode_switch``.  Rows are not re-matched.
+
+    A ring cost at or above the floor keeps the joint eigen step; below
+    it, or without peers, the row is extracted in self mode.
 
     ``datasets`` is iterated once, and each subject is reduced before the
     next is requested: a lazy iterable (``io.read_subjects``) keeps one
@@ -251,6 +267,16 @@ def run_jpji_ica(
         config = AlgoConfig()
     if algorithm not in ("jpji", "jithica"):
         raise ValueError(f"unknown algorithm: {algorithm!r}")
+    single = algorithm == "jithica"
+    ring_len = 3 if single else None
+    alphas = "first" if single else "all"
+    align = not single
+    fixed_floor: float | None = None
+    if single and not isinstance(config.sigma0, str):
+        fixed_floor = float(config.sigma0)
+    elif not isinstance(config.mode_switch, str):
+        fixed_floor = float(config.mode_switch)
+
     # Unlike a loop variable, map holds no subject once it is reduced.
     reduced = list(map(preprocess_subject, datasets, repeat(config.n_components)))
     validate_analysis_input(reduced)
@@ -265,7 +291,12 @@ def run_jpji_ica(
     z0 = [p.z for p in pre]
     u_work = [np.eye(o) for o in orders]
     u_eff = [np.zeros((o, o)) for o in orders]
-    y_cur = [np.zeros((o, v)) for o in orders]
+    # One K x V array per slot, not one (n_slots, K, V) block: once glibc
+    # has unmapped a freed block of up to 32 MiB it serves later blocks of
+    # that size from its heap and keeps them after free.  A 30 MiB block
+    # (K=10, V=65536, 6 slots) raised the peak RSS of repeated decompose
+    # runs in one process from 269 to 305 MB on x86-64 Linux.
+    est = [np.zeros((n_sub, v)) for _ in range(n_slots)]
     traces: list[TraceRecord] = []
     self_mode = np.zeros((n_slots, n_sub), dtype=bool)
     final_costs = np.full((n_slots, n_sub), np.nan)
@@ -276,38 +307,24 @@ def run_jpji_ica(
             z_work = [z.copy() for z in z0]
             g_acc = [np.eye(o) for o in orders]
         for c in range(n_slots):
-            holders = [k for k in range(n_sub) if c < orders[k]]
-            for j in holders:
-                prior_rows = (
-                    [u_eff[j][i] for i in range(c)] if final else [u_work[j][i] for i in range(c)]
-                )
-                u_dec = _decollide(u_work[j][c], prior_rows)
-                u_work[j][c] = u_dec
-                y_cur[j][c] = standardize(u_dec @ z0[j])
-            for k in holders:
-                peers = [j for j in holders if j != k]
-                order: PeerOrder | None = None
-                if peers:
-                    perm = rng.permutation(len(peers))
-                    if algorithm == "jithica":
-                        perm = perm[:3]
-                    order = PeerOrder(tuple(int(peers[i]) for i in perm))
+            holders = np.flatnonzero(np.asarray(orders) > c)
+            for j in holders.tolist():
+                prior = u_eff[j][:c] if final else u_work[j][:c]
+                u_work[j][c] = _decollide(u_work[j][c], prior)
+                est[c][j] = standardize(u_work[j][c] @ z0[j])
+            for k in holders.tolist():
+                peers = holders[holders != k]
                 zk = z_work[k] if final else z0[k]
                 u0 = u_work[k][c]
                 mode = "self"
-                if order is not None and order.n > 0:
-                    pool = np.stack([y_cur[j][c] for j in order.order])
-                    alphas = "first" if algorithm == "jithica" else "all"
-                    cm = build_cost_matrix(zk, pool, weights, alphas=alphas)
+                if peers.size:
+                    ring = peers[rng.permutation(peers.size)[:ring_len]]
+                    cm = build_cost_matrix(zk, est[c][ring], weights, alphas=alphas)
                     lam, u_new = dominant_eigenvector(cm.m)
-                    n_alpha = cm.n_alpha
-                    if algorithm == "jithica" and not isinstance(config.sigma0, str):
-                        floor = float(config.sigma0)
-                    elif not isinstance(config.mode_switch, str):
-                        floor = float(config.mode_switch)
-                    else:
+                    floor = fixed_floor
+                    if floor is None:
                         floor = mode_switch_threshold(
-                            weights, n_alpha, zk.shape[0], v, n_partners=order.n
+                            weights, cm.n_alpha, zk.shape[0], v, n_partners=ring.size
                         )
                     if lam >= floor:
                         mode = "joint"
@@ -319,7 +336,7 @@ def run_jpji_ica(
                     )
                 u_work[k][c] = u_fin
                 y_raw = u_fin @ zk
-                y_cur[k][c] = standardize(y_raw)
+                est[c][k] = standardize(y_raw)
                 traces.append(
                     TraceRecord(
                         sweep=sweep,
@@ -338,9 +355,9 @@ def run_jpji_ica(
                     z_work[k], coef = deflate(z_work[k], y_raw)
                     g_acc[k] = (np.eye(orders[k]) - np.outer(coef, u_fin)) @ g_acc[k]
 
-    if algorithm == "jpji":
-        _align_rows(y_cur, u_eff, final_costs, self_mode, orders)
-    slot_order = _order_slots(y_cur, orders, weights)
+    if align:
+        _align_rows(est, u_eff, final_costs, self_mode, orders)
+    slot_order = _order_slots(est, orders, weights)
     inverse = {c: i for i, c in enumerate(slot_order)}
     demixing, sources = [], []
     for k in range(n_sub):
@@ -370,7 +387,7 @@ def run_jpji_ica(
 
 
 def _align_rows(
-    y_cur: list[np.ndarray],
+    est: list[np.ndarray],
     u_eff: list[np.ndarray],
     final_costs: np.ndarray,
     self_mode: np.ndarray,
@@ -385,31 +402,34 @@ def _align_rows(
     Shared variance with the other subjects' rows identifies where each
     row belongs: solve, per subject, the assignment that maximizes total
     squared correlation between its rows and the slot consensus.
+
+    ``est`` holds the slot-major estimates of ``run_jpji_ica``.  One
+    product per slot correlates the subject's o rows with every subject's
+    row in that slot; the rows of slots a subject does not hold are zero
+    and add nothing, and the subject's own row is zeroed.
     """
-    n_sub = len(y_cur)
+    n_sub, v = est[0].shape
     if n_sub < 2:
         return
-    v = y_cur[0].shape[1]
     for _ in range(2):
         changed = False
         for k in range(n_sub):
             o = orders[k]
             if o < 2:
                 continue
-            rows = y_cur[k]
-            sim = np.zeros((o, o))
-            for j in range(n_sub):
-                if j == k:
-                    continue
-                oj = min(o, orders[j])
-                corr = (y_cur[j][:oj] @ rows.T) / v
-                sim[:oj] += corr**2
+            rows = np.stack([est[c][k] for c in range(o)])
+            sim = np.empty((o, o))
+            for c in range(o):
+                corr = (est[c] @ rows.T) / v
+                corr[k] = 0.0
+                sim[c] = (corr**2).sum(axis=0)
             slots, picked = linear_sum_assignment(-sim)
             perm = np.empty(o, dtype=int)
             perm[slots] = picked
             if np.any(perm != np.arange(o)):
                 changed = True
-                y_cur[k] = y_cur[k][perm]
+                for c in range(o):
+                    est[c][k] = rows[perm[c]]
                 u_eff[k] = u_eff[k][perm]
                 final_costs[:o, k] = final_costs[perm, k]
                 self_mode[:o, k] = self_mode[perm, k]
@@ -418,28 +438,27 @@ def _align_rows(
 
 
 def _order_slots(
-    y_cur: list[np.ndarray], orders: list[int], weights: tuple[float, float, float]
+    est: list[np.ndarray], orders: list[int], weights: tuple[float, float, float]
 ) -> list[int]:
     """Slots sorted by decreasing mean peer-ring cost.
 
     Self-mode extraction costs are not comparable with peer costs (a
     source's own cumulants enter), so the ordering key is recomputed for
-    every slot from the final estimates over the canonical peer ring;
-    kurtosis of the first holder's estimate breaks ties.
+    every slot from the final estimates ``est`` (slot-major, as in
+    ``run_jpji_ica``) over the canonical peer ring; kurtosis of the first
+    holder's estimate breaks ties.
     """
-    n_slots = max(orders) if orders else 0
+    n_slots = len(est)
     means = np.zeros(n_slots)
     kurt = np.zeros(n_slots)
     for c in range(n_slots):
-        holders = [k for k in range(len(orders)) if c < orders[k]]
-        if not holders:
-            continue
-        kurt[c] = excess_kurtosis(y_cur[holders[0]][c])
+        holders = np.flatnonzero(np.asarray(orders) > c)
+        kurt[c] = excess_kurtosis(est[c][holders[0]])
         vals = []
-        for k in holders:
-            peers = [j for j in holders if j != k]
-            yc = y_cur[k][c][None, :]
-            pool = np.stack([y_cur[j][c] for j in peers]) if peers else yc
+        for k in holders.tolist():
+            yc = est[c][k][None, :]
+            peers = holders[holders != k]
+            pool = est[c][peers] if peers.size else yc
             vals.append(float(build_cost_matrix(yc, pool, weights).contributions.sum()))
         means[c] = float(np.mean(vals))
     return sorted(range(n_slots), key=lambda c: (-means[c], -kurt[c], c))

@@ -172,6 +172,17 @@ def _load_dataset_manifest(directory: Path) -> dict:
     if manifest.get("kind") != "dataset":
         raise ValueError(f"{directory}: manifest is not a dataset manifest")
     _check_version(manifest)
+    subjects = manifest.get("subjects")
+    if not isinstance(subjects, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("id"), str)
+        and isinstance(entry.get("observations"), str)
+        for entry in subjects
+    ):
+        raise ValueError(
+            f"{directory}: manifest 'subjects' must be a list of entries"
+            " with string 'id' and 'observations'"
+        )
     return manifest
 
 
@@ -411,7 +422,10 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 def _load_json(path: Path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def _check_version(manifest: dict) -> None:

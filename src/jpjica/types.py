@@ -189,25 +189,6 @@ class AlgoConfig:
             raise ValueError("n_clusters must be >= 2 when given")
 
 
-@dataclass(frozen=True)
-class PeerOrder:
-    """Ordered ring of partner subjects for one extraction.
-
-    The order is a permutation of the partner subject indices; cumulant
-    partners wrap around the ring, so the order matters.
-    """
-
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("peer order must not repeat subjects")
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-
 @dataclass
 class TraceRecord:
     """Cost values of one inner extraction (one slot of one subject)."""

@@ -4,14 +4,12 @@ import pytest
 
 from jpjica import io as jio
 from jpjica.classify import (
-    KurtosisFit,
     build_features,
     classify_by_feature,
     classify_by_spatial,
     cluster_subjects,
     detect_joint_slots,
     jpji_feature,
-    kurtosis_feature_fit,
     label_decomposition,
     select_sigma_opt,
 )
@@ -317,26 +315,3 @@ def test_classify_by_spatial_group_validation():
         classify_by_spatial(maps, ([0], [1, 2]))
     with pytest.raises(ValueError):
         classify_by_spatial(maps, ([0, 1, 2], [2, 3, 4]))
-
-
-def test_kurtosis_feature_fit_exact_quadratic():
-    kurt = np.array([[1.0, 2.0, 3.0, 4.0]])
-    jpjif = 2.0 * kurt**2 + 3.0 * kurt + 1.0
-    contributions = np.empty((1, 4), dtype=object)
-    feats = FeatureTable(jpjif=jpjif, contributions=contributions, kurtosis=kurt)
-    fit = kurtosis_feature_fit(feats)
-    assert isinstance(fit, KurtosisFit)
-    np.testing.assert_allclose(fit.coefficients, [2.0, 3.0, 1.0], atol=1e-8)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
-
-
-def test_kurtosis_feature_fit_too_few_points_warns():
-    contributions = np.empty((1, 2), dtype=object)
-    feats = FeatureTable(
-        jpjif=np.array([[1.0, 2.0]]),
-        contributions=contributions,
-        kurtosis=np.array([[1.0, 2.0]]),
-    )
-    with pytest.warns(UserWarning):
-        fit = kurtosis_feature_fit(feats)
-    assert np.isnan(fit.r_squared)

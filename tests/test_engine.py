@@ -14,6 +14,7 @@ from jpjica.engine import (
     inner_extract,
     mode_switch_threshold,
     run_jpji_ica,
+    _align_rows,
     _decollide,
 )
 from jpjica.errors import (
@@ -133,7 +134,7 @@ def test_deflate_removes_component():
 
 def test_decollide_projects_off_prior_rows():
     rng = np.random.default_rng(10)
-    prior = [rng.standard_normal(5) for _ in range(2)]
+    prior = rng.standard_normal((2, 5))
     u = rng.standard_normal(5)
     v = _decollide(u, prior)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -144,6 +145,38 @@ def test_decollide_projects_off_prior_rows():
     assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
     for p in prior:
         assert abs(float(v2 @ p)) < 1e-8
+
+
+def test_align_rows_undoes_a_swap_with_ragged_orders():
+    """A subject holding its slots 0 and 2 swapped is put back, in place.
+
+    Subject 2 holds two slots only, so est[2][2] is a zero row that must
+    add nothing.  With two peers at squared correlation ~0.5, subject 0's
+    own rows would outweigh them, so its own row must not count.
+    """
+    rng = np.random.default_rng(12)
+    orders = [3, 3, 2]
+    shared = np.stack([standardize(x) for x in rng.laplace(size=(3, 500))])
+    est = [np.zeros((3, 500)) for _ in range(3)]
+    for k, o in enumerate(orders):
+        for c in range(o):
+            est[c][k] = standardize(shared[c] + rng.standard_normal(500))
+    want = [e.copy() for e in est]
+    swap = [2, 1, 0]
+    for c, i in enumerate(swap):
+        est[c][0] = want[i][0]
+    u_eff = [np.eye(o) for o in orders]
+    u_eff[0] = u_eff[0][swap]
+    final_costs = np.arange(9.0).reshape(3, 3)
+    final_costs[2, 2] = np.nan
+    self_mode = np.zeros((3, 3), dtype=bool)
+    self_mode[0, 0] = True
+    _align_rows(est, u_eff, final_costs, self_mode, orders)
+    np.testing.assert_array_equal(np.stack(est), np.stack(want))
+    np.testing.assert_array_equal(u_eff[0], np.eye(3))
+    np.testing.assert_array_equal(final_costs[:, 0], [6.0, 3.0, 0.0])
+    np.testing.assert_array_equal(self_mode[:, 0], [False, False, True])
+    assert np.isnan(final_costs[2, 2])
 
 
 def test_mode_switch_threshold_scaling():
@@ -276,10 +309,45 @@ def test_run_single_subject_warns_and_self_extracts():
     assert decomp.n_subjects == 1
 
 
-def test_run_jithica_uses_single_tuple():
-    decomp, _, _ = _small_run(seed=6, algorithm="jithica")
-    assert decomp.algorithm == "jithica"
-    assert decomp.extraction_costs.shape[1] == 5
+def test_run_jithica_uses_single_tuple(monkeypatch):
+    """Every ring extraction follows the algorithm's policy.
+
+    Five subjects at ``global-min`` give each extraction four peers:
+    jithica draws a tuple of min(3, 4) of them and scores ring position 0
+    only, jpji uses all K-1 peers over every position.  Calls made by
+    self-mode extraction and slot ordering are recorded apart.
+    """
+    import jpjica.engine as engine
+
+    real_build = engine.build_cost_matrix
+    ring_calls, other_calls, nested = [], [], []
+
+    def build(z, partners, weights, alphas="all"):
+        (other_calls if nested else ring_calls).append((partners.shape[0], alphas))
+        return real_build(z, partners, weights, alphas=alphas)
+
+    def inside(fn):
+        def wrapped(*args, **kwargs):
+            nested.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                nested.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(engine, "build_cost_matrix", build)
+    monkeypatch.setattr(engine, "inner_extract", inside(engine.inner_extract))
+    monkeypatch.setattr(engine, "_order_slots", inside(engine._order_slots))
+    for algorithm, policy in [("jithica", (3, "first")), ("jpji", (4, "all"))]:
+        ring_calls.clear()
+        other_calls.clear()
+        decomp, _, _ = _small_run(seed=6, algorithm=algorithm)
+        assert decomp.algorithm == algorithm
+        assert decomp.extraction_costs.shape[1] == 5
+        assert len(ring_calls) == len(decomp.traces)
+        assert set(ring_calls) == {policy}
+        assert {alphas for _, alphas in other_calls} == {"all"}
     with pytest.raises(ValueError):
         _small_run(seed=6, algorithm="other")
 
@@ -426,3 +494,39 @@ def test_rescaling_and_shifting_a_subject_changes_no_source_or_label():
         np.testing.assert_allclose(got.sources[k], base.sources[k], rtol=0, atol=1e-8)
     assert got.labels == base.labels
     assert got.features.joint_slots == base.features.joint_slots
+
+
+def _metamorphic_scene(seed):
+    spec = ScenarioSpec(
+        n_subjects=6, n_joint=1, n_pjoint=1, n_individual=1, n_clusters=2,
+        n_voxels=1024, n_time=60, snr_db=20.0, seed=seed, allow_small_clusters=True,
+    )
+    datasets, _ = generate_dataset(spec)
+    cfg = AlgoConfig(seed=seed)
+    return datasets, cfg, label_decomposition(run_jpji_ica(datasets, cfg))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_voxels_permutes_sources_and_keeps_labels(seed):
+    datasets, cfg, base = _metamorphic_scene(seed)
+    perm = np.random.default_rng(seed).permutation(datasets[0].n_voxels)
+    moved = [SubjectDataset(ds.subject_id, ds.observations[:, perm]) for ds in datasets]
+    got = label_decomposition(run_jpji_ica(moved, cfg))
+    for g, b in zip(got.sources, base.sources):
+        np.testing.assert_allclose(g, b[:, perm], rtol=0, atol=1e-8)
+    assert got.labels == base.labels
+    assert got.features.joint_slots == base.features.joint_slots
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_renaming_subjects_changes_nothing_but_ids(seed):
+    datasets, cfg, base = _metamorphic_scene(seed)
+    renamed = [
+        SubjectDataset(f"renamed-{ds.subject_id[::-1]}", ds.observations) for ds in datasets
+    ]
+    got = label_decomposition(run_jpji_ica(renamed, cfg))
+    assert got.subject_ids == [ds.subject_id for ds in renamed]
+    for g, b in zip(got.sources, base.sources):
+        assert np.array_equal(g, b)
+    assert np.array_equal(got.features.jpjif, base.features.jpjif, equal_nan=True)
+    assert got.labels == base.labels

@@ -513,6 +513,55 @@ def test_cli_decompose_rejects_bad_subject_file(tmp_path, capsys, corrupt, messa
     assert not out.exists()
 
 
+def _drop_id(manifest):
+    del manifest["subjects"][1]["id"]
+    return manifest
+
+
+def _number_observations(manifest):
+    manifest["subjects"][1]["observations"] = 7
+    return manifest
+
+
+def _subjects_not_list(manifest):
+    manifest["subjects"] = "sub01"
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["decompose", "evaluate"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_id, "subjects"),
+        (_number_observations, "subjects"),
+        (_subjects_not_list, "subjects"),
+        (lambda manifest: [manifest], "JSON object"),
+    ],
+    ids=["no-id", "numeric-observations", "subjects-not-list", "not-an-object"],
+)
+def test_cli_rejects_malformed_dataset_manifest(
+    cli_dirs, tmp_path, capsys, command, corrupt, message
+):
+    """A manifest without a list of string id/observations entries: exit 3, one error line."""
+    _, sim, res = cli_dirs
+    bad = tmp_path / "ds"
+    shutil.copytree(sim, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    (bad / "manifest.json").write_text(json.dumps(corrupt(manifest)))
+    capsys.readouterr()
+    out = tmp_path / "res"
+    argv = (
+        ["decompose", str(bad), "--out", str(out)]
+        if command == "decompose"
+        else ["evaluate", str(res), str(bad)]
+    )
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_cli_exit_code_bad_components(cli_dirs, tmp_path):
     _, sim, _ = cli_dirs
     code = cli.main(

@@ -10,7 +10,6 @@ from jpjica.errors import (
 )
 from jpjica.types import (
     AlgoConfig,
-    PeerOrder,
     SourceKind,
     SourceLabel,
     SubjectDataset,
@@ -104,12 +103,6 @@ def test_slot_rows_maps_held_slots_in_order():
     )
     with pytest.raises(ValueError, match="held slots"):
         slot_rows(held, [2, 3, 3])
-
-
-def test_peer_order_rejects_repeats():
-    assert PeerOrder(order=(3, 1, 2)).n == 3
-    with pytest.raises(ValueError):
-        PeerOrder(order=(1, 1, 2))
 
 
 def _ds(name, n_voxels=8, n_time=4, fill=None):
