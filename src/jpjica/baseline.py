@@ -8,11 +8,11 @@ variant: every source comes out labeled joint or individual.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
 
-from .classify import build_features
 from .engine import run_jpji_ica
 from .types import AlgoConfig, Decomposition, SourceKind, SourceLabel, SubjectDataset
 
@@ -24,10 +24,10 @@ def run_ji_thica(
 
     The label of each source is the final-sweep extraction decision:
     joint if the tuple cost cleared the threshold (sigma0, or its
-    automatic value), individual otherwise.
+    automatic value), individual otherwise.  The feature table is the
+    engine's, unchanged.
     """
     decomp = run_jpji_ica(datasets, config, algorithm="jithica")
-    features = build_features(decomp)
     k_total = decomp.n_subjects
     held = decomp.slot_rows >= 0
     labels: list[list[SourceLabel]] = []
@@ -46,6 +46,4 @@ def run_ji_thica(
                 SourceLabel(kind=kind, peers=peers, n_subjects=k_total, subject=k)
             )
         labels.append(subject_labels)
-    decomp.features = features
-    decomp.labels = labels
-    return decomp
+    return replace(decomp, labels=labels)

@@ -1,11 +1,13 @@
 """Source-type determination: joint vs partially joint vs individual.
 
-Works on a finished decomposition.  The per-source feature is the final
-extraction cost under a fresh full peer permutation; its breakdown over
-ring positions (one per peer) carries the signature that separates the
-three types: a joint source draws near-equal contributions from every
-peer, a partially joint source only from its cluster, an individual
-source from nobody.
+Works on a finished decomposition and reads the JpJI-feature table the
+engine attached to it (``Decomposition.features``, computed once by
+``engine.build_features``).  The feature of a source is its cost against
+a ring of the slot's other holders, ordered by association; its
+breakdown over ring positions (one per peer) carries the signature that
+separates the three types: a joint source draws near-equal contributions
+from every peer, a partially joint source only from its cluster, an
+individual source from nobody.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import build_cost_matrix, mode_switch_threshold
+from .engine import mode_switch_threshold
 from .errors import (
     DegenerateCorrelation,
     GroupTooSmall,
@@ -24,7 +26,6 @@ from .errors import (
 )
 from .numerics import (
     bh_fdr,
-    excess_kurtosis,
     kmeans,
     one_sample_t_columns,
     silhouette,
@@ -32,57 +33,6 @@ from .numerics import (
 )
 from .seeding import rng_for
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
-
-
-def jpji_feature(
-    y: np.ndarray, partners: np.ndarray, weights: tuple[float, float, float]
-) -> tuple[float, np.ndarray]:
-    """Feature value and per-ring-position contributions of one source.
-
-    Position alpha contributes the weighted squared cross-cumulants of
-    ``y`` with partners alpha..alpha+2 (wrapping); the feature is the sum
-    over positions.  With an empty partner set the source itself is the
-    partner (single-set cost).  Both inputs are re-centered first.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    yc = (y - y.mean())[None, :]
-    pool = np.atleast_2d(np.asarray(partners, dtype=float))
-    if pool.size == 0:
-        pool = yc
-    cm = build_cost_matrix(yc, pool - pool.mean(axis=1, keepdims=True), weights)
-    contr = cm.contributions.sum(axis=1)
-    return float(contr.sum()), contr
-
-
-def build_features(decomp: Decomposition) -> FeatureTable:
-    """Feature table for every (slot, subject) of a decomposition.
-
-    Ring partners are ordered by second-order association with the
-    source, strongest first.  Cluster mates therefore sit on consecutive
-    positions and a shared source always collects its fourth-order terms
-    from the full in-cluster triples; a random order would leave that to
-    permutation luck and make the feature scale unstable.
-    """
-    cfg = decomp.config
-    k_total = decomp.n_subjects
-    n_slots = decomp.n_slots
-    rows = decomp.slot_rows
-    jpjif = np.full((n_slots, k_total), np.nan)
-    kurt = np.full((n_slots, k_total), np.nan)
-    contributions = np.empty((n_slots, k_total), dtype=object)
-    for c in range(n_slots):
-        holders = np.flatnonzero(rows[c] >= 0)
-        s = np.stack([decomp.sources[k][rows[c, k]] for k in holders])
-        # Source rows are standardized, so the Gram matrix ranks the
-        # peers by association; a stable sort keeps ties in subject order.
-        ranked = np.argsort(-np.abs(s @ s.T), axis=1, kind="stable")
-        for i, k in enumerate(holders.tolist()):
-            peers = ranked[i][ranked[i] != i]
-            val, contr = jpji_feature(s[i], s[peers], cfg.weights)
-            jpjif[c, k] = val
-            contributions[c, k] = contr
-            kurt[c, k] = excess_kurtosis(s[i])
-    return FeatureTable(jpjif=jpjif, contributions=contributions, kurtosis=kurt)
 
 
 def detect_joint_slots(
@@ -300,20 +250,23 @@ def _cluster_rows(corr: np.ndarray, forced_k: int | None, seed: int) -> np.ndarr
 
 
 def label_decomposition(decomp: Decomposition) -> Decomposition:
-    """Attach features and three-way labels to a decomposition.
+    """Attach three-way labels, and the threshold behind them, to a decomposition.
 
-    Single-subject input gets individual labels directly (no peer
-    information exists).  An explicit ``config.sigma0`` bypasses the
-    automatic threshold selection.
+    Reads the engine's feature table and returns a new decomposition
+    whose table is a copy carrying the joint slots, the threshold and the
+    joint reference level; the input is not changed.  Single-subject
+    input gets individual labels directly (no peer information exists)
+    and keeps the engine's table as it is.
+    An explicit ``config.sigma0`` bypasses the automatic threshold
+    selection.
     """
-    features = build_features(decomp)
+    features = decomp.features
+    if features is None:
+        raise ValueError("decomposition carries no feature table")
     if decomp.n_subjects == 1:
         kinds = np.empty_like(features.jpjif, dtype=object)
         kinds[:, :] = SourceKind.INDIVIDUAL
-        labels = cluster_subjects(decomp, kinds)
-        features.joint_slots = []
-        features.sigma_opt = None
-        return replace(decomp, features=features, labels=labels)
+        return replace(decomp, labels=cluster_subjects(decomp, kinds))
     joint_slots = detect_joint_slots(features, decomp)
     cfg = decomp.config
     if isinstance(cfg.sigma0, str):
@@ -323,9 +276,9 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
         ref = float(np.nanmean(features.jpjif[joint_slots, :])) if joint_slots else float("nan")
     kinds = classify_by_feature(features, sigma, joint_slots)
     labels = cluster_subjects(decomp, kinds)
-    features.joint_slots = sorted(joint_slots)
-    features.sigma_opt = sigma
-    features.jpjif_joint = ref
+    features = replace(
+        features, joint_slots=sorted(joint_slots), sigma_opt=sigma, jpjif_joint=ref
+    )
     return replace(decomp, features=features, labels=labels)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,6 +32,7 @@ from .seeding import rng_for
 from .types import (
     AlgoConfig,
     Decomposition,
+    FeatureTable,
     SubjectDataset,
     TraceRecord,
     validate_analysis_input,
@@ -73,8 +74,8 @@ def build_cost_matrix(
     (alpha, alpha+1, alpha+2), indices wrapping modulo the partner count.
     ``alphas="first"`` restricts to the single position alpha=0 (the
     one-tuple variant).  This is the only place where the order weights
-    meet the cumulant vectors: slot ordering and the JpJI-feature both
-    read their cost from ``contributions``.
+    meet the cumulant vectors: the JpJI-feature, and with it the slot
+    order, reads its cost from ``contributions``.
 
     The rows of ``z`` and of ``partners`` must be centered; the engine
     only ever passes whitened or deflated data and standardized
@@ -103,6 +104,60 @@ def build_cost_matrix(
         axis=1,
     )
     return CostMatrix(m=m, contributions=contributions)
+
+
+def jpji_feature(
+    y: np.ndarray, partners: np.ndarray, weights: tuple[float, float, float]
+) -> tuple[float, np.ndarray]:
+    """Feature value and per-ring-position contributions of one source.
+
+    Position alpha contributes the weighted squared cross-cumulants of
+    ``y`` with partners alpha..alpha+2 (wrapping); the feature is the sum
+    over positions.  With an empty partner set the source itself is the
+    partner (single-set cost).  Both inputs are re-centered first.
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    yc = (y - y.mean())[None, :]
+    pool = np.atleast_2d(np.asarray(partners, dtype=float))
+    if pool.size == 0:
+        pool = yc
+    cm = build_cost_matrix(yc, pool - pool.mean(axis=1, keepdims=True), weights)
+    contr = cm.contributions.sum(axis=1)
+    return float(contr.sum()), contr
+
+
+def build_features(
+    est: list[np.ndarray], orders: Sequence[int], weights: tuple[float, float, float]
+) -> FeatureTable:
+    """JpJI-feature table for every (slot, subject) of slot-major sources.
+
+    ``est[c]`` is slot c's K x V matrix of standardized sources, laid out
+    as in ``run_jpji_ica``; only the rows of subjects holding the slot
+    (``orders[k] > c``) are read, and unheld entries of the table are NaN.
+
+    Ring partners are ordered by second-order association with the
+    source, strongest first.  Cluster mates therefore sit on consecutive
+    positions and a shared source always collects its fourth-order terms
+    from the full in-cluster triples; a random order would leave that to
+    permutation luck and make the feature scale unstable.
+    """
+    n_slots, n_sub = len(est), len(orders)
+    jpjif = np.full((n_slots, n_sub), np.nan)
+    kurt = np.full((n_slots, n_sub), np.nan)
+    contributions = np.empty((n_slots, n_sub), dtype=object)
+    for c in range(n_slots):
+        holders = np.flatnonzero(np.asarray(orders) > c)
+        s = est[c][holders]
+        # Source rows are standardized, so the Gram matrix ranks the
+        # peers by association; a stable sort keeps ties in subject order.
+        ranked = np.argsort(-np.abs(s @ s.T), axis=1, kind="stable")
+        for i, k in enumerate(holders.tolist()):
+            peers = ranked[i][ranked[i] != i]
+            val, contr = jpji_feature(s[i], s[peers], weights)
+            jpjif[c, k] = val
+            contributions[c, k] = contr
+            kurt[c, k] = excess_kurtosis(s[i])
+    return FeatureTable(jpjif=jpjif, contributions=contributions, kurtosis=kurt)
 
 
 def cost(u: np.ndarray, cm: CostMatrix) -> float:
@@ -233,8 +288,11 @@ def run_jpji_ica(
     source while no deflation has happened yet.  In the last sweep each
     extracted source is regressed out of its subject's data immediately,
     and the demixing rows are accumulated back into the original whitened
-    frame.  After the last sweep the slots of the result are ordered by
-    decreasing mean peer cost across subjects (see ``_order_slots``).
+    frame.  After the last sweep each estimate is overwritten by its final
+    source, ``build_features`` computes the JpJI-feature table once from
+    these rows, and the slots are ordered by decreasing mean ``jpjif``
+    over their holders, then by decreasing kurtosis of the first holder's
+    source.  The table is returned as ``Decomposition.features``.
 
     The current estimates are stored slot-major: ``est[c]`` is slot c's
     K x V matrix of standardized estimates, and the row of a subject
@@ -357,18 +415,22 @@ def run_jpji_ica(
 
     if align:
         _align_rows(est, u_eff, final_costs, self_mode, orders)
-    slot_order = _order_slots(est, orders, weights)
+    for k in range(n_sub):
+        for c in range(orders[k]):
+            u_eff[k][c] = _fix_sign(u_eff[k][c])
+            est[c][k] = standardize(u_eff[k][c] @ z0[k])
+    feats = build_features(est, orders, weights)
+    # Unheld entries are NaN: the mean runs over the holders, and the
+    # first finite kurtosis is the first holder's.
+    mean_f = np.nanmean(feats.jpjif, axis=1)
+    kurt_first = [row[np.isfinite(row)][0] for row in feats.kurtosis]
+    slot_order = sorted(range(n_slots), key=lambda c: (-mean_f[c], -kurt_first[c], c))
     inverse = {c: i for i, c in enumerate(slot_order)}
     demixing, sources = [], []
     for k in range(n_sub):
         own = [c for c in slot_order if c < orders[k]]
-        rows, outs = [], []
-        for c in own:
-            u_row = _fix_sign(u_eff[k][c])
-            rows.append(u_row)
-            outs.append(standardize(u_row @ z0[k]))
-        demixing.append(np.stack(rows))
-        sources.append(np.stack(outs))
+        demixing.append(u_eff[k][own])
+        sources.append(np.stack([est[c][k] for c in own]))
     for t in traces:
         t.slot = inverse[t.slot]
     return Decomposition(
@@ -383,6 +445,9 @@ def run_jpji_ica(
         traces=traces,
         config=config,
         algorithm=algorithm,
+        features=FeatureTable(
+            feats.jpjif[slot_order], feats.contributions[slot_order], feats.kurtosis[slot_order]
+        ),
     )
 
 
@@ -436,29 +501,3 @@ def _align_rows(
         if not changed:
             break
 
-
-def _order_slots(
-    est: list[np.ndarray], orders: list[int], weights: tuple[float, float, float]
-) -> list[int]:
-    """Slots sorted by decreasing mean peer-ring cost.
-
-    Self-mode extraction costs are not comparable with peer costs (a
-    source's own cumulants enter), so the ordering key is recomputed for
-    every slot from the final estimates ``est`` (slot-major, as in
-    ``run_jpji_ica``) over the canonical peer ring; kurtosis of the first
-    holder's estimate breaks ties.
-    """
-    n_slots = len(est)
-    means = np.zeros(n_slots)
-    kurt = np.zeros(n_slots)
-    for c in range(n_slots):
-        holders = np.flatnonzero(np.asarray(orders) > c)
-        kurt[c] = excess_kurtosis(est[c][holders[0]])
-        vals = []
-        for k in holders.tolist():
-            yc = est[c][k][None, :]
-            peers = holders[holders != k]
-            pool = est[c][peers] if peers.size else yc
-            vals.append(float(build_cost_matrix(yc, pool, weights).contributions.sum()))
-        means[c] = float(np.mean(vals))
-    return sorted(range(n_slots), key=lambda c: (-means[c], -kurt[c], c))

@@ -187,37 +187,43 @@ def _load_dataset_manifest(directory: Path) -> dict:
 
 
 def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
+    """Ground truth of a manifest, or None; a malformed block raises ValueError."""
     gt = manifest.get("ground_truth")
     if gt is None:
         return None
-    idx_of = {entry["id"]: k for k, entry in enumerate(manifest["subjects"])}
-    sources, mixing, labels = [], [], []
-    for k, entry in enumerate(gt["subjects"]):
-        sources.append(load_matrix(directory / entry["sources"]))
-        mixing.append(load_matrix(directory / entry["mixing"]))
-        labels.append(
-            [
-                SourceLabel(
-                    kind=SourceKind(lab["kind"]),
-                    peers=frozenset(idx_of[p] for p in lab["peers"]),
-                    n_subjects=len(manifest["subjects"]),
-                    subject=k,
-                )
-                for lab in entry["labels"]
-            ]
+    try:
+        idx_of = {entry["id"]: k for k, entry in enumerate(manifest["subjects"])}
+        sources, mixing, labels = [], [], []
+        for k, entry in enumerate(gt["subjects"]):
+            sources.append(load_matrix(directory / entry["sources"]))
+            mixing.append(load_matrix(directory / entry["mixing"]))
+            labels.append(
+                [
+                    SourceLabel(
+                        kind=SourceKind(lab["kind"]),
+                        peers=frozenset(idx_of[p] for p in lab["peers"]),
+                        n_subjects=len(manifest["subjects"]),
+                        subject=k,
+                    )
+                    for lab in entry["labels"]
+                ]
+            )
+        return GroundTruth(
+            sources=sources,
+            mixing=mixing,
+            labels=labels,
+            joint_count=gt["joint_count"],
+            pjoint_counts=list(gt["pjoint_counts"]),
+            individual_counts=list(gt["individual_counts"]),
+            cluster_map={
+                key: frozenset(idx_of[p] for p in members)
+                for key, members in gt["cluster_map"].items()
+            },
         )
-    return GroundTruth(
-        sources=sources,
-        mixing=mixing,
-        labels=labels,
-        joint_count=gt["joint_count"],
-        pjoint_counts=list(gt["pjoint_counts"]),
-        individual_counts=list(gt["individual_counts"]),
-        cluster_map={
-            key: frozenset(idx_of[p] for p in members)
-            for key, members in gt["cluster_map"].items()
-        },
-    )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"{directory}: malformed ground_truth ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def save_decomposition(

@@ -205,9 +205,10 @@ class TraceRecord:
 class FeatureTable:
     """Per-source separability features.
 
-    jpjif[c, k] is the final cost value of slot c of subject k under a
-    full peer permutation; contributions[c, k] holds the per-peer-position
-    (alpha) breakdown whose uniformity identifies joint sources.
+    jpjif[c, k] is the cost of slot c's source of subject k against an
+    association-ordered ring of the slot's other holders, computed by the
+    engine; contributions[c, k] holds the per-peer-position (alpha)
+    breakdown whose uniformity identifies joint sources.
     """
 
     jpjif: np.ndarray
@@ -225,7 +226,8 @@ class Decomposition:
     Per subject: ``whiteners[k]`` maps raw observations to whitened rows
     (Z = W (O - mean)), ``demixing[k]`` holds unit demixing rows w.r.t.
     Z, and ``sources[k]`` the standardized source estimates.  Slots are
-    aligned across subjects and ordered by decreasing mean final cost.
+    aligned across subjects and ordered by decreasing mean JpJI-feature
+    ``features.jpjif`` over their holders (see ``run_jpji_ica``).
     """
 
     subject_ids: list[str]

@@ -4,16 +4,14 @@ import pytest
 
 from jpjica import io as jio
 from jpjica.classify import (
-    build_features,
     classify_by_feature,
     classify_by_spatial,
     cluster_subjects,
     detect_joint_slots,
-    jpji_feature,
     label_decomposition,
     select_sigma_opt,
 )
-from jpjica.engine import run_jpji_ica
+from jpjica.engine import build_features, jpji_feature, run_jpji_ica
 from jpjica.errors import GroupTooSmall, NoJointSources
 from jpjica.numerics import standardize
 from jpjica.simulate import ScenarioSpec, generate_dataset
@@ -23,13 +21,27 @@ from oracles import cross_cumulant
 WEIGHTS = (0.5, 0.75, 1.0)
 
 
+def _slot_major(sources):
+    """One K x V array per slot, as the engine keeps them; unheld rows stay zero."""
+    n_slots = max(s.shape[0] for s in sources)
+    est = [np.zeros((len(sources), sources[0].shape[1])) for _ in range(n_slots)]
+    for j, s in enumerate(sources):
+        for c, row in enumerate(s):
+            est[c][j] = row
+    return est
+
+
 def _stub_decomp(sources, config=None):
-    """Minimal decomposition wrapper around ready-made source estimates."""
+    """Minimal decomposition wrapper around ready-made source estimates.
+
+    Its feature table is built the engine's way, from slot-major rows.
+    """
     k = len(sources)
     n_slots = max(s.shape[0] for s in sources)
     costs = np.full((n_slots, k), np.nan)
     for j, s in enumerate(sources):
         costs[: s.shape[0], j] = 1.0
+    config = config or AlgoConfig()
     return Decomposition(
         subject_ids=[f"s{j}" for j in range(k)],
         whiteners=[np.eye(s.shape[0]) for s in sources],
@@ -40,7 +52,10 @@ def _stub_decomp(sources, config=None):
         extraction_costs=costs,
         self_mode=np.zeros((n_slots, k), dtype=bool),
         traces=[],
-        config=config or AlgoConfig(),
+        config=config,
+        features=build_features(
+            _slot_major(sources), [s.shape[0] for s in sources], config.weights
+        ),
     )
 
 
@@ -54,7 +69,7 @@ def test_slot_map_rejects_costs_that_disagree_with_sources(tmp_path):
     decomp = _stub_decomp([np.stack([_sharp(rng, 400) for _ in range(2)]) for _ in range(3)])
     decomp.extraction_costs[1, 2] = np.nan
     with pytest.raises(ValueError, match="held slots"):
-        build_features(decomp)
+        detect_joint_slots(decomp.features, decomp)
     with pytest.raises(ValueError, match="held slots"):
         jio.save_decomposition(tmp_path / "res", decomp)
 
@@ -104,21 +119,21 @@ def _three_kind_sources(seed=3, k_total=6, v=3000):
 def test_build_features_and_joint_detection():
     sources = _three_kind_sources()
     decomp = _stub_decomp(sources)
-    feats = build_features(decomp)
+    feats = decomp.features
     assert feats.jpjif.shape == (3, 6)
     assert np.isfinite(feats.jpjif).all()
     # joint features dwarf partially joint, which dwarf individual
     assert feats.jpjif[0].min() > feats.jpjif[1].max() > feats.jpjif[2].max()
     assert detect_joint_slots(feats, decomp) == [0]
-    # determinism: rebuilding from the same decomposition is identical
-    feats2 = build_features(decomp)
+    # determinism: rebuilding from the same rows is identical
+    feats2 = build_features(_slot_major(sources), [3] * 6, WEIGHTS)
     np.testing.assert_array_equal(feats.jpjif, feats2.jpjif)
 
 
 def test_detect_joint_slots_needs_uniform_contributions():
     sources = _three_kind_sources(seed=4)
     decomp = _stub_decomp(sources)
-    feats = build_features(decomp)
+    feats = decomp.features
     joint = detect_joint_slots(feats, decomp)
     assert 1 not in joint and 2 not in joint
 
@@ -130,7 +145,7 @@ def test_detect_joint_slots_floor_blocks_noise():
     # distribution, but the magnitude floor must reject it
     sources = [np.stack([standardize(rng.standard_normal(v)) for _ in range(2)]) for _ in range(5)]
     decomp = _stub_decomp(sources)
-    feats = build_features(decomp)
+    feats = decomp.features
     assert detect_joint_slots(feats, decomp) == []
 
 
@@ -145,14 +160,14 @@ def test_detect_joint_two_subjects_requires_shared_variance():
     s0 = np.stack([shared, own_a])
     s1 = np.stack([shared, own_b])
     decomp = _stub_decomp([s0, s1])
-    feats = build_features(decomp)
+    feats = decomp.features
     assert detect_joint_slots(feats, decomp) == [0]
 
 
 def test_select_sigma_separates_feature_classes():
     sources = _three_kind_sources(seed=7)
     decomp = _stub_decomp(sources)
-    feats = build_features(decomp)
+    feats = decomp.features
     joint = detect_joint_slots(feats, decomp)
     sigma, ref = select_sigma_opt(feats, joint, decomp)
     assert feats.jpjif[2].max() < sigma < feats.jpjif[1].min()
@@ -171,7 +186,7 @@ def test_select_sigma_without_joint_reference():
         own = standardize(rng.standard_normal(v))
         sources.append(np.stack([pj, own]))
     decomp = _stub_decomp(sources)
-    feats = build_features(decomp)
+    feats = decomp.features
     sigma, ref = select_sigma_opt(feats, [], decomp)
     assert np.isnan(ref)
     assert feats.jpjif[1].max() < sigma < feats.jpjif[0].min()

@@ -6,9 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
+from jpjica.baseline import run_ji_thica
 from jpjica.classify import label_decomposition
 from jpjica.engine import (
     build_cost_matrix,
+    build_features,
     cost,
     deflate,
     inner_extract,
@@ -315,7 +317,7 @@ def test_run_jithica_uses_single_tuple(monkeypatch):
     Five subjects at ``global-min`` give each extraction four peers:
     jithica draws a tuple of min(3, 4) of them and scores ring position 0
     only, jpji uses all K-1 peers over every position.  Calls made by
-    self-mode extraction and slot ordering are recorded apart.
+    self-mode extraction and the feature pass are recorded apart.
     """
     import jpjica.engine as engine
 
@@ -338,7 +340,7 @@ def test_run_jithica_uses_single_tuple(monkeypatch):
 
     monkeypatch.setattr(engine, "build_cost_matrix", build)
     monkeypatch.setattr(engine, "inner_extract", inside(engine.inner_extract))
-    monkeypatch.setattr(engine, "_order_slots", inside(engine._order_slots))
+    monkeypatch.setattr(engine, "build_features", inside(engine.build_features))
     for algorithm, policy in [("jithica", (3, "first")), ("jpji", (4, "all"))]:
         ring_calls.clear()
         other_calls.clear()
@@ -350,6 +352,51 @@ def test_run_jithica_uses_single_tuple(monkeypatch):
         assert {alphas for _, alphas in other_calls} == {"all"}
     with pytest.raises(ValueError):
         _small_run(seed=6, algorithm="other")
+
+
+@pytest.mark.parametrize("algorithm", ["jpji", "jithica"])
+def test_slots_ordered_by_mean_feature(algorithm):
+    """Mean ``jpjif`` over a slot's holders never rises from slot to slot.
+
+    The table is the one of the returned sources: rebuilt from them it is
+    bitwise the same.
+    """
+    for seed in range(3):
+        decomp, _, _ = _small_run(seed=seed, algorithm=algorithm)
+        feats = decomp.features
+        assert np.all(np.diff(np.nanmean(feats.jpjif, axis=1)) <= 0)
+        est = [np.stack([s[c] for s in decomp.sources]) for c in range(decomp.n_slots)]
+        again = build_features(est, [decomp.n_slots] * 5, decomp.config.weights)
+        assert np.array_equal(again.jpjif, feats.jpjif)
+        assert np.array_equal(again.kurtosis, feats.kurtosis)
+    ragged = run_jpji_ica(_ragged_datasets(), AlgoConfig(seed=0, n_components="auto-bic"))
+    jpjif = ragged.features.jpjif
+    assert np.array_equal(np.isnan(jpjif), ragged.slot_rows < 0)
+    assert np.all(np.diff(np.nanmean(jpjif, axis=1)) <= 0)
+
+
+def test_one_feature_pass_per_run(monkeypatch):
+    """The engine builds the feature table once; labelling only reads it."""
+    import jpjica.engine as engine
+
+    calls = []
+    real = engine.build_features
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_features", counted)
+    decomp, _, datasets = _small_run(seed=4)
+    assert len(calls) == 1
+    labelled = label_decomposition(decomp)
+    assert len(calls) == 1
+    assert labelled.features.jpjif is decomp.features.jpjif
+    assert labelled.features.sigma_opt is not None
+    # the engine's table is not changed in place
+    assert decomp.features.sigma_opt is None and decomp.features.joint_slots == []
+    run_ji_thica(datasets, AlgoConfig(seed=4))
+    assert len(calls) == 2
 
 
 def test_run_rejects_nonuniform_weights_config_error():

@@ -23,6 +23,7 @@ from jpjica import cli
 from jpjica import io as jio
 from jpjica.classify import label_decomposition
 from jpjica.engine import run_jpji_ica
+from jpjica.errors import OrderExceedsRank
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SourceKind
 
@@ -560,6 +561,75 @@ def test_cli_rejects_malformed_dataset_manifest(
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert message in err
     assert not out.exists()
+
+
+def _drop_joint_count(manifest):
+    del manifest["ground_truth"]["joint_count"]
+    return manifest
+
+
+def _drop_truth_sources(manifest):
+    del manifest["ground_truth"]["subjects"][0]["sources"]
+    return manifest
+
+
+def _unknown_peer(manifest):
+    manifest["ground_truth"]["subjects"][0]["labels"][0]["peers"][0] = "ghost"
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_joint_count, _drop_truth_sources, _unknown_peer],
+    ids=["no-joint-count", "no-sources", "unknown-peer"],
+)
+def test_cli_evaluate_rejects_malformed_ground_truth(cli_dirs, tmp_path, capsys, corrupt):
+    """A ground_truth block missing a key or naming an unknown subject: exit 3, one error line."""
+    _, sim, res = cli_dirs
+    bad = tmp_path / "ds"
+    shutil.copytree(sim, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    (bad / "manifest.json").write_text(json.dumps(corrupt(manifest)))
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(res), str(bad)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "malformed ground_truth" in err
+
+
+def test_cli_components_above_rank_exit_3_and_write_nothing(cli_dirs, tmp_path, capsys):
+    """Noiseless subjects of rank 2 asked for 5 components: OrderExceedsRank, exit 3."""
+    _, sim, _ = cli_dirs
+    subjects, _, _ = jio.load_dataset(sim)
+    with pytest.raises(OrderExceedsRank):
+        run_jpji_ica(subjects, AlgoConfig(n_components=5))
+    out = tmp_path / "res"
+    capsys.readouterr()
+    argv = ["decompose", str(sim), "--out", str(out), "--components", "5"]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds numerical rank" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("components", ["min", "auto"])
+@pytest.mark.parametrize("algorithm", ["jpji", "jithica"])
+def test_cli_two_subjects_get_no_partially_joint_label(tmp_path, algorithm, components):
+    """With K=2 a proper nonempty peer subset does not exist, ragged orders or not."""
+    sim, res = tmp_path / "data", tmp_path / "run"
+    argv = [
+        "simulate", "--subjects", "2", "--joint", "1", "--individual", "1,2",
+        "--voxels", "1024", "--time", "60", "--snr-db", "20", "--seed", "5",
+        "--out", str(sim),
+    ]
+    assert cli.main(argv) == cli.EXIT_OK
+    argv = [
+        "decompose", str(sim), "--out", str(res), "--seed", "5",
+        "--algorithm", algorithm, "--components", components,
+    ]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = [line.split(",") for line in (res / "labels.csv").read_text().splitlines()[1:]]
+    assert rows and {row[2] for row in rows} <= {"joint", "individual"}
 
 
 def test_cli_exit_code_bad_components(cli_dirs, tmp_path):
