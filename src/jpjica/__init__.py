@@ -16,7 +16,6 @@ from .engine import (
     cost,
     deflate,
     inner_extract,
-    jpji_feature,
     run_jpji_ica,
 )
 from .metrics import (
@@ -98,7 +97,6 @@ __all__ = [
     "generate_spatial_source",
     "inner_extract",
     "inverse_sqrt_psd",
-    "jpji_feature",
     "jsir",
     "jsir_db",
     "kmeans",

@@ -46,19 +46,25 @@ MODE_SWITCH_C0 = 6.0
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Quadratic cost for one extraction.
+    """Quadratic cost for one extraction, held as its factor.
 
-    ``m`` is symmetric positive semi-definite; ``contributions[alpha, j]``
-    is the weighted squared norm of the cumulant vector at ring position
-    alpha and order (2, 3, 4)[j], i.e. the trace of that term of m.
+    ``g = [sqrt(w2) cv2 | sqrt(w3) cv3 | sqrt(w4) cv4]`` is the C x 3n
+    block of weighted cumulant vectors, one column per (order, ring
+    position); the cost of a unit row u is ``|g.T u|^2``, i.e. the
+    quadratic form of ``g g.T``, which is never formed.
+    ``contributions[alpha, j]`` is the squared norm of the column at ring
+    position alpha and order (2, 3, 4)[j].
     """
 
-    m: np.ndarray
-    contributions: np.ndarray
+    g: np.ndarray
 
     @property
     def n_alpha(self) -> int:
-        return self.contributions.shape[0]
+        return self.g.shape[1] // 3
+
+    @property
+    def contributions(self) -> np.ndarray:
+        return np.square(self.g).sum(axis=0).reshape(3, -1).T
 
 
 def build_cost_matrix(
@@ -67,15 +73,16 @@ def build_cost_matrix(
     weights: tuple[float, float, float],
     alphas: str = "all",
 ) -> CostMatrix:
-    """Cumulant cost matrix of ``z`` rows against a ring of partner rows.
+    """Cumulant cost factor of ``z`` rows against a ring of partner rows.
 
-    Ring position alpha contributes the outer products of the order-2/3/4
-    cumulant vectors of z against partners alpha, (alpha, alpha+1), and
-    (alpha, alpha+1, alpha+2), indices wrapping modulo the partner count.
-    ``alphas="first"`` restricts to the single position alpha=0 (the
-    one-tuple variant).  This is the only place where the order weights
-    meet the cumulant vectors: the JpJI-feature, and with it the slot
-    order, reads its cost from ``contributions``.
+    Ring position alpha contributes the order-2/3/4 cumulant vectors of z
+    against partners alpha, (alpha, alpha+1), and (alpha, alpha+1,
+    alpha+2), indices wrapping modulo the partner count, each scaled by
+    the square root of its order weight.  ``alphas="first"`` keeps the
+    single position alpha=0 (the one-tuple variant).  This is the only
+    place where the order weights meet the cumulant vectors: the
+    extraction eigen step, the cost trace and the JpJI-feature all read
+    the returned factor.
 
     The rows of ``z`` and of ``partners`` must be centered; the engine
     only ever passes whitened or deflated data and standardized
@@ -89,41 +96,9 @@ def build_cost_matrix(
         )
     if alphas not in ("all", "first"):
         raise ValueError("alphas must be 'all' or 'first'")
-    cv2, cv3, cv4 = cumulant_vectors_ring(z, partners)
-    if alphas == "first":
-        cv2, cv3, cv4 = cv2[:, :1], cv3[:, :1], cv4[:, :1]
-    w2, w3, w4 = weights
-    m = w2 * cv2 @ cv2.T + w3 * cv3 @ cv3.T + w4 * cv4 @ cv4.T
-    m = (m + m.T) / 2.0
-    contributions = np.stack(
-        [
-            w2 * np.einsum("ij,ij->j", cv2, cv2),
-            w3 * np.einsum("ij,ij->j", cv3, cv3),
-            w4 * np.einsum("ij,ij->j", cv4, cv4),
-        ],
-        axis=1,
-    )
-    return CostMatrix(m=m, contributions=contributions)
-
-
-def jpji_feature(
-    y: np.ndarray, partners: np.ndarray, weights: tuple[float, float, float]
-) -> tuple[float, np.ndarray]:
-    """Feature value and per-ring-position contributions of one source.
-
-    Position alpha contributes the weighted squared cross-cumulants of
-    ``y`` with partners alpha..alpha+2 (wrapping); the feature is the sum
-    over positions.  With an empty partner set the source itself is the
-    partner (single-set cost).  Both inputs are re-centered first.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    yc = (y - y.mean())[None, :]
-    pool = np.atleast_2d(np.asarray(partners, dtype=float))
-    if pool.size == 0:
-        pool = yc
-    cm = build_cost_matrix(yc, pool - pool.mean(axis=1, keepdims=True), weights)
-    contr = cm.contributions.sum(axis=1)
-    return float(contr.sum()), contr
+    n = 1 if alphas == "first" else partners.shape[0]
+    cvs = cumulant_vectors_ring(z, partners)
+    return CostMatrix(np.hstack([np.sqrt(w) * cv[:, :n] for w, cv in zip(weights, cvs)]))
 
 
 def build_features(
@@ -134,6 +109,12 @@ def build_features(
     ``est[c]`` is slot c's K x V matrix of standardized sources, laid out
     as in ``run_jpji_ica``; only the rows of subjects holding the slot
     (``orders[k] > c``) are read, and unheld entries of the table are NaN.
+
+    The feature of a source is its ring cost: ``contributions[c, k]``
+    holds, per ring position alpha, the summed contributions of
+    ``build_cost_matrix(source, peers)``, and ``jpjif[c, k]`` their sum.
+    A sole holder is its own partner (single-set cost).  The rows are
+    standardized, hence centered, so nothing is re-centered.
 
     Ring partners are ordered by second-order association with the
     source, strongest first.  Cluster mates therefore sit on consecutive
@@ -153,17 +134,18 @@ def build_features(
         ranked = np.argsort(-np.abs(s @ s.T), axis=1, kind="stable")
         for i, k in enumerate(holders.tolist()):
             peers = ranked[i][ranked[i] != i]
-            val, contr = jpji_feature(s[i], s[peers], weights)
-            jpjif[c, k] = val
+            pool = s[peers] if peers.size else s[i : i + 1]
+            contr = build_cost_matrix(s[i : i + 1], pool, weights).contributions.sum(axis=1)
+            jpjif[c, k] = contr.sum()
             contributions[c, k] = contr
             kurt[c, k] = excess_kurtosis(s[i])
     return FeatureTable(jpjif=jpjif, contributions=contributions, kurtosis=kurt)
 
 
 def cost(u: np.ndarray, cm: CostMatrix) -> float:
-    """Quadratic cost of a candidate demixing row."""
-    u = np.asarray(u, dtype=float)
-    return float(u @ cm.m @ u)
+    """Quadratic cost of a candidate demixing row: ``|g.T u|^2``."""
+    gu = np.asarray(u, dtype=float) @ cm.g
+    return float(gu @ gu)
 
 
 def inner_extract(
@@ -175,8 +157,8 @@ def inner_extract(
 ) -> tuple[float, np.ndarray, list[float], bool]:
     """Self-mode extraction of one demixing row; returns (cost, u, trace, converged).
 
-    The row's own estimate is the partner: the cost matrix is rebuilt
-    from the current estimate each iteration until
+    The row's own estimate is the partner: the cost is rebuilt from the
+    current estimate each iteration until
     1 - (u . u_prev)^2 < eps0.  (Joint extraction against a fixed peer
     ring needs a single eigen step and is done inline by ``run_jpji_ica``.)
     """
@@ -190,12 +172,12 @@ def inner_extract(
     lam = trace[0]
     converged = False
     for _ in range(max_inner):
-        lam_new, u_new = dominant_eigenvector(cm.m)
+        lam_new, u_new = dominant_eigenvector(cm.g)
         # Ascent guard: at the fixed point the eigenvalue of the rebuilt
-        # matrix can wobble below its predecessor by O(eps0 * cost); a
+        # cost can wobble below its predecessor by O(eps0 * cost); a
         # non-improving step means there is nothing left to gain, so keep
         # the previous iterate.  The first eigen step is always taken (it
-        # maximizes the very matrix the starting cost was measured on).
+        # maximizes the very cost the starting value was measured on).
         if lam_new < lam and len(trace) > 1:
             converged = True
             break
@@ -305,14 +287,13 @@ def run_jpji_ica(
 
     ``"jpji"``
         the ring holds every other holder and the cost sums over all ring
-        positions; the floor is ``config.mode_switch`` when it is a float
-        and the automatic ``mode_switch_threshold`` otherwise.  After the
-        last sweep each subject's rows are re-matched to the consensus
-        slots (see ``_align_rows``).
+        positions; the floor is the automatic ``mode_switch_threshold``.
+        After the last sweep each subject's rows are re-matched to the
+        consensus slots (see ``_align_rows``).
     ``"jithica"``
         the single-tuple variant: the ring is up to three random peers and
         only ring position 0 enters the cost; an explicit ``config.sigma0``
-        is the floor, ahead of ``mode_switch``.  Rows are not re-matched.
+        is the floor, else the automatic one.  Rows are not re-matched.
 
     A ring cost at or above the floor keeps the joint eigen step; below
     it, or without peers, the row is extracted in self mode.
@@ -332,8 +313,6 @@ def run_jpji_ica(
     fixed_floor: float | None = None
     if single and not isinstance(config.sigma0, str):
         fixed_floor = float(config.sigma0)
-    elif not isinstance(config.mode_switch, str):
-        fixed_floor = float(config.mode_switch)
 
     # Unlike a loop variable, map holds no subject once it is reduced.
     reduced = list(map(preprocess_subject, datasets, repeat(config.n_components)))
@@ -378,7 +357,7 @@ def run_jpji_ica(
                 if peers.size:
                     ring = peers[rng.permutation(peers.size)[:ring_len]]
                     cm = build_cost_matrix(zk, est[c][ring], weights, alphas=alphas)
-                    lam, u_new = dominant_eigenvector(cm.m)
+                    lam, u_new = dominant_eigenvector(cm.g)
                     floor = fixed_floor
                     if floor is None:
                         floor = mode_switch_threshold(
@@ -390,7 +369,7 @@ def run_jpji_ica(
                         u_fin, lam_fin, converged = u_new, lam, True
                 if mode == "self":
                     lam_fin, u_fin, trace_vals, converged = inner_extract(
-                        zk, weights, u0, eps0=config.eps0, max_inner=config.max_inner
+                        zk, weights, u0, eps0=config.eps0
                     )
                 u_work[k][c] = u_fin
                 y_raw = u_fin @ zk
@@ -437,7 +416,6 @@ def run_jpji_ica(
         subject_ids=[p.subject_id for p in pre],
         whiteners=[p.w_total for p in pre],
         row_means=[p.mean for p in pre],
-        z=z0,
         demixing=demixing,
         sources=sources,
         extraction_costs=final_costs[slot_order, :],

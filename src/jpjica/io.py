@@ -318,21 +318,30 @@ class ResultsBundle:
 
 
 def load_decomposition(directory: str | Path) -> ResultsBundle:
-    """Read a results directory back into arrays and labels."""
+    """Read a results directory back into arrays and labels.
+
+    A ``results.json`` missing ``subject_ids``, ``files`` or a file entry
+    raises ValueError.
+    """
     directory = Path(directory)
     manifest = _load_json(directory / "results.json")
     if manifest.get("kind") != "results":
         raise ValueError(f"{directory}: manifest is not a results manifest")
     _check_version(manifest)
-    ids = list(manifest["subject_ids"])
-    idx_of = {sid: k for k, sid in enumerate(ids)}
     sources, demixing, whiteners, means = [], [], [], []
-    for sid in ids:
-        entry = manifest["files"][sid]
-        sources.append(load_matrix(directory / entry["sources"]))
-        demixing.append(load_matrix(directory / entry["demixing"]))
-        whiteners.append(load_matrix(directory / entry["whitener"]))
-        means.append(load_matrix(directory / entry["mean"]).ravel())
+    try:
+        ids = list(manifest["subject_ids"])
+        for sid in ids:
+            entry = manifest["files"][sid]
+            sources.append(load_matrix(directory / entry["sources"]))
+            demixing.append(load_matrix(directory / entry["demixing"]))
+            whiteners.append(load_matrix(directory / entry["whitener"]))
+            means.append(load_matrix(directory / entry["mean"]).ravel())
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{directory}: malformed results.json ({type(exc).__name__}: {exc})"
+        ) from exc
+    idx_of = {sid: k for k, sid in enumerate(ids)}
     orders = [s.shape[0] for s in sources]
     n_slots = max(orders)
     jpjif = np.full((n_slots, len(ids)), np.nan)
@@ -394,10 +403,25 @@ def save_report(path: str | Path, report_dict: dict) -> None:
 
 
 def load_report(path: str | Path) -> dict:
+    """Read a report written by :func:`save_report`.
+
+    Raises ValueError unless ``metrics`` holds the entries ``jpjica
+    report`` aggregates: numbers ``jsir_db`` and ``acc_peer_sets`` and an
+    object ``acc_counts``.
+    """
     data = _load_json(Path(path))
     if data.get("kind") != "report":
         raise ValueError(f"{path}: not a report file")
     _check_version(data)
+    metrics = data.get("metrics")
+    if not (
+        isinstance(metrics, dict)
+        and isinstance(metrics.get("acc_counts"), dict)
+        and all(isinstance(metrics.get(k), (int, float)) for k in ("jsir_db", "acc_peer_sets"))
+    ):
+        raise ValueError(
+            f"{path}: 'metrics' needs numbers jsir_db and acc_peer_sets and an object acc_counts"
+        )
     return data
 
 
@@ -406,10 +430,8 @@ def _config_dict(cfg: AlgoConfig) -> dict:
         "weights": list(cfg.weights),
         "max_outer": cfg.max_outer,
         "eps0": cfg.eps0,
-        "max_inner": cfg.max_inner,
         "n_components": cfg.n_components,
         "sigma0": cfg.sigma0,
-        "mode_switch": cfg.mode_switch,
         "tau_joint": cfg.tau_joint,
         "n_clusters": cfg.n_clusters,
         "seed": cfg.seed,

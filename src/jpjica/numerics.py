@@ -132,29 +132,28 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return -u if u[i] < 0 else u
 
 
-def dominant_eigenvector(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and unit eigenvector of a symmetric matrix.
+def dominant_eigenvector(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and unit eigenvector of ``g @ g.T``, from the factor.
 
-    Degenerate top eigenvalues are resolved deterministically: within the
-    tied eigenspace the (normalized) projection of the lowest-index basis
-    vector with a nonvanishing projection is returned.  The sign makes
-    the largest-magnitude entry positive.
+    One thin SVD of ``g`` gives both: the eigenvalue is the squared top
+    singular value and the eigenvector the top left singular vector, so
+    ``g @ g.T`` is never formed.  Degenerate top eigenvalues are resolved
+    deterministically: within the tied eigenspace the (normalized)
+    projection of the lowest-index basis vector with a nonvanishing
+    projection is returned.  The sign makes the largest-magnitude entry
+    positive.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric("matrix must be square")
-    if not np.isfinite(m).all():
-        raise NonFinite("matrix contains NaN/Inf")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > 1e-10 * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    w, e = np.linalg.eigh((m + m.T) / 2.0)
-    lam = float(w[-1])
-    tie = w >= lam - 1e-12 * max(1.0, abs(lam))
+    g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise NonFinite("factor contains NaN/Inf")
+    e, s, _ = np.linalg.svd(g, full_matrices=False)
+    w = s * s
+    lam = float(w[0])
+    tie = w >= lam - 1e-12 * max(1.0, lam)
     basis = e[:, tie]
     if basis.shape[1] == 1:
         return lam, _fix_sign(basis[:, 0])
-    for i in range(m.shape[0]):
+    for i in range(g.shape[0]):
         proj = basis @ basis[i, :]
         nrm = float(np.linalg.norm(proj))
         if nrm > 1e-8:

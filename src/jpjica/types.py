@@ -133,7 +133,8 @@ class AlgoConfig:
         Outer sweeps over all (slot, subject) pairs; deflation happens in
         the last sweep only.
     eps0
-        Inner stopping rule: stop once 1 - (u . u_prev)^2 < eps0.
+        Inner stopping rule: stop once 1 - (u . u_prev)^2 < eps0, within
+        the 200-iteration cap of ``engine.inner_extract``.
     n_components
         "global-min": per-subject BIC order estimate, minimum over
         subjects (every subject reduced to the same order).
@@ -142,13 +143,9 @@ class AlgoConfig:
     sigma0
         Joint/individual decision threshold for the single-tuple baseline
         or an explicit feature threshold for classification; "auto"
-        derives it from the data.
-    mode_switch
-        Cost floor below which a slot falls back to single-set extraction
-        (partners carry no information about this subject); "auto" scales
-        a calibrated constant by weights, peer count and data size, and a
-        float replaces that automatic floor (an explicit sigma0 of the
-        single-tuple baseline still takes precedence).
+        derives it from the data.  A float is also the single-tuple
+        baseline's cost floor for falling back to single-set extraction;
+        otherwise that floor is ``engine.mode_switch_threshold``.
     tau_joint
         Relative tolerance of the per-peer contribution uniformity test
         used to detect joint sources.
@@ -157,10 +154,8 @@ class AlgoConfig:
     weights: tuple[float, float, float] = (0.5, 0.75, 1.0)
     max_outer: int = 5
     eps0: float = 1e-6
-    max_inner: int = 200
     n_components: int | str = "global-min"
     sigma0: float | str = "auto"
-    mode_switch: float | str = "auto"
     tau_joint: float = 0.15
     n_clusters: int | None = None
     seed: int = 0
@@ -172,8 +167,6 @@ class AlgoConfig:
             raise ValueError("max_outer must be >= 1")
         if not 0 < self.eps0 < 1:
             raise ValueError("eps0 must lie in (0, 1)")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
         if isinstance(self.n_components, str):
             if self.n_components not in ("global-min", "auto-bic"):
                 raise ValueError("n_components must be an int, 'global-min' or 'auto-bic'")
@@ -181,8 +174,6 @@ class AlgoConfig:
             raise ValueError("n_components must be >= 1")
         if isinstance(self.sigma0, str) and self.sigma0 != "auto":
             raise ValueError("sigma0 must be a float or 'auto'")
-        if isinstance(self.mode_switch, str) and self.mode_switch != "auto":
-            raise ValueError("mode_switch must be a float or 'auto'")
         if not 0 < self.tau_joint < 1:
             raise ValueError("tau_joint must lie in (0, 1)")
         if self.n_clusters is not None and self.n_clusters < 2:
@@ -233,7 +224,6 @@ class Decomposition:
     subject_ids: list[str]
     whiteners: list[np.ndarray]
     row_means: list[np.ndarray]
-    z: list[np.ndarray]
     demixing: list[np.ndarray]
     sources: list[np.ndarray]
     extraction_costs: np.ndarray

@@ -16,9 +16,13 @@ def test_build_m_individual_self_partner():
     z = rng.standard_normal((2, 400))
     y = standardize(z[0])
     cm = build_cost_matrix(z, y[None, :], WEIGHTS)
-    assert cm.m.shape == (2, 2)
+    m = cm.g @ cm.g.T
+    assert m.shape == (2, 2)
     # the aligned row dominates its own cumulant cost
-    assert cm.m[0, 0] > cm.m[1, 1]
+    assert m[0, 0] > m[1, 1]
+    # one ring position; its three order terms are the trace of m
+    assert cm.contributions.shape == (1, 3)
+    assert np.trace(m) == pytest.approx(float(cm.contributions.sum()), rel=1e-12)
 
 
 def _run(seed, n_joint=1, n_pjoint=0, n_individual=1, k=5, clusters=1, **cfg):

@@ -11,7 +11,7 @@ from jpjica.classify import (
     label_decomposition,
     select_sigma_opt,
 )
-from jpjica.engine import build_features, jpji_feature, run_jpji_ica
+from jpjica.engine import build_cost_matrix, build_features, run_jpji_ica
 from jpjica.errors import GroupTooSmall, NoJointSources
 from jpjica.numerics import standardize
 from jpjica.simulate import ScenarioSpec, generate_dataset
@@ -46,7 +46,6 @@ def _stub_decomp(sources, config=None):
         subject_ids=[f"s{j}" for j in range(k)],
         whiteners=[np.eye(s.shape[0]) for s in sources],
         row_means=[np.zeros(s.shape[0]) for s in sources],
-        z=[s.copy() for s in sources],
         demixing=[np.eye(s.shape[0]) for s in sources],
         sources=[s.copy() for s in sources],
         extraction_costs=costs,
@@ -75,11 +74,14 @@ def test_slot_map_rejects_costs_that_disagree_with_sources(tmp_path):
 
 
 def test_jpji_feature_matches_ring_oracle():
+    """The feature's per-position terms are the ring cost's contributions."""
     rng = np.random.default_rng(1)
     v = 500
     y = rng.standard_normal(v)
+    y -= y.mean()
     partners = rng.standard_normal((4, v))
-    got, contr = jpji_feature(y, partners, WEIGHTS)
+    partners -= partners.mean(axis=1, keepdims=True)
+    contr = build_cost_matrix(y[None, :], partners, WEIGHTS).contributions.sum(axis=1)
     n = partners.shape[0]
     want = np.zeros(n)
     for a in range(n):
@@ -90,16 +92,22 @@ def test_jpji_feature_matches_ring_oracle():
             + WEIGHTS[2] * cross_cumulant(4, y, ring[0], ring[1], ring[2]) ** 2
         )
     np.testing.assert_allclose(contr, want, rtol=1e-10, atol=1e-14)
-    assert got == pytest.approx(float(want.sum()), rel=1e-10)
+    assert float(contr.sum()) == pytest.approx(float(want.sum()), rel=1e-10)
 
 
 def test_jpji_feature_empty_partners_uses_self():
+    """A slot with a single holder scores its source against itself."""
     rng = np.random.default_rng(2)
     y = _sharp(rng, 800)
-    got, contr = jpji_feature(y, np.empty((0, 800)), WEIGHTS)
-    want, _ = jpji_feature(y, y[None, :], WEIGHTS)
-    assert got == pytest.approx(want, rel=1e-12)
+    other = np.stack([_sharp(rng, 800), _sharp(rng, 800)])
+    # subject 0 holds two slots, subject 1 only the first
+    feats = build_features([other, np.stack([y, np.zeros(800)])], [2, 1], WEIGHTS)
+    contr = feats.contributions[1, 0]
+    want = build_cost_matrix(y[None, :], y[None, :], WEIGHTS).contributions.sum(axis=1)
     assert contr.shape == (1,)
+    np.testing.assert_array_equal(contr, want)
+    assert feats.jpjif[1, 0] == pytest.approx(float(want.sum()), rel=1e-12)
+    assert np.isnan(feats.jpjif[1, 1]) and feats.contributions[1, 1] is None
 
 
 def _three_kind_sources(seed=3, k_total=6, v=3000):

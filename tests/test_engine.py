@@ -52,13 +52,11 @@ def test_cost_matrix_matches_outer_product_oracle():
             cvec = cumulant_rows(z, ring[: order - 1])
             want += weights[j] * np.outer(cvec, cvec)
             want_contr[a, j] = weights[j] * float(cvec @ cvec)
-    np.testing.assert_allclose(cm.m, want, rtol=1e-10, atol=1e-14)
+    assert cm.g.shape == (4, 3 * n)
+    np.testing.assert_allclose(cm.g @ cm.g.T, want, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(cm.contributions, want_contr, rtol=1e-10, atol=1e-14)
-    # PSD and symmetric by construction
-    np.testing.assert_allclose(cm.m, cm.m.T, atol=0)
-    assert np.linalg.eigvalsh(cm.m).min() > -1e-12
-    # trace identity: total contribution equals trace of m
-    assert np.trace(cm.m) == pytest.approx(float(cm.contributions.sum()), rel=1e-10)
+    # trace identity: total contribution equals the squared norm of the factor
+    assert np.sum(cm.g**2) == pytest.approx(float(cm.contributions.sum()), rel=1e-10)
 
 
 def test_cost_matrix_first_alpha_only():
@@ -70,10 +68,13 @@ def test_cost_matrix_first_alpha_only():
     assert cm.n_alpha == 1
     ring = [partners[0], partners[1], partners[2]]
     want = np.zeros((3, 3))
+    want_contr = np.zeros((1, 3))
     for j, order in enumerate((2, 3, 4)):
         cvec = cumulant_rows(z, ring[: order - 1])
         want += weights[j] * np.outer(cvec, cvec)
-    np.testing.assert_allclose(cm.m, want, rtol=1e-10, atol=1e-14)
+        want_contr[0, j] = weights[j] * float(cvec @ cvec)
+    np.testing.assert_allclose(cm.g @ cm.g.T, want, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(cm.contributions, want_contr, rtol=1e-10, atol=1e-14)
     with pytest.raises(ValueError):
         build_cost_matrix(z, partners, weights, alphas="second")
     with pytest.raises(PartnerLengthMismatch):
@@ -85,7 +86,7 @@ def test_eigenvector_maximizes_cost():
     z = _centered(rng, (4, 300))
     partners = _centered(rng, (3, 300))
     cm = build_cost_matrix(z, partners, (0.5, 0.75, 1.0))
-    lam, u = dominant_eigenvector(cm.m)
+    lam, u = dominant_eigenvector(cm.g)
     assert cost(u, cm) == pytest.approx(lam, rel=1e-10)
     for _ in range(50):
         r = rng.standard_normal(4)
@@ -203,7 +204,7 @@ def test_mode_switch_dominates_partner_null():
             z = _centered(rng, (c_rows, v))
             p = np.stack([standardize(rng.standard_normal(v)) for _ in range(n_peers)])
             cm = build_cost_matrix(z, p, weights)
-            lam, _ = dominant_eigenvector(cm.m)
+            lam, _ = dominant_eigenvector(cm.g)
             worst = max(worst, lam)
         assert worst < thr, f"null cost {worst:.4f} razed threshold {thr:.4f}"
     # and a genuinely shared source clears it by orders of magnitude
@@ -213,7 +214,7 @@ def test_mode_switch_dominates_partner_null():
     z = z - z.mean(axis=1, keepdims=True)
     p = np.stack([s.copy()])
     cm = build_cost_matrix(z, p, weights)
-    lam, _ = dominant_eigenvector(cm.m)
+    lam, _ = dominant_eigenvector(cm.g)
     assert lam > 20 * mode_switch_threshold(weights, 1, 2, v, n_partners=1)
 
 
@@ -238,23 +239,19 @@ def test_run_structure_and_source_normalization():
     assert decomp.algorithm == "jpji"
     assert decomp.extraction_costs.shape == (decomp.n_slots, 5)
     assert decomp.self_mode.shape == decomp.extraction_costs.shape
-    for k in range(5):
+    for k, ds in enumerate(datasets):
         d = decomp.demixing[k]
         np.testing.assert_allclose(
             np.linalg.norm(d, axis=1), np.ones(d.shape[0]), atol=1e-10
         )
+        # whitener and row means map raw observations onto the whitened rows
+        zk = decomp.whiteners[k] @ (ds.observations - decomp.row_means[k][:, None])
+        np.testing.assert_allclose(zk @ zk.T / zk.shape[1], np.eye(d.shape[0]), atol=1e-8)
         for i in range(d.shape[0]):
             y = decomp.sources[k][i]
             assert abs(y.mean()) < 1e-10
             assert np.mean(y * y) == pytest.approx(1.0, abs=1e-8)
-            np.testing.assert_allclose(
-                y, standardize(d[i] @ decomp.z[k]), atol=1e-8
-            )
-    # whitener maps raw observations onto the stored z
-    for k, ds in enumerate(datasets):
-        obs = ds.observations
-        zk = decomp.whiteners[k] @ (obs - decomp.row_means[k][:, None])
-        np.testing.assert_allclose(zk, decomp.z[k], atol=1e-8)
+            np.testing.assert_allclose(y, standardize(d[i] @ zk), atol=1e-8)
 
 
 def test_run_recovers_shared_source():
@@ -431,45 +428,19 @@ def test_engine_cost_inputs_are_centered(monkeypatch):
 
     monkeypatch.setattr(engine, "build_cost_matrix", build)
     monkeypatch.setattr(engine, "cumulant_vectors_ring", ring)
-    decomp, _, _ = _small_run(seed=2)
-    for zk in decomp.z:
-        assert np.abs(zk.mean(axis=1)).max() < 1e-12
-    deflated = [z for z in seen["z"] if not any(np.array_equal(z, zk) for zk in decomp.z)]
+    decomp, _, datasets = _small_run(seed=2)
+    whitened = [
+        w @ (ds.observations - mean[:, None])
+        for w, mean, ds in zip(decomp.whiteners, decomp.row_means, datasets)
+    ]
+    deflated = [
+        z
+        for z in seen["z"]
+        if z.shape[0] > 1 and not any(np.allclose(z, zk, atol=1e-8) for zk in whitened)
+    ]
     assert deflated, "the final sweep should hand deflated data to the cost build"
     for rows in seen["z"] + seen["partners"] + seen["ring"]:
         assert np.abs(rows.mean(axis=1)).max() < 1e-12
-
-
-def test_mode_switch_float_overrides_automatic_floor(monkeypatch):
-    import jpjica.engine as engine
-
-    calls = []
-    real = engine.mode_switch_threshold
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "mode_switch_threshold", counted)
-    default, _, _ = _small_run(seed=3)
-    n_default = len(calls)
-    auto, _, _ = _small_run(seed=3, mode_switch="auto")
-    assert n_default > 0 and len(calls) == 2 * n_default
-    for k in range(default.n_subjects):
-        np.testing.assert_array_equal(auto.demixing[k], default.demixing[k])
-        np.testing.assert_array_equal(auto.sources[k], default.sources[k])
-    np.testing.assert_array_equal(auto.extraction_costs, default.extraction_costs)
-    np.testing.assert_array_equal(auto.self_mode, default.self_mode)
-    assert not default.self_mode[0].any(), "the joint slot is extracted jointly"
-
-    calls.clear()
-    forced, _, _ = _small_run(seed=3, mode_switch=1e300)
-    assert not calls
-    assert forced.self_mode.all()
-    assert all(t.mode == "self" for t in forced.traces)
-    always, _, _ = _small_run(seed=3, mode_switch=0.0)
-    assert not always.self_mode.any()
-    assert all(t.mode == "joint" for t in always.traces)
 
 
 # ------------------------------------------------------------ streamed subjects
@@ -515,13 +486,12 @@ def test_streamed_and_listed_subjects_give_identical_runs(policy, orders):
     assert [s.shape[0] for s in streamed.sources] == orders
     assert [s.shape[0] for s in listed.sources] == orders
     for k, ds in enumerate(datasets):
-        for field in ("z", "whiteners", "row_means", "demixing", "sources"):
+        for field in ("whiteners", "row_means", "demixing", "sources"):
             np.testing.assert_array_equal(getattr(streamed, field)[k], getattr(listed, field)[k])
         # a reduction truncated after the pass equals a direct reduction to the final order
         z, _ = whiten(pca_reduce(ds.observations, orders[k]).scores)
-        np.testing.assert_allclose(streamed.z[k], z, atol=1e-10)
         x = ds.observations - streamed.row_means[k][:, None]
-        np.testing.assert_allclose(streamed.whiteners[k] @ x, streamed.z[k], atol=1e-8)
+        np.testing.assert_allclose(streamed.whiteners[k] @ x, z, atol=1e-8)
 
 
 def test_rescaling_and_shifting_a_subject_changes_no_source_or_label():

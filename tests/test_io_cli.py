@@ -319,9 +319,12 @@ def test_decomposition_rejects_wrong_kind(tmp_path, small_scene):
 # ---------------------------------------------------------------- reports
 
 
+_METRICS = {"jsir_db": 12.5, "acc_counts": {"joint": True}, "acc_peer_sets": 100.0}
+
+
 def test_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
-    jio.save_report(path, {"metrics": {"jsir_db": 12.5}})
+    jio.save_report(path, {"metrics": _METRICS})
     back = jio.load_report(path)
     assert back["kind"] == "report"
     assert back["format_version"] == jio.FORMAT_VERSION
@@ -339,6 +342,24 @@ def test_report_rejects_wrong_version(tmp_path):
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"format_version": "0", "kind": "report"}))
     with pytest.raises(ValueError, match="format_version"):
+        jio.load_report(path)
+
+
+@pytest.mark.parametrize(
+    "metrics",
+    [
+        None,
+        [],
+        {"jsir_db": 1.0, "acc_counts": {}},
+        {**_METRICS, "acc_counts": []},
+        {**_METRICS, "jsir_db": "12.5"},
+    ],
+    ids=["absent", "list", "no-peer-sets", "counts-list", "jsir-text"],
+)
+def test_report_rejects_incomplete_metrics(tmp_path, metrics):
+    path = tmp_path / "x.json"
+    jio.save_report(path, {} if metrics is None else {"metrics": metrics})
+    with pytest.raises(ValueError, match="'metrics' needs"):
         jio.load_report(path)
 
 
@@ -682,6 +703,49 @@ def test_cli_exit_code_no_reports(tmp_path, capsys):
     assert "skipping" in capsys.readouterr().err
 
 
+def test_cli_report_skips_report_without_metrics(cli_dirs, tmp_path, capsys):
+    """A report lacking ``metrics`` is skipped with one warning; alone it exits 5."""
+    _, _, res = cli_dirs
+    bad = tmp_path / "bad.json"
+    report = json.loads((res / "report.json").read_text())
+    del report["metrics"]
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    code = cli.main(["report", str(res / "report.json"), str(bad), "--out", str(tmp_path / "t")])
+    assert code == cli.EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"warning: skipping {bad}")
+    assert len((tmp_path / "t" / "comparison.csv").read_text().splitlines()) == 2
+    assert cli.main(["report", str(bad), "--out", str(tmp_path / "u")]) == cli.EXIT_NO_REPORTS
+
+
+def _drop_files(results):
+    del results["files"]
+    return results
+
+
+def _drop_subject_sources(results):
+    del results["files"][results["subject_ids"][0]]["sources"]
+    return results
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_files, _drop_subject_sources], ids=["no-files", "no-sources"]
+)
+def test_cli_evaluate_rejects_malformed_results(cli_dirs, tmp_path, capsys, corrupt):
+    """A results.json missing a key: exit 3 with one error line, not a traceback."""
+    _, sim, res = cli_dirs
+    bad = tmp_path / "run"
+    shutil.copytree(res, bad)
+    results = json.loads((bad / "results.json").read_text())
+    (bad / "results.json").write_text(json.dumps(corrupt(results)))
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(bad), str(sim)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "malformed results.json" in err
+
+
 def _drop_last_row(lines: list[str], n_slots: int) -> list[str]:
     return lines[:-1]
 
@@ -725,3 +789,13 @@ def test_readme_cli_flags_exist():
     known = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
     assert documented
     assert documented <= known, sorted(documented - known)
+
+
+def test_readme_library_block_runs(capsys):
+    """The README's "Library use" example runs against the current API."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and np.isfinite(float(lines[-1]))

@@ -173,7 +173,6 @@ def test_evaluate_run_perfect_recovery():
         subject_ids=[f"s{i}" for i in range(k)],
         whiteners=[np.eye(2)] * k,
         row_means=[np.zeros(2)] * k,
-        z=sources,
         demixing=[np.eye(2)] * k,
         sources=sources,
         extraction_costs=np.ones((2, k)),

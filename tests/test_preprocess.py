@@ -153,5 +153,5 @@ def test_bic_and_pca_share_one_eigendecomposition(monkeypatch):
     assert calls["preprocess_subject"] == [(n_time, n_time)] * 3
     assert calls["resolve_orders"] == [(o, o) for o in raw_orders]
     for k, pca in enumerate(raw_pcas):
-        assert decomp.z[k].shape == (raw_orders[k], xs[k].shape[1])
+        assert decomp.sources[k].shape == (raw_orders[k], xs[k].shape[1])
         np.testing.assert_array_equal(decomp.whiteners[k], whiten(pca.scores)[1] @ pca.loadings.T)

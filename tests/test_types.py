@@ -73,7 +73,7 @@ def test_algo_config_defaults_and_validation():
     assert cfg.max_outer == 5
     assert cfg.eps0 == 1e-6
     assert cfg.n_components == "global-min"
-    assert cfg.sigma0 == "auto" and cfg.mode_switch == "auto"
+    assert cfg.sigma0 == "auto"
     with pytest.raises(ValueError):
         AlgoConfig(weights=(1.0, 1.0))
     with pytest.raises(ValueError):
