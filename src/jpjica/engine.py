@@ -300,7 +300,11 @@ def run_jpji_ica(
 
     ``datasets`` is iterated once, and each subject is reduced before the
     next is requested: a lazy iterable (``io.read_subjects``) keeps one
-    observation matrix alive at a time.
+    observation matrix alive at a time.  Working arrays are dropped once
+    consumed: the PCA reductions after whitening, and the deflated data
+    of the last sweep before rows are aligned and features built.  Peak
+    memory is thus one subject's T x V matrix plus K*C*V for the
+    reductions.
     """
     if config is None:
         config = AlgoConfig()
@@ -318,6 +322,7 @@ def run_jpji_ica(
     reduced = list(map(preprocess_subject, datasets, repeat(config.n_components)))
     validate_analysis_input(reduced)
     pre = resolve_orders(reduced, config.n_components)
+    del reduced  # whitened into pre; the K score matrices are dead weight
     orders = [p.n_components for p in pre]
     n_sub = len(pre)
     n_slots = max(orders)
@@ -391,6 +396,7 @@ def run_jpji_ica(
                     u_eff[k][c] = eff / np.linalg.norm(eff)
                     z_work[k], coef = deflate(z_work[k], y_raw)
                     g_acc[k] = (np.eye(orders[k]) - np.outer(coef, u_fin)) @ g_acc[k]
+    del z_work  # the deflated data of the last sweep is not read again
 
     if align:
         _align_rows(est, u_eff, final_costs, self_mode, orders)

@@ -9,6 +9,8 @@ re-center, so its inputs must already be row-centered.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 from scipy.special import stdtr
 
@@ -26,6 +28,9 @@ from .errors import (
 
 # Working-set budget of the ring kernel's per-block buffer (see _ring_block_width).
 _RING_BLOCK_BYTES = 2**19
+# Voxel columns per block of centred_blocks; the fastest width measured
+# for covariance and projection at T=150, V up to 65536.
+_CENTRE_BLOCK_COLS = 4096
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
@@ -120,10 +125,12 @@ def excess_kurtosis(x: np.ndarray) -> float:
     """Fourth standardized cumulant (0 for Gaussian data)."""
     c = np.asarray(x, dtype=float).ravel()
     c = c - c.mean()
-    m2 = np.mean(c * c)
+    # c2 * c2 rather than c**4, which goes through libm pow, ten times slower.
+    c2 = c * c
+    m2 = np.mean(c2)
     if m2 < 1e-300:
         raise ZeroSource("kurtosis undefined for a constant vector")
-    return float(np.mean(c**4) / m2**2 - 3.0)
+    return float(np.mean(c2 * c2) / m2**2 - 3.0)
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -173,13 +180,32 @@ def covariance(x: np.ndarray) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def covariance_eig(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the covariance of the rows of xc, largest first.
+def centred_blocks(x: np.ndarray, mean: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, x[:, start:start+b] - mean[:, None])`` block by block.
 
-    The rows of ``xc`` must already be centred: a caller that holds one
-    centred copy of its data needs no second one.
+    Blocks are ``_CENTRE_BLOCK_COLS`` columns wide (the last may be
+    narrower) and share one reused T x B buffer, so a block is valid only
+    until the next one is requested and no centred T x V copy is made.
     """
-    r = xc @ xc.T / xc.shape[1]
+    n_cols = x.shape[1]
+    buf = np.empty((x.shape[0], min(n_cols, _CENTRE_BLOCK_COLS)))
+    col_mean = mean[:, None]
+    for start in range(0, n_cols, _CENTRE_BLOCK_COLS):
+        blk = buf[:, : min(_CENTRE_BLOCK_COLS, n_cols - start)]
+        np.subtract(x[:, start : start + blk.shape[1]], col_mean, out=blk)
+        yield start, blk
+
+
+def covariance_eig(x: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the covariance of the rows of x, largest first.
+
+    ``mean`` holds the row means of x.  The covariance is summed over
+    the blocks of :func:`centred_blocks`, so x is never copied whole.
+    """
+    r = np.zeros((x.shape[0], x.shape[0]))
+    for _, blk in centred_blocks(x, mean):
+        r += blk @ blk.T
+    r /= x.shape[1]
     w, e = np.linalg.eigh((r + r.T) / 2.0)
     return w[::-1], e[:, ::-1]
 

@@ -4,6 +4,8 @@ The observation matrix is time-by-voxel; covariance is taken across
 voxels (columns as samples), so order selection and reduction act on the
 time dimension.  :func:`preprocess_subject` is the only step that reads a
 subject's observations; :func:`resolve_orders` works on the reductions.
+Observations are centred block by block (``numerics.centred_blocks``),
+so no step here holds a second T x V array.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OrderExceedsRank
-from .numerics import covariance, covariance_eig, inverse_sqrt_psd
+from .numerics import centred_blocks, covariance, covariance_eig, inverse_sqrt_psd
 from .types import SubjectDataset
 
 _RANK_RTOL = 1e-12
@@ -90,7 +92,7 @@ def estimate_order_bic(x: np.ndarray, c_max: int | None = None) -> int:
     its exact rank.
     """
     x = np.asarray(x, dtype=float)
-    lam, _ = covariance_eig(x - x.mean(axis=1, keepdims=True))
+    lam, _ = covariance_eig(x, x.mean(axis=1))
     return _bic_order(lam, x.shape[1], c_max)
 
 
@@ -98,15 +100,16 @@ def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
     """Top-``order`` principal component scores (order x n_voxels).
 
     ``order=None`` takes the BIC order of :func:`estimate_order_bic`.  The
-    order choice and the projection share one centred copy of x and one
-    covariance eigendecomposition.  Loadings columns are sign-fixed so
-    their largest-magnitude entry is positive, which pins the rotation
-    ambiguity of eigendecompositions.
+    order choice and the projection share one covariance
+    eigendecomposition.  x is centred block by block twice, once for the
+    covariance and once to project each block into the scores, so beyond
+    x itself only the scores and one T x B block buffer are allocated.
+    Loadings columns are sign-fixed so their largest-magnitude entry is
+    positive, which pins the rotation ambiguity of eigendecompositions.
     """
     x = np.asarray(x, dtype=float)
     mean = x.mean(axis=1)
-    xc = x - mean[:, None]
-    lam, vecs = covariance_eig(xc)
+    lam, vecs = covariance_eig(x, mean)
     if order is None:
         order = _bic_order(lam, x.shape[1])
     if order < 1 or order > x.shape[0]:
@@ -120,9 +123,11 @@ def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
             loadings[:, j] = -loadings[:, j]
     total = float(np.sum(np.clip(lam, 0.0, None)))
     retained = float(np.sum(lam[:order]) / total) if total > 0 else 1.0
-    return PcaResult(
-        scores=loadings.T @ xc, loadings=loadings, mean=mean, retained_variance=retained
-    )
+    lt = np.ascontiguousarray(loadings.T)
+    scores = np.empty((order, x.shape[1]))
+    for start, blk in centred_blocks(x, mean):
+        scores[:, start : start + blk.shape[1]] = lt @ blk
+    return PcaResult(scores=scores, loadings=loadings, mean=mean, retained_variance=retained)
 
 
 def whiten(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -153,9 +153,10 @@ def generate_spatial_source(
     """One standardized blob map with excess kurtosis above the floor."""
     side = math.isqrt(n_voxels)
     two_d = side * side == n_voxels and side >= 8
+    if two_d:
+        yy, xx = np.mgrid[0:side, 0:side]
     for _ in range(max_tries):
         if two_d:
-            yy, xx = np.mgrid[0:side, 0:side]
             m = np.zeros((side, side))
             # Exactly two blobs: every extra blob raises the chance of
             # overlapping some other map, and scenarios with many subjects

@@ -74,7 +74,8 @@ class SubjectDataset:
         object.__setattr__(self, "observations", obs)
         if obs.ndim != 2 or obs.size == 0:
             raise EmptyInput(f"{self.subject_id}: observations must be a nonempty 2-D array")
-        if not np.isfinite(obs).all():
+        # Row by row: a T x V boolean mask would be one more large array.
+        if not all(np.isfinite(row).all() for row in obs):
             raise NonFiniteData(f"{self.subject_id}: observations contain NaN/Inf")
 
     @property

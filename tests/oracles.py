@@ -220,3 +220,20 @@ def bh_select(p_values: np.ndarray, q: float) -> np.ndarray:
             threshold = ranked[k - 1]
             break
     return p <= threshold
+
+
+def pca_centred_copy(x: np.ndarray, order: int):
+    """PCA from one whole centred copy of x: (scores, loadings, lam).
+
+    Covariance eigenvectors are sign-fixed so each column's largest
+    magnitude entry is positive; scores are ``loadings.T @ (x - mean)``.
+    """
+    xc = x - x.mean(axis=1, keepdims=True)
+    r = xc @ xc.T / x.shape[1]
+    lam, vecs = np.linalg.eigh((r + r.T) / 2.0)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    loadings = vecs[:, :order].copy()
+    for j in range(order):
+        if loadings[np.argmax(np.abs(loadings[:, j])), j] < 0:
+            loadings[:, j] *= -1.0
+    return loadings.T @ xc, loadings, lam

@@ -25,7 +25,7 @@ from jpjica.classify import label_decomposition
 from jpjica.engine import run_jpji_ica
 from jpjica.errors import OrderExceedsRank
 from jpjica.simulate import ScenarioSpec, generate_dataset
-from jpjica.types import AlgoConfig, SourceKind
+from jpjica.types import AlgoConfig, SourceKind, SubjectDataset
 
 
 # ---------------------------------------------------------------- matrices
@@ -631,6 +631,28 @@ def test_cli_components_above_rank_exit_3_and_write_nothing(cli_dirs, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds numerical rank" in err
     assert not out.exists()
+
+
+def test_cli_fewer_voxels_than_components(tmp_path, capsys):
+    """V=3 < C: four components exit 3 with OrderExceedsRank; auto and min give order V-1."""
+    rng = np.random.default_rng(31)
+    sim = tmp_path / "data"
+    jio.save_dataset(
+        sim,
+        [SubjectDataset(f"s{k}", rng.standard_normal((10, 3))) for k in range(3)],
+    )
+    out = tmp_path / "res4"
+    capsys.readouterr()
+    argv = ["decompose", str(sim), "--out", str(out), "--components", "4"]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds numerical rank" in err
+    assert not out.exists()
+    for components in ("auto", "min"):
+        res = tmp_path / f"res-{components}"
+        argv = ["decompose", str(sim), "--out", str(res), "--components", components]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads((res / "results.json").read_text())["orders"] == [2, 2, 2]
 
 
 @pytest.mark.parametrize("components", ["min", "auto"])

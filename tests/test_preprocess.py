@@ -1,8 +1,11 @@
 """Order selection, PCA and whitening against an SVD oracle."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jpjica.errors import OrderExceedsRank
+from jpjica.numerics import _CENTRE_BLOCK_COLS
 from jpjica.preprocess import (
     estimate_order_bic,
     pca_reduce,
@@ -11,6 +14,8 @@ from jpjica.preprocess import (
     whiten,
 )
 from jpjica.types import SubjectDataset
+
+from oracles import pca_centred_copy
 
 
 def _low_rank(seed, n_time=40, n_voxels=500, rank=5, noise=0.0):
@@ -63,6 +68,60 @@ def test_pca_matches_svd_oracle():
     for j in range(r):
         i = int(np.argmax(np.abs(res.loadings[:, j])))
         assert res.loadings[i, j] > 0
+
+
+@pytest.mark.parametrize(
+    "n_voxels",
+    [_CENTRE_BLOCK_COLS // 4, 2 * _CENTRE_BLOCK_COLS + 123, 2 * _CENTRE_BLOCK_COLS],
+    ids=["below-block", "ragged-last-block", "whole-blocks"],
+)
+def test_blocked_pca_matches_centred_copy_oracle(n_voxels):
+    """Blocked centring gives the scores, loadings and BIC order of one whole centred copy."""
+    rng = np.random.default_rng(n_voxels)
+    x = rng.standard_normal((20, 6)) @ rng.standard_normal((6, n_voxels)) + 3.0
+    x += 0.05 * rng.standard_normal(x.shape)
+    res = pca_reduce(x, 6)
+    scores, loadings, lam = pca_centred_copy(x, 6)
+    np.testing.assert_allclose(res.scores, scores, rtol=0, atol=1e-12 * np.abs(scores).max())
+    np.testing.assert_allclose(res.loadings, loadings, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.mean, x.mean(axis=1), rtol=1e-15)
+    assert res.retained_variance == pytest.approx(lam[:6].sum() / lam.sum(), rel=1e-12)
+    assert estimate_order_bic(x) == pca_reduce(x).scores.shape[0] == 6
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that fn allocates, as tracemalloc sees them (numpy's buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def fmri_sized():
+    """T=150, V=65536 observations of rank 6 plus weak noise (78.6 MB)."""
+    rng = np.random.default_rng(29)
+    x = 0.01 * rng.standard_normal((150, 65536))
+    x += rng.standard_normal((150, 6)) @ rng.standard_normal((6, 65536))
+    return x
+
+
+@pytest.mark.parametrize(
+    "step",
+    [estimate_order_bic, pca_reduce, lambda x: pca_reduce(x, 6)],
+    ids=["bic", "pca-bic-order", "pca-fixed-order"],
+)
+def test_order_and_pca_allocate_no_centred_copy(fmri_sized, step):
+    """BIC and PCA allocate under half of x: no centred T x V copy of the data."""
+    assert _traced_peak(lambda: step(fmri_sized)) < 0.5 * fmri_sized.nbytes
+
+
+def test_subject_dataset_finite_check_allocates_no_mask(fmri_sized):
+    """Building a SubjectDataset checks finiteness without a T x V boolean mask."""
+    peak = _traced_peak(lambda: SubjectDataset(subject_id="s", observations=fmri_sized))
+    assert peak < 0.05 * fmri_sized.nbytes
 
 
 def test_pca_rejects_order_beyond_rank():

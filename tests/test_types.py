@@ -67,6 +67,15 @@ def test_subject_dataset_validation():
         SubjectDataset(subject_id="s1", observations=np.array([[1.0, np.inf]]))
 
 
+@pytest.mark.parametrize("where", [(0, 0), (3, 7), (5, 9)], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_subject_dataset_rejects_non_finite_in_any_row(where, bad):
+    obs = np.ones((6, 10))
+    obs[where] = bad
+    with pytest.raises(NonFiniteData):
+        SubjectDataset(subject_id="s1", observations=obs)
+
+
 def test_algo_config_defaults_and_validation():
     cfg = AlgoConfig()
     assert cfg.weights == (0.5, 0.75, 1.0)
