@@ -14,7 +14,6 @@ from .engine import (
     build_cost_matrix,
     build_features,
     cost,
-    deflate,
     inner_extract,
     run_jpji_ica,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "cluster_subjects",
     "cost",
     "covariance",
-    "deflate",
     "detect_joint_slots",
     "dominant_eigenvector",
     "estimate_order_bic",

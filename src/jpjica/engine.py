@@ -8,6 +8,12 @@ and takes the dominant eigenvector as the new demixing row.  Partner
 updates are consumed immediately (most recent estimates win), and rows
 are deflated out of the data only in the last sweep so that earlier
 sweeps can still realign slots across subjects.
+
+Every estimate is a linear combination of its subject's whitened rows,
+so the order-2 terms of a joint cost come from the whitened
+cross-covariance, computed once, and the last sweep's deflation is C x C
+algebra on that subject's block of it; only the order-3/4 products walk
+the voxels.
 """
 from __future__ import annotations
 
@@ -25,6 +31,8 @@ from .numerics import (
     cumulant_vectors_ring,
     dominant_eigenvector,
     excess_kurtosis,
+    ring_cumulants,
+    ring_products,
     standardize,
 )
 from .preprocess import preprocess_subject, resolve_orders
@@ -96,9 +104,64 @@ def build_cost_matrix(
         )
     if alphas not in ("all", "first"):
         raise ValueError("alphas must be 'all' or 'first'")
-    n = 1 if alphas == "first" else partners.shape[0]
-    cvs = cumulant_vectors_ring(z, partners)
-    return CostMatrix(np.hstack([np.sqrt(w) * cv[:, :n] for w, cv in zip(weights, cvs)]))
+    return CostMatrix(_cost_factor(cumulant_vectors_ring(z, partners), weights, alphas))
+
+
+def _cost_factor(
+    cvs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    weights: tuple[float, float, float],
+    alphas: str,
+) -> np.ndarray:
+    """Weighted C x 3n factor of the cumulant vectors; ring position 0 only for "first"."""
+    n = 1 if alphas == "first" else cvs[0].shape[1]
+    return np.hstack([np.sqrt(w) * cv[:, :n] for w, cv in zip(weights, cvs)])
+
+
+def build_ring_cost(
+    z: np.ndarray,
+    est: np.ndarray,
+    ring: np.ndarray,
+    order2: tuple[np.ndarray, np.ndarray, np.ndarray],
+    weights: tuple[float, float, float],
+    alphas: str = "all",
+    frame: np.ndarray | None = None,
+) -> CostMatrix:
+    """Cost factor of the rows ``frame @ z`` against the partners ``est[ring]``.
+
+    The joint-step form of :func:`build_cost_matrix`, equal to
+    ``build_cost_matrix(frame @ z, est[ring], weights, alphas)``.
+    ``order2 = (cv2, q01, q02)`` are the order-2 vectors of z's rows
+    against the partners and the partners' pair moments, taken from the
+    whitened cross-covariance (:func:`ring_order2`), so only the
+    order-3/4 products walk the voxels, gathering the partner rows from
+    ``est`` block by block.  Every cumulant vector is linear in the rows
+    of z, so the factor of ``frame @ z`` is ``frame`` times that of z.
+    """
+    m3, m4 = ring_products(z, est, ring)
+    g = _cost_factor(ring_cumulants(*order2, m3, m4), weights, alphas)
+    return CostMatrix(g if frame is None else frame @ g)
+
+
+def ring_order2(
+    xcov: np.ndarray, coef: np.ndarray, ring: np.ndarray, rows: slice
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order-2 ring terms from cross-covariances; no voxel is read.
+
+    Let Z stack the whitened rows of all subjects.  Row j of ``coef``
+    holds the coefficients of estimate j on Z (zero outside its
+    subject's block), and row j of ``xcov`` is ``coef[j] @ Z @ Z.T / V``,
+    the covariance of estimate j with every row of Z.  For the partners
+    p = estimates ``ring`` this returns ``cv2 = Z[rows] @ p.T / V`` and
+    the pair moments ``q01[alpha] = p[alpha] . p[alpha+1] / V`` and
+    ``q02[alpha] = p[alpha] . p[alpha+2] / V``, wrapping modulo the ring
+    length, at O(number of rows of Z) per ring position.
+    """
+    x = xcov[ring]
+    return (
+        x[:, rows].T,
+        np.einsum("ij,ij->i", x, coef[np.roll(ring, -1)]),
+        np.einsum("ij,ij->i", x, coef[np.roll(ring, -2)]),
+    )
 
 
 def build_features(
@@ -197,14 +260,38 @@ def inner_extract(
     return lam, u, trace, converged
 
 
-def deflate(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Regress ``y`` out of every row of ``z``; returns (z', coefficients)."""
-    y = np.asarray(y, dtype=float).ravel()
-    nrm2 = float(y @ y)
+def _deflate_frame(g: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Regress the source ``u @ g @ z`` out of every row of ``g @ z``, as a new g.
+
+    ``r = z @ z.T / V``.  With h = u @ g the source is h @ z, and the
+    regression coefficients of the rows g @ z on it are
+    ``g r h / (h r h)``, so the deflated rows are
+    ``(g - outer(coef, h)) @ z`` and no voxel is read.
+    """
+    h = u @ g
+    rh = r @ h
+    nrm2 = float(h @ rh)
     if nrm2 < 1e-300:
         raise ZeroSource("cannot deflate by a null source")
-    coef = z @ y / nrm2
-    return z - np.outer(coef, y), coef
+    return g - np.outer(g @ rh / nrm2, h)
+
+
+def _cross_covariance(z: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
+    """``Z @ Z.T / V`` for the stacked rows Z of ``z``, and each matrix's rows in it.
+
+    Z is never formed: the blocks come from K(K+1)/2 products of the
+    matrices themselves.
+    """
+    bounds = np.cumsum([0] + [zk.shape[0] for zk in z])
+    rows = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    r = np.empty((bounds[-1], bounds[-1]))
+    v = z[0].shape[1]
+    for k, zk in enumerate(z):
+        for j in range(k, len(z)):
+            blk = zk @ z[j].T / v
+            r[rows[k], rows[j]] = blk
+            r[rows[j], rows[k]] = blk.T
+    return r, rows
 
 
 def mode_switch_threshold(
@@ -268,20 +355,29 @@ def run_jpji_ica(
     of each slot every subject's current row is re-orthogonalized against
     its earlier slots, which keeps slots from collapsing onto the same
     source while no deflation has happened yet.  In the last sweep each
-    extracted source is regressed out of its subject's data immediately,
-    and the demixing rows are accumulated back into the original whitened
-    frame.  After the last sweep each estimate is overwritten by its final
-    source, ``build_features`` computes the JpJI-feature table once from
-    these rows, and the slots are ordered by decreasing mean ``jpjif``
-    over their holders, then by decreasing kurtosis of the first holder's
-    source.  The table is returned as ``Decomposition.features``.
+    extracted source is regressed out of its subject's data immediately.
+    That data is never copied: it is ``g_acc[k] @ z0[k]``, and the
+    regression updates the C x C frame ``g_acc[k]`` from the subject's
+    block of the whitened cross-covariance (``_deflate_frame``), so the
+    demixing rows land in the original whitened frame as
+    ``u @ g_acc[k]``.  After the last sweep each estimate is overwritten
+    by its final source, ``build_features`` computes the JpJI-feature
+    table once from these rows, and the slots are ordered by decreasing
+    mean ``jpjif`` over their holders, then by decreasing kurtosis of
+    the first holder's source.  The table is returned as
+    ``Decomposition.features``.
 
     The current estimates are stored slot-major: ``est[c]`` is slot c's
     K x V matrix of standardized estimates, and the row of a subject
-    holding fewer than c + 1 sources stays zero.  Each extraction draws a
-    random ring from the other holders of the slot and reads its partners
-    as ``est[c][ring]``; the new estimate is written back at once, so
-    later extractions in the slot see it.
+    holding fewer than c + 1 sources stays zero.  Beside each estimate
+    the engine keeps its coefficients on the whitened rows and its
+    covariance with all of them (``coef[c]``, ``xcov[c]``).  Each
+    extraction draws a random ring from the other holders of the slot;
+    its order-2 terms come from those (``ring_order2``), and the
+    order-3/4 walk gathers the partner rows from ``est[c]`` block by
+    block (``build_ring_cost``), against ``z0[k]`` and left-multiplied
+    by ``g_acc[k]`` in the last sweep.  The new estimate is written back
+    at once, so later extractions in the slot see it.
 
     ``algorithm`` fixes one policy before the sweeps:
 
@@ -300,11 +396,10 @@ def run_jpji_ica(
 
     ``datasets`` is iterated once, and each subject is reduced before the
     next is requested: a lazy iterable (``io.read_subjects``) keeps one
-    observation matrix alive at a time.  Working arrays are dropped once
-    consumed: the PCA reductions after whitening, and the deflated data
-    of the last sweep before rows are aligned and features built.  Peak
-    memory is thus one subject's T x V matrix plus K*C*V for the
-    reductions.
+    observation matrix alive at a time, and the PCA reductions are
+    dropped once whitened.  Peak memory is thus the larger of one
+    subject's T x V matrix plus K*C*V for the reductions, and 3*K*C*V
+    when the sources are stacked (whitened data, estimates and sources).
     """
     if config is None:
         config = AlgoConfig()
@@ -331,6 +426,7 @@ def run_jpji_ica(
     rng = rng_for(config.seed, "engine")
 
     z0 = [p.z for p in pre]
+    cross, rows = _cross_covariance(z0)
     u_work = [np.eye(o) for o in orders]
     u_eff = [np.zeros((o, o)) for o in orders]
     # One K x V array per slot, not one (n_slots, K, V) block: once glibc
@@ -339,46 +435,60 @@ def run_jpji_ica(
     # (K=10, V=65536, 6 slots) raised the peak RSS of repeated decompose
     # runs in one process from 269 to 305 MB on x86-64 Linux.
     est = [np.zeros((n_sub, v)) for _ in range(n_slots)]
+    # est[c][j] = coef[c][j] @ Z for the stacked whitened rows Z, and
+    # xcov[c] = coef[c] @ cross (see ring_order2).
+    coef = [np.zeros((n_sub, cross.shape[0])) for _ in range(n_slots)]
+    xcov = [np.zeros((n_sub, cross.shape[0])) for _ in range(n_slots)]
     traces: list[TraceRecord] = []
     self_mode = np.zeros((n_slots, n_sub), dtype=bool)
     final_costs = np.full((n_slots, n_sub), np.nan)
 
+    def put(c: int, j: int, a: np.ndarray) -> None:
+        """Set est[c][j] to standardize(a @ z0[j]), with its coefficients."""
+        est[c][j] = standardize(a @ z0[j])
+        r_jj = cross[rows[j], rows[j]]
+        b = a / np.sqrt(a @ r_jj @ a)
+        coef[c][j, rows[j]] = b
+        xcov[c][j] = b @ cross[rows[j]]
+
     for sweep in range(1, config.max_outer + 1):
         final = sweep == config.max_outer
         if final:
-            z_work = [z.copy() for z in z0]
             g_acc = [np.eye(o) for o in orders]
         for c in range(n_slots):
             holders = np.flatnonzero(np.asarray(orders) > c)
             for j in holders.tolist():
                 prior = u_eff[j][:c] if final else u_work[j][:c]
                 u_work[j][c] = _decollide(u_work[j][c], prior)
-                est[c][j] = standardize(u_work[j][c] @ z0[j])
+                put(c, j, u_work[j][c])
             for k in holders.tolist():
                 peers = holders[holders != k]
-                zk = z_work[k] if final else z0[k]
+                # In the last sweep subject k's data is g_acc[k] @ z0[k].
+                frame = g_acc[k] if final else None
                 u0 = u_work[k][c]
                 mode = "self"
                 if peers.size:
                     ring = peers[rng.permutation(peers.size)[:ring_len]]
-                    cm = build_cost_matrix(zk, est[c][ring], weights, alphas=alphas)
+                    order2 = ring_order2(xcov[c], coef[c], ring, rows[k])
+                    cm = build_ring_cost(z0[k], est[c], ring, order2, weights, alphas, frame)
                     lam, u_new = dominant_eigenvector(cm.g)
                     floor = fixed_floor
                     if floor is None:
                         floor = mode_switch_threshold(
-                            weights, cm.n_alpha, zk.shape[0], v, n_partners=ring.size
+                            weights, cm.n_alpha, orders[k], v, n_partners=ring.size
                         )
                     if lam >= floor:
                         mode = "joint"
                         trace_vals = [cost(u0, cm), lam]
                         u_fin, lam_fin, converged = u_new, lam, True
                 if mode == "self":
+                    zk = z0[k] if frame is None else frame @ z0[k]
                     lam_fin, u_fin, trace_vals, converged = inner_extract(
                         zk, weights, u0, eps0=config.eps0
                     )
                 u_work[k][c] = u_fin
-                y_raw = u_fin @ zk
-                est[c][k] = standardize(y_raw)
+                a = u_fin if frame is None else u_fin @ frame
+                put(c, k, a)
                 traces.append(
                     TraceRecord(
                         sweep=sweep,
@@ -392,11 +502,8 @@ def run_jpji_ica(
                 if final:
                     self_mode[c, k] = mode == "self"
                     final_costs[c, k] = lam_fin
-                    eff = u_fin @ g_acc[k]
-                    u_eff[k][c] = eff / np.linalg.norm(eff)
-                    z_work[k], coef = deflate(z_work[k], y_raw)
-                    g_acc[k] = (np.eye(orders[k]) - np.outer(coef, u_fin)) @ g_acc[k]
-    del z_work  # the deflated data of the last sweep is not read again
+                    u_eff[k][c] = a / np.linalg.norm(a)
+                    g_acc[k] = _deflate_frame(frame, cross[rows[k], rows[k]], u_fin)
 
     if align:
         _align_rows(est, u_eff, final_costs, self_mode, orders)

@@ -131,14 +131,6 @@ def save_dataset(
     return directory / "manifest.json"
 
 
-def load_dataset(
-    directory: str | Path,
-) -> tuple[list[SubjectDataset], GroundTruth | None, dict]:
-    """Read a dataset directory back; inverse of :func:`save_dataset`."""
-    subjects, manifest = read_subjects(directory)
-    return list(subjects), _truth_from_manifest(Path(directory), manifest), manifest
-
-
 def read_subjects(directory: str | Path) -> tuple[Iterator[SubjectDataset], dict]:
     """Lazy subjects of a dataset directory, and its manifest, read at once.
 
@@ -159,8 +151,8 @@ def read_subjects(directory: str | Path) -> tuple[Iterator[SubjectDataset], dict
 def load_truth(directory: str | Path) -> tuple[GroundTruth | None, dict]:
     """Ground truth and manifest of a dataset directory.
 
-    Same as :func:`load_dataset` without the observation matrices, which
-    are never read.
+    The observation matrices are never read; :func:`read_subjects` reads
+    them.
     """
     directory = Path(directory)
     manifest = _load_dataset_manifest(directory)

@@ -3,9 +3,13 @@
 All estimators treat the columns of a matrix (or the entries of a
 vector) as equally weighted samples; moments are population-normalized
 (divide by V, not V-1) so that whitened data has exactly unit sample
-covariance.  The ring kernel ``cumulant_vectors_ring`` is the only
-cumulant estimator; it sits on the engine's hot path and does not
-re-center, so its inputs must already be row-centered.
+covariance.  ``ring_products`` is the only routine that walks the
+voxels for the ring cost: it forms the order-3/4 products of data rows
+against a ring of partner rows.  ``cumulant_vectors_ring`` adds the
+order-2 terms as direct products and is the generic cumulant estimator;
+the engine's joint step takes its order-2 terms from a whitened
+cross-covariance instead.  Neither re-centers, so inputs must already be
+row-centered.
 """
 from __future__ import annotations
 
@@ -44,22 +48,81 @@ def standardize(x: np.ndarray) -> np.ndarray:
 
 
 def _ring_block_width(n_partners: int) -> int:
-    """Voxel columns per block of :func:`cumulant_vectors_ring`.
+    """Voxel columns per block of :func:`ring_products`.
 
-    The per-block product buffer holds 3 * n_partners rows of doubles;
-    the width keeps it near ``_RING_BLOCK_BYTES`` (inside a per-core L2
+    The per-block buffer holds 3 * n_partners + 2 rows of doubles; the
+    width keeps it near ``_RING_BLOCK_BYTES`` (inside a per-core L2
     cache) and never below 256 columns, so small rings still get long
     enough rows for the BLAS product.
     """
     return max(256, _RING_BLOCK_BYTES // (24 * n_partners))
 
 
-def _times_ring_shift(a: np.ndarray, rows: np.ndarray, shift: int, out: np.ndarray) -> None:
-    """out[i] = a[i] * rows[(i + shift) % n], without copying ``rows``."""
-    n = rows.shape[0]
+def ring_products(
+    zc: np.ndarray, src: np.ndarray, ring: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order-3/4 product moments of ``zc`` rows against a ring of ``src`` rows.
+
+    With p = src[ring] (n rows, indices wrapping modulo n), entry
+    (i, alpha) of the two (C, n) outputs is mean(zc[i] p[alpha]
+    p[alpha+1]) and mean(zc[i] p[alpha] p[alpha+1] p[alpha+2]).  This is
+    the only routine that walks the voxels for the ring cost; the
+    order-2 terms are products of two rows and are formed by the caller.
+
+    The voxel axis is walked once, in blocks of
+    ``min(V, _ring_block_width(n))`` columns.  Each block gathers the
+    ring rows straight from ``src``, with the first two repeated after
+    the last so that no product wraps, into one reused buffer; two
+    multiplies form the pair and triple products, and a single product
+    with the block of ``zc`` accumulates both orders.  Nothing is
+    re-centered, so the rows of ``zc`` and ``src`` must already be.
+    """
+    zc = np.asarray(zc, dtype=float)
+    ring = np.asarray(ring, dtype=np.intp)
+    n, v = ring.size, zc.shape[1]
+    if n == 0 or src.ndim != 2 or src.shape[1] != v:
+        raise PartnerLengthMismatch("need partner rows matching the sample count of z")
+    width = max(1, min(v, _ring_block_width(n)))
+    wrapped = ring[np.arange(n + 2) % n]
+    buf = np.empty((3 * n + 2, width))
+    moments = np.zeros((zc.shape[0], 2 * n))
+    for start in range(0, v, width):
+        b = min(width, v - start)
+        p, prod = buf[: n + 2, :b], buf[n + 2 :, :b]
+        np.take(src[:, start : start + b], wrapped, axis=0, out=p, mode="clip")
+        np.multiply(p[:n], p[1 : n + 1], out=prod[:n])
+        np.multiply(prod[:n], p[2:], out=prod[n:])
+        moments += zc[:, start : start + b] @ prod.T
+    moments /= v
+    return moments[:, :n], moments[:, n:]
+
+
+def ring_cumulants(
+    cv2: np.ndarray, q01: np.ndarray, q02: np.ndarray, m3: np.ndarray, m4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order-2/3/4 ring cumulant vectors from the ring's product moments.
+
+    ``cv2`` holds the (C, n) order-2 vectors, ``q01[alpha]`` and
+    ``q02[alpha]`` the partner pair moments mean(p[alpha] p[alpha+1])
+    and mean(p[alpha] p[alpha+2]), and ``m3``, ``m4`` the output of
+    :func:`ring_products`.  The order-4 corrections are applied on the
+    small (C, n) results, with ring index arrays in place of shifted
+    copies.
+    """
+    n = cv2.shape[1]
+    i1 = (np.arange(n) + 1) % n
+    i2 = (np.arange(n) + 2) % n
+    cv4 = m4 - cv2 * q01[i1][None, :] - cv2[:, i1] * q02[None, :] - cv2[:, i2] * q01[None, :]
+    return cv2, m3, cv4
+
+
+def _ring_dots(p: np.ndarray, shift: int) -> np.ndarray:
+    """out[alpha] = p[alpha] . p[(alpha + shift) % n], without copying ``p``."""
+    n = p.shape[0]
     s = shift % n
-    np.multiply(a[: n - s], rows[s:], out=out[: n - s])
-    np.multiply(a[n - s :], rows[:s], out=out[n - s :])
+    return np.concatenate(
+        (np.einsum("ij,ij->i", p[: n - s], p[s:]), np.einsum("ij,ij->i", p[n - s :], p[:s]))
+    )
 
 
 def cumulant_vectors_ring(
@@ -73,52 +136,18 @@ def cumulant_vectors_ring(
     The outputs are (C, n) matrices, one column per ring position.
 
     Both ``zc`` and ``partners`` must already be row-centered (whitened
-    data, deflated data and standardized estimates all are); nothing is
-    re-centered here.  The voxel axis is walked once, in blocks of
-    ``min(V, _ring_block_width(n))`` columns.  Each block fills one reused
-    (3n x B) buffer with the partners p, the pair products p[a] p[a+1] and
-    the triple products p[a] p[a+1] p[a+2], and a single product with the
-    block of ``zc`` accumulates all three orders.  The partner pair
-    moments q01 and q02 come from the same buffer, and the order-4
-    corrections are applied once, at the end, on the small (C x n)
-    results, with ring index arrays in place of shifted copies.
+    data and standardized estimates are); nothing is re-centered here.
+    The order-2 vectors and partner pair moments are direct products;
+    the order-3/4 terms come from :func:`ring_products` with the ring
+    0, ..., n-1 over ``partners``.
     """
     zc = np.asarray(zc, dtype=float)
     p = np.asarray(partners, dtype=float)
     if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] != zc.shape[1]:
         raise PartnerLengthMismatch("need partner rows matching the sample count of z")
     n, v = p.shape
-    width = max(1, min(v, _ring_block_width(n)))
-    buf = np.empty((3 * n, width))
-    ones = np.ones(width)
-    moments = np.zeros((zc.shape[0], 3 * n))
-    q01 = np.zeros(n)
-    q02 = np.zeros(n)
-    s = 2 % n
-    for start in range(0, v, width):
-        b = min(width, v - start)
-        blk, pair, triple = buf[:n, :b], buf[n : 2 * n, :b], buf[2 * n :, :b]
-        blk[...] = p[:, start : start + b]
-        _times_ring_shift(blk, blk, 1, pair)
-        _times_ring_shift(pair, blk, 2, triple)
-        q01 += pair @ ones[:b]
-        q02[: n - s] += np.einsum("ij,ij->i", blk[: n - s], blk[s:])
-        q02[n - s :] += np.einsum("ij,ij->i", blk[n - s :], blk[:s])
-        moments += zc[:, start : start + b] @ buf[:, :b].T
-    moments /= v
-    q01 /= v
-    q02 /= v
-    i1 = (np.arange(n) + 1) % n
-    i2 = (np.arange(n) + 2) % n
-    cv2 = moments[:, :n]
-    cv3 = moments[:, n : 2 * n]
-    cv4 = (
-        moments[:, 2 * n :]
-        - cv2 * q01[i1][None, :]
-        - cv2[:, i1] * q02[None, :]
-        - cv2[:, i2] * q01[None, :]
-    )
-    return cv2, cv3, cv4
+    m3, m4 = ring_products(zc, p, np.arange(n))
+    return ring_cumulants(zc @ p.T / v, _ring_dots(p, 1) / v, _ring_dots(p, 2) / v, m3, m4)
 
 
 def excess_kurtosis(x: np.ndarray) -> float:

@@ -237,3 +237,27 @@ def pca_centred_copy(x: np.ndarray, order: int):
         if loadings[np.argmax(np.abs(loadings[:, j])), j] < 0:
             loadings[:, j] *= -1.0
     return loadings.T @ xc, loadings, lam
+
+
+def deflate(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regress ``y`` out of every row of ``z`` voxel by voxel; returns (z', coefficients)."""
+    y = np.asarray(y, dtype=float).ravel()
+    coef = z @ y / float(y @ y)
+    return z - np.outer(coef, y), coef
+
+
+def ring_product_moments(z: np.ndarray, partners: np.ndarray, order: int) -> np.ndarray:
+    """mean(z[i] * p[a] * ... * p[a+order-2]) for every row i and ring position a.
+
+    Partner indices wrap modulo the number of partner rows; one explicit
+    product per (row, position), with no blocking and no shared buffers.
+    """
+    n = partners.shape[0]
+    out = np.empty((z.shape[0], n))
+    for a in range(n):
+        prod = np.ones(z.shape[1])
+        for j in range(order - 1):
+            prod = prod * partners[(a + j) % n]
+        for i in range(z.shape[0]):
+            out[i, a] = float(np.mean(z[i] * prod))
+    return out

@@ -12,12 +12,12 @@ from jpjica.engine import (
     build_cost_matrix,
     build_features,
     cost,
-    deflate,
     inner_extract,
     mode_switch_threshold,
     run_jpji_ica,
     _align_rows,
     _decollide,
+    _deflate_frame,
 )
 from jpjica.errors import (
     ConvergenceWarning,
@@ -29,7 +29,7 @@ from jpjica.numerics import dominant_eigenvector, standardize
 from jpjica.preprocess import pca_reduce, whiten
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SubjectDataset
-from oracles import cumulant_rows
+from oracles import cumulant_rows, deflate
 
 
 def _centered(rng, shape):
@@ -122,17 +122,22 @@ def test_inner_extract_self_mode_cap_warns():
 
 
 def test_deflate_removes_component():
+    """Frame deflation equals the voxel-space regression of the oracle."""
     rng = np.random.default_rng(9)
-    z = rng.standard_normal((4, 200))
-    y = rng.standard_normal(200)
-    z2, coef = deflate(z, y)
-    np.testing.assert_allclose(z2 @ y, np.zeros(4), atol=1e-9)
-    np.testing.assert_allclose(coef, z @ y / float(y @ y), atol=1e-12)
-    z3, coef2 = deflate(z2, y)
-    np.testing.assert_allclose(coef2, np.zeros(4), atol=1e-12)
-    np.testing.assert_allclose(z3, z2, atol=1e-12)
+    z = _centered(rng, (4, 200))
+    r = z @ z.T / 200
+    u = rng.standard_normal(4)
+    g2 = _deflate_frame(np.eye(4), r, u)
+    z2, coef = deflate(z, u @ z)
+    np.testing.assert_allclose(g2 @ z, z2, atol=1e-12)
+    np.testing.assert_allclose((g2 @ z) @ (u @ z), np.zeros(4), atol=1e-9)
+    np.testing.assert_allclose(np.eye(4) - g2, np.outer(coef, u), atol=1e-12)
+    # a second source, drawn from the deflated rows, is regressed out in turn
+    u2 = rng.standard_normal(4)
+    z3, _ = deflate(z2, u2 @ z2)
+    np.testing.assert_allclose(_deflate_frame(g2, r, u2) @ z, z3, atol=1e-12)
     with pytest.raises(ZeroSource):
-        deflate(z, np.zeros(200))
+        _deflate_frame(np.eye(4), r, np.zeros(4))
 
 
 def test_decollide_projects_off_prior_rows():
@@ -313,16 +318,23 @@ def test_run_jithica_uses_single_tuple(monkeypatch):
 
     Five subjects at ``global-min`` give each extraction four peers:
     jithica draws a tuple of min(3, 4) of them and scores ring position 0
-    only, jpji uses all K-1 peers over every position.  Calls made by
-    self-mode extraction and the feature pass are recorded apart.
+    only, jpji uses all K-1 peers over every position.  Each trace makes
+    one joint cost build; the generic build serves only self-mode
+    extraction and the feature pass, over every position.
     """
     import jpjica.engine as engine
 
-    real_build = engine.build_cost_matrix
+    real_ring, real_build = engine.build_ring_cost, engine.build_cost_matrix
     ring_calls, other_calls, nested = [], [], []
 
+    def ring_cost(z, est, ring, order2, weights, alphas="all", frame=None):
+        assert not nested
+        ring_calls.append((len(ring), alphas))
+        return real_ring(z, est, ring, order2, weights, alphas, frame)
+
     def build(z, partners, weights, alphas="all"):
-        (other_calls if nested else ring_calls).append((partners.shape[0], alphas))
+        assert nested, "the generic cost build runs only in self mode and the feature pass"
+        other_calls.append(alphas)
         return real_build(z, partners, weights, alphas=alphas)
 
     def inside(fn):
@@ -335,6 +347,7 @@ def test_run_jithica_uses_single_tuple(monkeypatch):
 
         return wrapped
 
+    monkeypatch.setattr(engine, "build_ring_cost", ring_cost)
     monkeypatch.setattr(engine, "build_cost_matrix", build)
     monkeypatch.setattr(engine, "inner_extract", inside(engine.inner_extract))
     monkeypatch.setattr(engine, "build_features", inside(engine.build_features))
@@ -346,9 +359,108 @@ def test_run_jithica_uses_single_tuple(monkeypatch):
         assert decomp.extraction_costs.shape[1] == 5
         assert len(ring_calls) == len(decomp.traces)
         assert set(ring_calls) == {policy}
-        assert {alphas for _, alphas in other_calls} == {"all"}
+        assert set(other_calls) == {"all"}
     with pytest.raises(ValueError):
         _small_run(seed=6, algorithm="other")
+
+
+def _record_ring_costs(monkeypatch):
+    """Record every joint cost build: inputs copied at call time, and the factor."""
+    import jpjica.engine as engine
+
+    real = engine.build_ring_cost
+    calls = []
+
+    def ring_cost(z, est, ring, order2, weights, alphas="all", frame=None):
+        cm = real(z, est, ring, order2, weights, alphas, frame)
+        calls.append(
+            dict(
+                z=z.copy(),
+                partners=est[ring].copy(),
+                order2=tuple(o.copy() for o in order2),
+                frame=None if frame is None else frame.copy(),
+                weights=weights,
+                alphas=alphas,
+                g=cm.g,
+            )
+        )
+        return cm
+
+    monkeypatch.setattr(engine, "build_ring_cost", ring_cost)
+    return calls
+
+
+def _whitened(decomp, datasets):
+    return [
+        w @ (ds.observations - mean[:, None])
+        for w, mean, ds in zip(decomp.whiteners, decomp.row_means, datasets)
+    ]
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_order2_terms_from_cross_covariance_match_voxel_products(monkeypatch, ragged):
+    """Order-2 vectors and q01/q02 from the cross-covariance equal direct products.
+
+    Checked within 1e-12 relative at every joint extraction, mid-sweep and
+    in the final sweep's accumulated frame; the whole factor equals the
+    generic build on the explicit rows ``frame @ z``.
+    """
+    calls = _record_ring_costs(monkeypatch)
+    if ragged:
+        datasets = _ragged_datasets()
+        decomp = run_jpji_ica(datasets, AlgoConfig(seed=0, n_components="auto-bic"))
+    else:
+        decomp, _, datasets = _small_run(seed=3)
+    v = datasets[0].n_voxels
+    whitened = _whitened(decomp, datasets)
+    framed = [c for c in calls if c["frame"] is not None]
+    assert framed and len(framed) < len(calls)
+    assert any(not np.allclose(c["frame"], np.eye(len(c["frame"]))) for c in framed)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for call in calls:
+        z, p = call["z"], call["partners"]
+        assert any(zk.shape == z.shape and np.allclose(zk, z, atol=1e-8) for zk in whitened)
+        frame = np.eye(z.shape[0]) if call["frame"] is None else call["frame"]
+        cv2, q01, q02 = call["order2"]
+        n = p.shape[0]
+        close(frame @ cv2, (frame @ z) @ p.T / v)
+        close(q01, np.array([p[a] @ p[(a + 1) % n] for a in range(n)]) / v)
+        close(q02, np.array([p[a] @ p[(a + 2) % n] for a in range(n)]) / v)
+        want = build_cost_matrix(frame @ z, p, call["weights"], alphas=call["alphas"]).g
+        close(call["g"], want)
+
+
+def test_final_frames_equal_sequential_deflation(monkeypatch):
+    """``g_acc[k] @ z0[k]`` tracks explicit voxel-space deflation within 1e-12.
+
+    Each last-sweep extraction deflates its subject's frame once, in trace
+    order; replaying the regressions on the whitened data with the oracle
+    gives the same rows after every step, so also after the final sweep.
+    """
+    import jpjica.engine as engine
+
+    real = engine._deflate_frame
+    steps = []
+
+    def recorded(g, r, u):
+        out = real(g, r, u)
+        steps.append((g.copy(), u.copy(), out))
+        return out
+
+    monkeypatch.setattr(engine, "_deflate_frame", recorded)
+    decomp, _, datasets = _small_run(seed=5)
+    final = [t.subject for t in decomp.traces if t.sweep == decomp.config.max_outer]
+    assert len(final) == len(steps) == decomp.n_slots * decomp.n_subjects
+    z0 = _whitened(decomp, datasets)
+    z_work = [z.copy() for z in z0]
+    for k, (g_in, u, g_out) in zip(final, steps):
+        tol = 1e-12 * np.abs(z0[k]).max()
+        assert np.abs(g_in @ z0[k] - z_work[k]).max() <= tol
+        z_work[k], _ = deflate(z_work[k], u @ z_work[k])
+        assert np.abs(g_out @ z0[k] - z_work[k]).max() <= tol
 
 
 @pytest.mark.parametrize("algorithm", ["jpji", "jithica"])
@@ -407,39 +519,31 @@ def test_run_rejects_nonuniform_weights_config_error():
 
 
 def test_engine_cost_inputs_are_centered(monkeypatch):
-    """Whitened z0, deflated z_work and partner rows are already zero-mean.
+    """Every voxel-space input of a cost build is already zero-mean.
 
-    build_cost_matrix and the ring kernel rely on this and do not
-    re-center; record every input the engine hands them.
+    The joint step walks the whitened z0 against estimate rows, and the
+    last sweep's self mode hands ``g_acc[k] @ z0[k]`` to the generic
+    build; neither re-centers, so record every input they are given.
     """
     import jpjica.engine as engine
 
-    seen = {"z": [], "partners": [], "ring": []}
-    real_build, real_ring = engine.build_cost_matrix, engine.cumulant_vectors_ring
+    ring_calls = _record_ring_costs(monkeypatch)
+    seen = []
+    real_build = engine.build_cost_matrix
 
     def build(z, partners, *args, **kwargs):
-        seen["z"].append(np.array(z))
-        seen["partners"].append(np.array(partners))
+        seen.extend([np.array(z), np.array(partners)])
         return real_build(z, partners, *args, **kwargs)
 
-    def ring(zc, partners):
-        seen["ring"].append(np.vstack([zc, partners]))
-        return real_ring(zc, partners)
-
     monkeypatch.setattr(engine, "build_cost_matrix", build)
-    monkeypatch.setattr(engine, "cumulant_vectors_ring", ring)
     decomp, _, datasets = _small_run(seed=2)
-    whitened = [
-        w @ (ds.observations - mean[:, None])
-        for w, mean, ds in zip(decomp.whiteners, decomp.row_means, datasets)
-    ]
-    deflated = [
-        z
-        for z in seen["z"]
-        if z.shape[0] > 1 and not any(np.allclose(z, zk, atol=1e-8) for zk in whitened)
-    ]
-    assert deflated, "the final sweep should hand deflated data to the cost build"
-    for rows in seen["z"] + seen["partners"] + seen["ring"]:
+    assert ring_calls and seen
+    assert any(c["frame"] is not None for c in ring_calls)
+    for call in ring_calls:
+        seen.extend([call["z"], call["partners"]])
+        if call["frame"] is not None:
+            seen.append(call["frame"] @ call["z"])
+    for rows in seen:
         assert np.abs(rows.mean(axis=1)).max() < 1e-12
 
 

@@ -23,9 +23,9 @@ from jpjica import cli
 from jpjica import io as jio
 from jpjica.classify import label_decomposition
 from jpjica.engine import run_jpji_ica
-from jpjica.errors import OrderExceedsRank
+from jpjica.errors import OrderExceedsRank, ZeroSource
 from jpjica.simulate import ScenarioSpec, generate_dataset
-from jpjica.types import AlgoConfig, SourceKind, SubjectDataset
+from jpjica.types import AlgoConfig, SourceKind, SubjectDataset, slot_rows
 
 
 # ---------------------------------------------------------------- matrices
@@ -135,7 +135,9 @@ def test_dataset_roundtrip(tmp_path, small_scene, binary):
     spec, datasets, truth = small_scene
     out = tmp_path / "ds"
     jio.save_dataset(out, datasets, truth, spec.to_dict(), binary=binary)
-    back, truth2, manifest = jio.load_dataset(out)
+    subjects, manifest = jio.read_subjects(out)
+    back = list(subjects)
+    truth2, _ = jio.load_truth(out)
 
     assert manifest["kind"] == "dataset"
     assert manifest["format_version"] == jio.FORMAT_VERSION
@@ -164,7 +166,9 @@ def test_dataset_without_truth(tmp_path, small_scene):
     _, datasets, _ = small_scene
     out = tmp_path / "ds"
     jio.save_dataset(out, datasets)
-    back, truth, manifest = jio.load_dataset(out)
+    subjects, manifest = jio.read_subjects(out)
+    back = list(subjects)
+    truth, _ = jio.load_truth(out)
     assert truth is None
     assert manifest["ground_truth"] is None
     assert len(back) == 3
@@ -176,8 +180,9 @@ def test_dataset_rejects_wrong_kind(tmp_path):
     (out / "manifest.json").write_text(
         json.dumps({"format_version": "1", "kind": "results"})
     )
-    with pytest.raises(ValueError, match="not a dataset manifest"):
-        jio.load_dataset(out)
+    for read in (jio.read_subjects, jio.load_truth):
+        with pytest.raises(ValueError, match="not a dataset manifest"):
+            read(out)
 
 
 def test_dataset_rejects_wrong_version(tmp_path, small_scene):
@@ -187,8 +192,9 @@ def test_dataset_rejects_wrong_version(tmp_path, small_scene):
     manifest = json.loads((out / "manifest.json").read_text())
     manifest["format_version"] = "99"
     (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="format_version"):
-        jio.load_dataset(out)
+    for read in (jio.read_subjects, jio.load_truth):
+        with pytest.raises(ValueError, match="format_version"):
+            read(out)
 
 
 # ----------------------------------------------------------- decompositions
@@ -448,7 +454,9 @@ def test_cli_simulate_binary_roundtrip(tmp_path):
         ]
     )
     assert code == cli.EXIT_OK
-    datasets, truth, manifest = jio.load_dataset(sim)
+    subjects, manifest = jio.read_subjects(sim)
+    datasets = list(subjects)
+    truth, _ = jio.load_truth(sim)
     assert manifest["binary"] is True
     assert truth is not None
     assert datasets[0].observations.shape == (60, 256)
@@ -464,7 +472,7 @@ def test_cli_evaluate_does_not_read_observations(cli_dirs, tmp_path):
     for path in removed:
         path.unlink()
     truth, manifest = jio.load_truth(bare)
-    _, want_truth, want_manifest = jio.load_dataset(sim)
+    want_truth, want_manifest = jio.load_truth(sim)
     assert manifest == want_manifest
     assert truth.labels == want_truth.labels
     for got, want in zip(truth.sources, want_truth.sources):
@@ -621,7 +629,7 @@ def test_cli_evaluate_rejects_malformed_ground_truth(cli_dirs, tmp_path, capsys,
 def test_cli_components_above_rank_exit_3_and_write_nothing(cli_dirs, tmp_path, capsys):
     """Noiseless subjects of rank 2 asked for 5 components: OrderExceedsRank, exit 3."""
     _, sim, _ = cli_dirs
-    subjects, _, _ = jio.load_dataset(sim)
+    subjects, _ = jio.read_subjects(sim)
     with pytest.raises(OrderExceedsRank):
         run_jpji_ica(subjects, AlgoConfig(n_components=5))
     out = tmp_path / "res"
@@ -630,6 +638,60 @@ def test_cli_components_above_rank_exit_3_and_write_nothing(cli_dirs, tmp_path, 
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds numerical rank" in err
+    assert not out.exists()
+
+
+def test_cli_ragged_auto_components_end_to_end(tmp_path):
+    """``--components auto`` with BIC orders that differ by subject, simulate to evaluate.
+
+    labels.csv has one row per source, at the (slot, subject) pairs that
+    ``types.slot_rows`` marks as held, with the kind of that source row.
+    """
+    sim, res = tmp_path / "data", tmp_path / "run"
+    argv = [
+        "simulate", "--subjects", "4", "--joint", "2", "--individual", "0,2,1,3",
+        "--voxels", "1024", "--time", "60,80,70,90", "--seed", "0", "--out", str(sim),
+    ]
+    assert cli.main(argv) == cli.EXIT_OK
+    argv = ["decompose", str(sim), "--out", str(res), "--components", "auto", "--seed", "0"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(["evaluate", str(res), str(sim)]) == cli.EXIT_OK
+    assert (res / "report.json").exists()
+    results = json.loads((res / "results.json").read_text())
+    orders, ids = results["orders"], results["subject_ids"]
+    assert len(set(orders)) > 1
+    held = np.array([[x is not None for x in row] for row in results["extraction_costs"]])
+    rows = slot_rows(held, orders)
+    labels = jio.load_decomposition(res).labels
+    want = [
+        (int(c), ids[k], labels[k][rows[c, k]].kind.value) for c, k in zip(*np.nonzero(rows >= 0))
+    ]
+    lines = [ln.split(",") for ln in (res / "labels.csv").read_text().splitlines()[1:]]
+    assert len(lines) == sum(orders)
+    assert [(int(f[0]), f[1], f[2]) for f in lines] == want
+
+
+def test_cli_zero_source_mid_sweep_exits_3(cli_dirs, tmp_path, capsys, monkeypatch):
+    """A ZeroSource raised inside the sweeps exits 3 with one error line, writing nothing."""
+    import jpjica.engine as engine
+
+    real, calls = engine.standardize, []
+
+    def failing(x):
+        calls.append(1)
+        if len(calls) == 8:
+            raise ZeroSource("cannot standardize a (near-)constant vector")
+        return real(x)
+
+    monkeypatch.setattr(engine, "standardize", failing)
+    _, sim, _ = cli_dirs
+    out = tmp_path / "res"
+    capsys.readouterr()
+    argv = ["decompose", str(sim), "--out", str(out), "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "constant vector" in err[0]
+    assert len(calls) == 8
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from jpjica.numerics import (
     inverse_sqrt_psd,
     kmeans,
     one_sample_t_columns,
+    ring_products,
     silhouette,
     standardize,
     welch_t_columns,
@@ -33,6 +34,7 @@ from oracles import (
     cumulant_partition,
     cumulant_rows,
     power_iteration,
+    ring_product_moments,
     student_two_sided_p,
     welch_statistic,
 )
@@ -409,3 +411,29 @@ def test_ring_kernel_matches_oracle_across_block_boundaries(n):
                 scale = float(np.abs(w[:rows]).max())
                 err = float(np.abs(g - w[:rows]).max())
                 assert err <= 1e-12 * scale, (v, rows, order, err, scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 19])
+def test_ring_products_gather_random_rings_across_block_boundaries(n):
+    """The voxel walk against the oracle, on a ring gathered from a larger array.
+
+    The ring is a random selection of rows of ``src`` in random order, so
+    the block-by-block gather and the two wrapped rows are exercised at
+    every block edge; rows outside the ring must not leak in.
+    """
+    rng = np.random.default_rng(200 + n)
+    b = _ring_block_width(n)
+    for v in (1, b - 1, b, b + 1, 3 * b + 7):
+        z = rng.laplace(size=(6, v))
+        z -= z.mean(axis=1, keepdims=True)
+        src = rng.laplace(size=(n + 4, v)) ** 3
+        src -= src.mean(axis=1, keepdims=True)
+        ring = rng.permutation(n + 4)[:n]
+        if n > 1:
+            assert not np.array_equal(ring, np.arange(n))
+        m3, m4 = ring_products(z, src, ring)
+        for got, order in ((m3, 3), (m4, 4)):
+            want = ring_product_moments(z, src[ring], order)
+            assert got.shape == (6, n)
+            err = float(np.abs(got - want).max())
+            assert err <= 1e-12 * float(np.abs(want).max()), (v, order, err)

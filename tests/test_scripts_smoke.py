@@ -3,9 +3,11 @@
 The scripts drive ``jpjica.cli`` and have no other test, so a renamed
 public name or a removed CLI flag would only surface when an experiment
 is run.  ``--help`` imports the script and builds its parser, and runs
-nothing else.
+nothing else.  ``compare_runs.py`` also runs on two tiny results
+directories.
 """
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,49 @@ def test_script_help_exits_zero(script):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "usage:" in proc.stdout
+
+
+def _compare_runs(run_a, run_b):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_runs.py"), str(run_a), str(run_b)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_compare_runs_on_two_tiny_runs(tmp_path):
+    """Two runs of one seed are at parity; a perturbed matrix or label is not."""
+    from jpjica import cli
+    from jpjica import io as jio
+
+    data = tmp_path / "data"
+    argv = ["simulate", "--subjects", "3", "--joint", "1", "--individual", "1",
+            "--voxels", "512", "--time", "40", "--seed", "2", "--out", str(data)]
+    assert cli.main(argv) == cli.EXIT_OK
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        assert cli.main(["decompose", str(data), "--out", str(run), "--seed", "2"]) == cli.EXIT_OK
+    proc = _compare_runs(*runs)
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines()[-1] == "parity"
+    assert "sub01 sources: 0" in proc.stdout
+
+    bumped = tmp_path / "bumped"
+    shutil.copytree(runs[1], bumped)
+    path = bumped / "sub02_sources.csv"
+    jio.save_matrix(path, jio.load_matrix(path) * (1 + 1e-9))
+    proc = _compare_runs(runs[0], bumped)
+    assert proc.returncode == 1
+    assert "FAIL sub02 sources" in proc.stdout
+
+    relabelled = tmp_path / "relabelled"
+    shutil.copytree(runs[1], relabelled)
+    labels = relabelled / "labels.csv"
+    labels.write_text(labels.read_text().replace("joint", "individual", 1))
+    proc = _compare_runs(runs[0], relabelled)
+    assert proc.returncode == 1
+    assert "FAIL labels.csv differs" in proc.stdout
