@@ -20,7 +20,7 @@ from .classify import label_decomposition
 from .engine import run_jpji_ica
 from .errors import JpjicaError
 from .metrics import acc_counts_run, acc_peer_sets_run, jsir, match_sources
-from .simulate import ScenarioSpec, generate_dataset
+from .simulate import ScenarioSpec, stream_dataset
 from .types import AlgoConfig, slot_rows
 
 EXIT_OK = 0
@@ -111,12 +111,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             allow_small_clusters=args.allow_small_clusters,
         )
-        datasets, truth = generate_dataset(spec)
+        subjects, truth = stream_dataset(spec)
     except (JpjicaError, ValueError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
-    jio.save_dataset(args.out, datasets, truth, spec.to_dict(), binary=args.binary)
-    print(f"wrote {len(datasets)} subjects to {args.out}")
+    # Each subject is mixed, written and dropped in turn; the manifest comes last.
+    jio.save_dataset(args.out, subjects, truth, spec.to_dict(), binary=args.binary)
+    print(f"wrote {spec.n_subjects} subjects to {args.out}")
     return EXIT_OK
 
 

@@ -10,10 +10,11 @@ and mapped back to positional indices on load.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +41,8 @@ def save_matrix(path: str | Path, arr: np.ndarray) -> None:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<III", 1, arr.shape[0], arr.shape[1]))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # Straight from the array's buffer: no bytes copy of the payload.
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
     else:
         np.savetxt(path, arr, delimiter=",", fmt="%.17g")
 
@@ -56,10 +58,15 @@ def load_matrix(path: str | Path) -> np.ndarray:
             version, rows, cols = struct.unpack("<III", header[4:])
             if version != 1:
                 raise ValueError(f"{path}: unsupported binary version {version}")
-            data = np.fromfile(fh, dtype="<f8", count=rows * cols)
-            if data.size != rows * cols:
-                raise ValueError(f"{path}: truncated binary matrix")
-            return data.reshape(rows, cols)
+            size = os.fstat(fh.fileno()).st_size
+            expected = 16 + 8 * rows * cols
+            if size != expected:
+                kind = "truncated" if size < expected else "oversized"
+                raise ValueError(
+                    f"{path}: {kind} binary matrix: size mismatch, {size} bytes"
+                    f" where a {rows}x{cols} header needs {expected}"
+                )
+            return np.fromfile(fh, dtype="<f8", count=rows * cols).reshape(rows, cols)
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
@@ -69,28 +76,40 @@ def _ext(binary: bool) -> str:
 
 def save_dataset(
     directory: str | Path,
-    datasets: list[SubjectDataset],
+    datasets: Iterable[SubjectDataset],
     truth: GroundTruth | None = None,
     scenario_dict: dict | None = None,
     binary: bool = False,
 ) -> Path:
-    """Write observations (and optional ground truth) plus manifest.json."""
+    """Write observations (and optional ground truth) plus manifest.json.
+
+    ``datasets`` may be a stream: each subject is written and released
+    before the next is taken, and the manifest is written last.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ext = _ext(binary)
-    ids = [ds.subject_id for ds in datasets]
+    ids: list[str] = []
     subjects = []
+    n_voxels = None
     for ds in datasets:
         fname = f"{ds.subject_id}_obs{ext}"
         save_matrix(directory / fname, ds.observations)
+        ids.append(ds.subject_id)
         subjects.append(
             {"id": ds.subject_id, "n_time": ds.n_time, "observations": fname}
         )
+        if n_voxels is None:
+            n_voxels = ds.n_voxels
+        # Release this matrix before the stream makes the next one.
+        del ds
+    if not ids:
+        raise ValueError("a dataset needs at least one subject")
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "dataset",
-        "n_subjects": len(datasets),
-        "n_voxels": datasets[0].n_voxels,
+        "n_subjects": len(ids),
+        "n_voxels": n_voxels,
         "binary": binary,
         "scenario": scenario_dict,
         "subjects": subjects,
@@ -98,14 +117,14 @@ def save_dataset(
     }
     if truth is not None:
         gt_subjects = []
-        for k, ds in enumerate(datasets):
-            s_name = f"truth_{ds.subject_id}_sources{ext}"
-            a_name = f"truth_{ds.subject_id}_mixing{ext}"
+        for k, sid in enumerate(ids):
+            s_name = f"truth_{sid}_sources{ext}"
+            a_name = f"truth_{sid}_mixing{ext}"
             save_matrix(directory / s_name, truth.sources[k])
             save_matrix(directory / a_name, truth.mixing[k])
             gt_subjects.append(
                 {
-                    "id": ds.subject_id,
+                    "id": sid,
                     "sources": s_name,
                     "mixing": a_name,
                     "labels": [

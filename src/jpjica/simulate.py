@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -235,18 +236,60 @@ def add_noise(
         return obs.copy()
     p_signal = float(np.mean(obs * obs))
     sigma = math.sqrt(p_signal / (10.0 ** (snr_db / 10.0)))
-    return obs + sigma * rng.standard_normal(obs.shape)
+    # In the noise buffer: the same bits as obs + sigma * noise, without
+    # two more T x V temporaries.
+    noisy = rng.standard_normal(obs.shape)
+    noisy *= sigma
+    noisy += obs
+    return noisy
 
 
 def generate_dataset(spec: ScenarioSpec) -> tuple[list[SubjectDataset], GroundTruth]:
     """Observations plus ground truth for one scenario.
+
+    The list form of :func:`stream_dataset`: every subject's T x V
+    matrix is held at once.
+    """
+    subjects, truth = stream_dataset(spec)
+    return list(subjects), truth
+
+
+def stream_dataset(spec: ScenarioSpec) -> tuple[Iterator[SubjectDataset], GroundTruth]:
+    """Lazy observations plus ground truth for one scenario.
 
     Joint maps are shared by everyone, each cluster gets its own stack of
     partially joint maps (subject k uses the first n_pjoint[k] of its
     cluster's stack), and individual maps are unique per subject.  A
     partially joint map that ends up with a single user (asymmetric
     per-subject counts) is labeled individual in the truth.
+
+    The maps and every subject's mixing matrix are drawn before this
+    returns, so a scenario that cannot be built raises here.  Each
+    subject's observations are mixed (and made noisy) only when the
+    iterator reaches it.
     """
+    truth = _draw_truth(spec)
+    width = max(2, len(str(spec.n_subjects)))
+    subjects = (
+        SubjectDataset(
+            subject_id=f"sub{k + 1:0{width}d}",
+            observations=_observe(spec, truth, k),
+        )
+        for k in range(spec.n_subjects)
+    )
+    return subjects, truth
+
+
+def _observe(spec: ScenarioSpec, truth: GroundTruth, k: int) -> np.ndarray:
+    """Subject k's observations: its mixing times its maps, plus noise."""
+    obs = truth.mixing[k] @ truth.sources[k]
+    if spec.snr_db is not None:
+        obs = add_noise(obs, spec.snr_db, rng_for(spec.seed, "noise", k))
+    return obs
+
+
+def _draw_truth(spec: ScenarioSpec) -> GroundTruth:
+    """Maps, labels and every subject's mixing matrix of one scenario."""
     k_total = spec.n_subjects
     pj_counts = spec.pjoint_counts
     iv_counts = spec.individual_counts
@@ -269,14 +312,12 @@ def generate_dataset(spec: ScenarioSpec) -> tuple[list[SubjectDataset], GroundTr
         pj_maps[qi] = [draw() for _ in range(depth)]
     iv_maps = {k: [draw() for _ in range(iv_counts[k])] for k in range(k_total)}
 
-    datasets: list[SubjectDataset] = []
     sources: list[np.ndarray] = []
     mixing: list[np.ndarray] = []
     labels: list[list[SourceLabel]] = []
     true_pj: list[int] = []
     true_iv: list[int] = []
     cluster_map: dict[str, frozenset[int]] = {}
-    width = max(2, len(str(k_total)))
     everyone = frozenset(range(k_total))
 
     for qi, grp in enumerate(partition):
@@ -332,18 +373,13 @@ def generate_dataset(spec: ScenarioSpec) -> tuple[list[SubjectDataset], GroundTr
                     subject=k,
                 )
             )
-        a = _smooth_mixing(rng_for(spec.seed, "mixing", k), nt[k], s.shape[0])
-        obs = a @ s
-        if spec.snr_db is not None:
-            obs = add_noise(obs, spec.snr_db, rng_for(spec.seed, "noise", k))
-        datasets.append(SubjectDataset(subject_id=f"sub{k + 1:0{width}d}", observations=obs))
         sources.append(s)
-        mixing.append(a)
+        mixing.append(_smooth_mixing(rng_for(spec.seed, "mixing", k), nt[k], s.shape[0]))
         labels.append(subject_labels)
         true_pj.append(n_pj_eff)
         true_iv.append(n_iv_eff)
 
-    truth = GroundTruth(
+    return GroundTruth(
         sources=sources,
         mixing=mixing,
         labels=labels,
@@ -352,7 +388,6 @@ def generate_dataset(spec: ScenarioSpec) -> tuple[list[SubjectDataset], GroundTr
         individual_counts=true_iv,
         cluster_map=cluster_map,
     )
-    return datasets, truth
 
 
 def random_scenario(

@@ -12,6 +12,7 @@ import json
 import re
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ from hypothesis import strategies as st
 
 from jpjica import cli
 from jpjica import io as jio
+from jpjica import simulate
 from jpjica.classify import label_decomposition
 from jpjica.engine import run_jpji_ica
-from jpjica.errors import OrderExceedsRank, ZeroSource
+from jpjica.errors import OrderExceedsRank, RankDeficientMixing, ZeroSource
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SourceKind, SubjectDataset, slot_rows
 
@@ -110,6 +112,39 @@ def test_binary_rejects_truncated_payload(tmp_path):
     path.write_bytes(b"JPJI" + struct.pack("<III", 1, 2, 4) + payload)
     with pytest.raises(ValueError, match="truncated"):
         jio.load_matrix(path)
+
+
+def test_binary_rejects_oversized_payload(tmp_path):
+    """A payload longer than its header says is rejected, not cut to size."""
+    path = tmp_path / "long.bin"
+    payload = np.zeros(6).tobytes()
+    path.write_bytes(b"JPJI" + struct.pack("<III", 1, 2, 2) + payload)
+    with pytest.raises(ValueError, match="oversized binary matrix: size mismatch, 64 bytes"):
+        jio.load_matrix(path)
+
+
+_BASE = np.arange(48.0).reshape(6, 8) / 7.0
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        _BASE.T,
+        _BASE[::2, 1::3],
+        np.asfortranarray(_BASE),
+        np.arange(-12, 12).reshape(4, 6),
+    ],
+    ids=["transposed", "strided", "fortran", "integer"],
+)
+def test_binary_writer_layouts(tmp_path, arr):
+    """Any memory layout or dtype is written as row-major little-endian doubles."""
+    path = tmp_path / "m.bin"
+    jio.save_matrix(path, arr)
+    header = b"JPJI" + struct.pack("<III", 1, *arr.shape)
+    assert path.read_bytes() == header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    back = jio.load_matrix(path)
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, arr)
 
 
 # ---------------------------------------------------------------- datasets
@@ -483,10 +518,93 @@ def test_cli_evaluate_does_not_read_observations(cli_dirs, tmp_path):
 
 
 def test_cli_exit_code_bad_scenario(tmp_path):
+    out = tmp_path / "x"
+    code = cli.main(["simulate", "--subjects", "3", "--joint", "-1", "--out", str(out)])
+    assert code == cli.EXIT_BAD_SCENARIO
+    assert not out.exists()
+
+
+def test_cli_generation_error_writes_nothing(tmp_path, monkeypatch):
+    """A scenario that fails while drawing the third subject exits 2 before any file exists."""
+    smooth_mixing = simulate._smooth_mixing
+    calls = []
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RankDeficientMixing("forced for the third subject")
+        return smooth_mixing(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_smooth_mixing", failing_third)
+    out = tmp_path / "x"
     code = cli.main(
-        ["simulate", "--subjects", "3", "--joint", "-1", "--out", str(tmp_path / "x")]
+        ["simulate", "--subjects", "4", "--joint", "1", "--voxels", "256",
+         "--time", "40", "--binary", "--out", str(out)]
     )
     assert code == cli.EXIT_BAD_SCENARIO
+    assert len(calls) == 3
+    assert not out.exists()
+
+
+def _simulate_args(spec: ScenarioSpec) -> list[str]:
+    """The `jpjica simulate` arguments that build spec."""
+    def per_subject(values):
+        return ",".join(str(v) for v in values)
+
+    args = [
+        "simulate",
+        "--subjects", str(spec.n_subjects),
+        "--joint", str(spec.n_joint),
+        "--pjoint", per_subject(spec.pjoint_counts),
+        "--individual", per_subject(spec.individual_counts),
+        "--clusters", str(spec.n_clusters),
+        "--voxels", str(spec.n_voxels),
+        "--time", per_subject(spec.time_counts),
+        "--seed", str(spec.seed),
+    ]
+    if spec.snr_db is not None:
+        args += ["--snr-db", str(spec.snr_db)]
+    return args
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["csv", "binary"])
+def test_cli_simulate_files_equal_list_form(tmp_path, binary):
+    """Streamed `simulate` writes the bytes save_dataset writes from generate_dataset."""
+    spec = ScenarioSpec(
+        n_subjects=4, n_joint=2, n_individual=(1, 0, 2, 1), n_clusters=1,
+        n_voxels=256, n_time=(50, 60, 70, 80), snr_db=5.0, seed=9,
+    )
+    flag = ["--binary"] if binary else []
+    streamed = tmp_path / "streamed"
+    assert cli.main(_simulate_args(spec) + flag + ["--out", str(streamed)]) == cli.EXIT_OK
+    listed = tmp_path / "listed"
+    datasets, truth = generate_dataset(spec)
+    jio.save_dataset(listed, datasets, truth, spec.to_dict(), binary=binary)
+    names = sorted(p.name for p in listed.iterdir())
+    assert names == sorted(p.name for p in streamed.iterdir())
+    assert len(names) == 1 + 3 * spec.n_subjects
+    for name in names:
+        assert (streamed / name).read_bytes() == (listed / name).read_bytes(), name
+
+
+def test_cli_simulate_holds_one_subject_at_a_time(tmp_path):
+    """Noisy binary set-up peaks under three T x V matrices plus the maps, not K of them."""
+    k, v, t = 10, 4096, 150
+    spec = ScenarioSpec(
+        n_subjects=k, n_joint=3, n_pjoint=2, n_individual=1, n_voxels=v,
+        n_time=t, snr_db=10.0, seed=3,
+    )
+    out = tmp_path / "ds"
+    tracemalloc.start()
+    try:
+        code = cli.main(_simulate_args(spec) + ["--binary", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    truth, _ = jio.load_truth(out)
+    maps = sum(s.nbytes + a.nbytes for s, a in zip(truth.sources, truth.mixing))
+    assert peak < 3 * t * v * 8 + maps < k * t * v * 8
 
 
 def test_cli_exit_code_missing_dataset(tmp_path):
@@ -505,6 +623,10 @@ def _widen(path):
     jio.save_matrix(path, np.random.default_rng(0).standard_normal((x.shape[0], x.shape[1] + 1)))
 
 
+def _extend(path):
+    path.write_bytes(path.read_bytes() + bytes(8))
+
+
 def _poison(path):
     x = jio.load_matrix(path)
     x[0, 0] = np.nan
@@ -518,8 +640,9 @@ def _poison(path):
         (Path.unlink, "No such file"),
         (_widen, "voxels"),
         (_poison, "NaN"),
+        (_extend, "size mismatch"),
     ],
-    ids=["truncated", "deleted", "wider", "nan"],
+    ids=["truncated", "deleted", "wider", "nan", "oversized"],
 )
 def test_cli_decompose_rejects_bad_subject_file(tmp_path, capsys, corrupt, message):
     """A bad file found after earlier subjects were read: exit 3, one error line, no results."""
@@ -624,6 +747,28 @@ def test_cli_evaluate_rejects_malformed_ground_truth(cli_dirs, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "malformed ground_truth" in err
+
+
+@pytest.mark.parametrize("target", ["dataset", "results"])
+def test_cli_evaluate_rejects_oversized_matrix(tmp_path, capsys, target):
+    """A binary ground-truth or results matrix longer than its header: exit 3, one error line."""
+    sim, res = tmp_path / "ds", tmp_path / "res"
+    assert cli.main(
+        ["simulate", "--subjects", "3", "--joint", "1", "--individual", "1",
+         "--voxels", "256", "--time", "60", "--seed", "5", "--binary", "--out", str(sim)]
+    ) == cli.EXIT_OK
+    assert cli.main(["decompose", str(sim), "--out", str(res), "--binary"]) == cli.EXIT_OK
+    if target == "dataset":
+        manifest = json.loads((sim / "manifest.json").read_text())
+        _extend(sim / manifest["ground_truth"]["subjects"][-1]["sources"])
+    else:
+        results = json.loads((res / "results.json").read_text())
+        _extend(res / results["files"][results["subject_ids"][-1]]["sources"])
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(res), str(sim)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "size mismatch" in err
 
 
 def test_cli_components_above_rank_exit_3_and_write_nothing(cli_dirs, tmp_path, capsys):

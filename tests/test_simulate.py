@@ -171,6 +171,17 @@ def test_add_noise_hits_requested_snr():
     np.testing.assert_array_equal(clean, obs)
 
 
+def test_add_noise_same_bits_as_out_of_place_sum():
+    """Noise added in its own buffer equals obs + sigma * noise bit for bit."""
+    obs = np.random.default_rng(8).standard_normal((30, 70)) * 2.5
+    before = obs.copy()
+    noisy = add_noise(obs, 7.0, np.random.default_rng(9))
+    sigma = np.sqrt(np.mean(obs * obs) / 10.0 ** 0.7)
+    want = obs + sigma * np.random.default_rng(9).standard_normal(obs.shape)
+    assert noisy.tobytes() == want.tobytes()
+    assert obs.tobytes() == before.tobytes()
+
+
 def test_noisy_dataset_power_ratio():
     spec = ScenarioSpec(
         n_subjects=3, n_joint=1, n_individual=1, n_clusters=1,
