@@ -19,7 +19,7 @@ from .baseline import run_ji_thica
 from .classify import label_decomposition
 from .engine import run_jpji_ica
 from .errors import JpjicaError
-from .metrics import acc_counts_run, acc_peer_sets_run, jsir, match_sources
+from .metrics import evaluate_run
 from .simulate import ScenarioSpec, stream_dataset
 from .types import AlgoConfig, slot_rows
 
@@ -180,7 +180,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if bundle.labels is None:
         print("error: results carry no labels", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if len(bundle.sources) != len(truth.sources) or any(
+    ds_ids = [entry["id"] for entry in ds_manifest["subjects"]]
+    if bundle.subject_ids != ds_ids or len(truth.sources) != len(ds_ids) or any(
         b.shape[1] != t.shape[1] for b, t in zip(bundle.sources, truth.sources)
     ):
         print(
@@ -193,10 +194,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: inconsistent results: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    matches = match_sources(truth.sources, bundle.sources)
-    overall, per_subject = jsir(matches)
-    counts = acc_counts_run(truth.labels, bundle.labels)
-    peers = acc_peer_sets_run(truth.labels, bundle.labels, matches)
+    evaluation = evaluate_run(truth, bundle).to_dict()
+    matching = evaluation.pop("matching")
+    del evaluation["n_subjects"]
     report = {
         "dataset": {
             "scenario": ds_manifest.get("scenario"),
@@ -209,28 +209,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "joint_slots": bundle.manifest.get("joint_slots"),
             "sigma_opt": bundle.manifest.get("sigma_opt"),
         },
-        "metrics": {
-            "jsir_db": overall,
-            "jsir_per_subject": per_subject,
-            "acc_counts": {k: bool(v) for k, v in counts.items()},
-            "acc_peer_sets": peers,
-        },
-        "matching": [
-            {
-                "est_of_true": m.est_of_true.tolist(),
-                "correlation": m.correlation.tolist(),
-                "sign": m.sign.tolist(),
-            }
-            for m in matches
-        ],
+        "metrics": evaluation,
+        "matching": matching,
         "features": features_rows,
     }
     out = Path(args.out) if args.out else Path(args.results) / "report.json"
     jio.save_report(out, report)
-    acc_txt = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in counts.items())
-    print(f"jSIR: {overall:.2f} dB")
+    acc_txt = " ".join(
+        f"{k}={'yes' if v else 'no'}" for k, v in evaluation["acc_counts"].items()
+    )
+    print(f"jSIR: {evaluation['jsir_db']:.2f} dB")
     print(f"count accuracy: {acc_txt}")
-    print(f"peer-set accuracy: {peers:.2f}%")
+    print(f"peer-set accuracy: {evaluation['acc_peer_sets']:.2f}%")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -7,13 +7,14 @@ whitened rows and the current partner estimates of the other subjects,
 and takes the dominant eigenvector as the new demixing row.  Partner
 updates are consumed immediately (most recent estimates win), and rows
 are deflated out of the data only in the last sweep so that earlier
-sweeps can still realign slots across subjects.
+sweeps can still realign slots across subjects.  On whitened data,
+regressing a source out is projecting the later demixing rows off the
+earlier ones, so that deflation is Gram-Schmidt on C-long rows.
 
 Every estimate is a linear combination of its subject's whitened rows,
 so the order-2 terms of a joint cost come from the whitened
-cross-covariance, computed once, and the last sweep's deflation is C x C
-algebra on that subject's block of it; only the order-3/4 products walk
-the voxels.
+cross-covariance, computed once; only the order-3/4 products walk the
+voxels.
 """
 from __future__ import annotations
 
@@ -260,22 +261,6 @@ def inner_extract(
     return lam, u, trace, converged
 
 
-def _deflate_frame(g: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Regress the source ``u @ g @ z`` out of every row of ``g @ z``, as a new g.
-
-    ``r = z @ z.T / V``.  With h = u @ g the source is h @ z, and the
-    regression coefficients of the rows g @ z on it are
-    ``g r h / (h r h)``, so the deflated rows are
-    ``(g - outer(coef, h)) @ z`` and no voxel is read.
-    """
-    h = u @ g
-    rh = r @ h
-    nrm2 = float(h @ rh)
-    if nrm2 < 1e-300:
-        raise ZeroSource("cannot deflate by a null source")
-    return g - np.outer(g @ rh / nrm2, h)
-
-
 def _cross_covariance(z: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
     """``Z @ Z.T / V`` for the stacked rows Z of ``z``, and each matrix's rows in it.
 
@@ -299,7 +284,7 @@ def mode_switch_threshold(
     n_alpha: int,
     n_rows: int,
     n_samples: int,
-    n_partners: int | None = None,
+    n_partners: int,
 ) -> float:
     """Cost floor separating informative partners from the null.
 
@@ -309,7 +294,7 @@ def mode_switch_threshold(
     below upper-bound that inflation.
     """
     w2, w3, w4 = (float(w) for w in weights)
-    if n_partners is None or n_partners >= 3:
+    if n_partners >= 3:
         scale = w2 + w3 + w4
     elif n_partners == 2:
         scale = w2 + w3 + 3.0 * w4
@@ -355,12 +340,13 @@ def run_jpji_ica(
     of each slot every subject's current row is re-orthogonalized against
     its earlier slots, which keeps slots from collapsing onto the same
     source while no deflation has happened yet.  In the last sweep each
-    extracted source is regressed out of its subject's data immediately.
-    That data is never copied: it is ``g_acc[k] @ z0[k]``, and the
-    regression updates the C x C frame ``g_acc[k]`` from the subject's
-    block of the whitened cross-covariance (``_deflate_frame``), so the
-    demixing rows land in the original whitened frame as
-    ``u @ g_acc[k]``.  After the last sweep each estimate is overwritten
+    extraction also deflates: subject k's data for slot c is
+    ``P @ z0[k]`` with the projector ``P = I - U.T @ U`` off the rows
+    ``U = u_work[k][:c]`` it has already extracted in this sweep.  The
+    whitened rows are uncorrelated with unit variance, so this regresses
+    those sources out of the data without copying it.  The new row is
+    ``u @ P``, normalized, so each subject's rows come out orthonormal.
+    After the last sweep each estimate is overwritten
     by its final source, ``build_features`` computes the JpJI-feature
     table once from these rows, and the slots are ordered by decreasing
     mean ``jpjif`` over their holders, then by decreasing kurtosis of
@@ -376,7 +362,7 @@ def run_jpji_ica(
     its order-2 terms come from those (``ring_order2``), and the
     order-3/4 walk gathers the partner rows from ``est[c]`` block by
     block (``build_ring_cost``), against ``z0[k]`` and left-multiplied
-    by ``g_acc[k]`` in the last sweep.  The new estimate is written back
+    by ``P`` in the last sweep.  The new estimate is written back
     at once, so later extractions in the slot see it.
 
     ``algorithm`` fixes one policy before the sweeps:
@@ -428,7 +414,6 @@ def run_jpji_ica(
     z0 = [p.z for p in pre]
     cross, rows = _cross_covariance(z0)
     u_work = [np.eye(o) for o in orders]
-    u_eff = [np.zeros((o, o)) for o in orders]
     # One K x V array per slot, not one (n_slots, K, V) block: once glibc
     # has unmapped a freed block of up to 32 MiB it serves later blocks of
     # that size from its heap and keeps them after free.  A 30 MiB block
@@ -453,18 +438,17 @@ def run_jpji_ica(
 
     for sweep in range(1, config.max_outer + 1):
         final = sweep == config.max_outer
-        if final:
-            g_acc = [np.eye(o) for o in orders]
         for c in range(n_slots):
             holders = np.flatnonzero(np.asarray(orders) > c)
             for j in holders.tolist():
-                prior = u_eff[j][:c] if final else u_work[j][:c]
-                u_work[j][c] = _decollide(u_work[j][c], prior)
+                u_work[j][c] = _decollide(u_work[j][c], u_work[j][:c])
                 put(c, j, u_work[j][c])
             for k in holders.tolist():
                 peers = holders[holders != k]
-                # In the last sweep subject k's data is g_acc[k] @ z0[k].
-                frame = g_acc[k] if final else None
+                # In the last sweep subject k's data is projected off its earlier rows.
+                frame = None
+                if final:
+                    frame = np.eye(orders[k]) - u_work[k][:c].T @ u_work[k][:c]
                 u0 = u_work[k][c]
                 mode = "self"
                 if peers.size:
@@ -486,9 +470,14 @@ def run_jpji_ica(
                     lam_fin, u_fin, trace_vals, converged = inner_extract(
                         zk, weights, u0, eps0=config.eps0
                     )
+                if frame is not None:
+                    u_fin = u_fin @ frame
+                    nrm = float(np.linalg.norm(u_fin))
+                    if nrm < 1e-150:
+                        raise ZeroSource("no direction left off the subject's earlier rows")
+                    u_fin = u_fin / nrm
                 u_work[k][c] = u_fin
-                a = u_fin if frame is None else u_fin @ frame
-                put(c, k, a)
+                put(c, k, u_fin)
                 traces.append(
                     TraceRecord(
                         sweep=sweep,
@@ -502,15 +491,13 @@ def run_jpji_ica(
                 if final:
                     self_mode[c, k] = mode == "self"
                     final_costs[c, k] = lam_fin
-                    u_eff[k][c] = a / np.linalg.norm(a)
-                    g_acc[k] = _deflate_frame(frame, cross[rows[k], rows[k]], u_fin)
 
     if align:
-        _align_rows(est, u_eff, final_costs, self_mode, orders)
+        _align_rows(est, u_work, final_costs, self_mode, orders)
     for k in range(n_sub):
         for c in range(orders[k]):
-            u_eff[k][c] = _fix_sign(u_eff[k][c])
-            est[c][k] = standardize(u_eff[k][c] @ z0[k])
+            u_work[k][c] = _fix_sign(u_work[k][c])
+            est[c][k] = standardize(u_work[k][c] @ z0[k])
     feats = build_features(est, orders, weights)
     # Unheld entries are NaN: the mean runs over the holders, and the
     # first finite kurtosis is the first holder's.
@@ -521,7 +508,7 @@ def run_jpji_ica(
     demixing, sources = [], []
     for k in range(n_sub):
         own = [c for c in slot_order if c < orders[k]]
-        demixing.append(u_eff[k][own])
+        demixing.append(u_work[k][own])
         sources.append(np.stack([est[c][k] for c in own]))
     for t in traces:
         t.slot = inverse[t.slot]
@@ -544,7 +531,7 @@ def run_jpji_ica(
 
 def _align_rows(
     est: list[np.ndarray],
-    u_eff: list[np.ndarray],
+    u_work: list[np.ndarray],
     final_costs: np.ndarray,
     self_mode: np.ndarray,
     orders: list[int],
@@ -586,7 +573,7 @@ def _align_rows(
                 changed = True
                 for c in range(o):
                     est[c][k] = rows[perm[c]]
-                u_eff[k] = u_eff[k][perm]
+                u_work[k] = u_work[k][perm]
                 final_costs[:o, k] = final_costs[perm, k]
                 self_mode[:o, k] = self_mode[perm, k]
         if not changed:

@@ -5,13 +5,15 @@ significant digits (lossless for IEEE doubles) or, with the binary
 flag, as a 16-byte header (magic "JPJI", then uint32 version, rows,
 cols, little-endian) followed by row-major float64 data.  Subject
 identifiers are stable strings; peer sets are serialized as id lists
-and mapped back to positional indices on load.
+and mapped back to positional indices on load.  An identifier prefixes
+file names and fills CSV fields, so it may hold no separator of either.
 """
 from __future__ import annotations
 
 import json
 import os
 import struct
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -70,6 +72,14 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _check_subject_id(sid: str) -> None:
+    """Reject an id that is empty or holds a path or CSV separator or a control character."""
+    if not sid or any(ch in "/\\,|" or unicodedata.category(ch) == "Cc" for ch in sid):
+        raise ValueError(
+            f"subject id {sid!r} is empty or holds '/', '\\', ',', '|' or a control character"
+        )
+
+
 def _ext(binary: bool) -> str:
     return ".bin" if binary else ".csv"
 
@@ -93,6 +103,7 @@ def save_dataset(
     subjects = []
     n_voxels = None
     for ds in datasets:
+        _check_subject_id(ds.subject_id)
         fname = f"{ds.subject_id}_obs{ext}"
         save_matrix(directory / fname, ds.observations)
         ids.append(ds.subject_id)
@@ -194,6 +205,8 @@ def _load_dataset_manifest(directory: Path) -> dict:
             f"{directory}: manifest 'subjects' must be a list of entries"
             " with string 'id' and 'observations'"
         )
+    for entry in subjects:
+        _check_subject_id(entry["id"])
     return manifest
 
 
@@ -241,10 +254,12 @@ def save_decomposition(
     directory: str | Path, decomp: Decomposition, binary: bool = False
 ) -> Path:
     """Write demixing rows, sources, whiteners, features, labels, traces."""
+    ids = decomp.subject_ids
+    for sid in ids:
+        _check_subject_id(sid)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ext = _ext(binary)
-    ids = decomp.subject_ids
     files: dict[str, dict[str, str]] = {}
     for k, sid in enumerate(ids):
         entry = {

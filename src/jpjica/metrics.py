@@ -165,7 +165,11 @@ class EvaluationReport:
 
 
 def evaluate_run(truth: GroundTruth, decomp: Decomposition) -> EvaluationReport:
-    """Match sources and compute all metrics for one labeled run."""
+    """Match sources and compute all metrics for one labeled run.
+
+    Only ``decomp.sources`` and ``decomp.labels`` are read, so an
+    ``io.ResultsBundle`` loaded from a results directory serves as well.
+    """
     if decomp.labels is None:
         raise ValueError("decomposition must be labeled before evaluation")
     matches = match_sources(truth.sources, decomp.sources)

@@ -35,6 +35,9 @@ _RING_BLOCK_BYTES = 2**19
 # Voxel columns per block of centred_blocks; the fastest width measured
 # for covariance and projection at T=150, V up to 65536.
 _CENTRE_BLOCK_COLS = 4096
+# k-means restarts, and Lloyd iterations per restart.
+_KMEANS_RESTARTS = 20
+_KMEANS_MAX_ITER = 100
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
@@ -255,11 +258,7 @@ def inverse_sqrt_psd(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int = 0,
-    n_restarts: int = 20,
-    max_iter: int = 100,
+    points: np.ndarray, k: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded k-means with multiple restarts; best inertia wins.
 
@@ -277,10 +276,10 @@ def kmeans(
         raise TooFewPoints(f"need at least {k} distinct points")
     rng = np.random.default_rng(seed)
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(n_restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _kpp_init(pts, k, rng)
         labels = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
+        for _ in range(_KMEANS_MAX_ITER):
             d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
             for j in range(k):

@@ -22,6 +22,11 @@ from .types import GroundTruth, SourceKind, SourceLabel, SubjectDataset
 
 _MAX_MIXING_COND = 1e3
 _MAX_MAP_CORR = 0.1
+# Excess-kurtosis floor of a map, and draws allowed to reach it.
+_MIN_MAP_KURTOSIS = 1.0
+_MAP_TRIES = 100
+# Draws allowed for a map uncorrelated with the pool.
+_POOL_TRIES = 2000
 
 
 @dataclass(frozen=True)
@@ -145,18 +150,13 @@ def _per_subject(value: int | tuple[int, ...], k: int) -> tuple[int, ...]:
     return value
 
 
-def generate_spatial_source(
-    n_voxels: int,
-    rng: np.random.Generator,
-    min_kurtosis: float = 1.0,
-    max_tries: int = 100,
-) -> np.ndarray:
+def generate_spatial_source(n_voxels: int, rng: np.random.Generator) -> np.ndarray:
     """One standardized blob map with excess kurtosis above the floor."""
     side = math.isqrt(n_voxels)
     two_d = side * side == n_voxels and side >= 8
     if two_d:
         yy, xx = np.mgrid[0:side, 0:side]
-    for _ in range(max_tries):
+    for _ in range(_MAP_TRIES):
         if two_d:
             m = np.zeros((side, side))
             # Exactly two blobs: every extra blob raises the chance of
@@ -187,19 +187,18 @@ def generate_spatial_source(
         if flat.std() < 1e-12:
             continue
         out = standardize(flat)
-        if excess_kurtosis(out) >= min_kurtosis:
+        if excess_kurtosis(out) >= _MIN_MAP_KURTOSIS:
             return out
-    raise InvalidScenario(f"no map with kurtosis >= {min_kurtosis} in {max_tries} tries")
+    raise InvalidScenario(f"no map with kurtosis >= {_MIN_MAP_KURTOSIS} in {_MAP_TRIES} tries")
 
 
 def _draw_independent_map(
     n_voxels: int,
     rng: np.random.Generator,
     existing: list[np.ndarray],
-    max_tries: int = 2000,
 ) -> np.ndarray:
     """A new map nearly uncorrelated with all previously drawn maps."""
-    for _ in range(max_tries):
+    for _ in range(_POOL_TRIES):
         cand = generate_spatial_source(n_voxels, rng)
         if all(
             abs(float(cand @ prev)) / n_voxels <= _MAX_MAP_CORR for prev in existing

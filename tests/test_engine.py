@@ -17,7 +17,6 @@ from jpjica.engine import (
     run_jpji_ica,
     _align_rows,
     _decollide,
-    _deflate_frame,
 )
 from jpjica.errors import (
     ConvergenceWarning,
@@ -121,25 +120,6 @@ def test_inner_extract_self_mode_cap_warns():
         inner_extract(z, (0.5, 0.75, 1.0), u0, eps0=1e-16, max_inner=2)
 
 
-def test_deflate_removes_component():
-    """Frame deflation equals the voxel-space regression of the oracle."""
-    rng = np.random.default_rng(9)
-    z = _centered(rng, (4, 200))
-    r = z @ z.T / 200
-    u = rng.standard_normal(4)
-    g2 = _deflate_frame(np.eye(4), r, u)
-    z2, coef = deflate(z, u @ z)
-    np.testing.assert_allclose(g2 @ z, z2, atol=1e-12)
-    np.testing.assert_allclose((g2 @ z) @ (u @ z), np.zeros(4), atol=1e-9)
-    np.testing.assert_allclose(np.eye(4) - g2, np.outer(coef, u), atol=1e-12)
-    # a second source, drawn from the deflated rows, is regressed out in turn
-    u2 = rng.standard_normal(4)
-    z3, _ = deflate(z2, u2 @ z2)
-    np.testing.assert_allclose(_deflate_frame(g2, r, u2) @ z, z3, atol=1e-12)
-    with pytest.raises(ZeroSource):
-        _deflate_frame(np.eye(4), r, np.zeros(4))
-
-
 def test_decollide_projects_off_prior_rows():
     rng = np.random.default_rng(10)
     prior = rng.standard_normal((2, 5))
@@ -189,9 +169,8 @@ def test_align_rows_undoes_a_swap_with_ragged_orders():
 
 def test_mode_switch_threshold_scaling():
     w = (0.5, 0.75, 1.0)
-    base = mode_switch_threshold(w, 9, 5, 4096)
+    base = mode_switch_threshold(w, 9, 5, 4096, n_partners=9)
     assert base == pytest.approx(6.0 * 2.25 * 9 * 5 / 4096, rel=1e-12)
-    assert mode_switch_threshold(w, 9, 5, 4096, n_partners=9) == base
     # repeated ring rows inflate the floor
     one = mode_switch_threshold(w, 1, 5, 4096, n_partners=1)
     two = mode_switch_threshold(w, 2, 5, 4096, n_partners=2)
@@ -402,7 +381,7 @@ def test_order2_terms_from_cross_covariance_match_voxel_products(monkeypatch, ra
     """Order-2 vectors and q01/q02 from the cross-covariance equal direct products.
 
     Checked within 1e-12 relative at every joint extraction, mid-sweep and
-    in the final sweep's accumulated frame; the whole factor equals the
+    in the final sweep's projected frame; the whole factor equals the
     generic build on the explicit rows ``frame @ z``.
     """
     calls = _record_ring_costs(monkeypatch)
@@ -434,33 +413,40 @@ def test_order2_terms_from_cross_covariance_match_voxel_products(monkeypatch, ra
 
 
 def test_final_frames_equal_sequential_deflation(monkeypatch):
-    """``g_acc[k] @ z0[k]`` tracks explicit voxel-space deflation within 1e-12.
+    """The last sweep's ``frame @ z0[k]`` is voxel-space deflation within 1e-12.
 
-    Each last-sweep extraction deflates its subject's frame once, in trace
-    order; replaying the regressions on the whitened data with the oracle
-    gives the same rows after every step, so also after the final sweep.
+    Each last-sweep extraction projects its subject's data off the rows
+    extracted before it in that sweep; replaying the regressions of those
+    sources on the whitened data with the oracle, in trace order, gives
+    the same rows before every extraction.  The returned demixing rows
+    of each subject are orthonormal.
     """
     import jpjica.engine as engine
 
-    real = engine._deflate_frame
-    steps = []
+    calls = _record_ring_costs(monkeypatch)
+    real_align = engine._align_rows
+    extracted = []
 
-    def recorded(g, r, u):
-        out = real(g, r, u)
-        steps.append((g.copy(), u.copy(), out))
-        return out
+    def align(est, u_work, *args):
+        # The last sweep's rows, in slot order, before any re-matching.
+        extracted.extend(u.copy() for u in u_work)
+        return real_align(est, u_work, *args)
 
-    monkeypatch.setattr(engine, "_deflate_frame", recorded)
+    monkeypatch.setattr(engine, "_align_rows", align)
     decomp, _, datasets = _small_run(seed=5)
     final = [t.subject for t in decomp.traces if t.sweep == decomp.config.max_outer]
-    assert len(final) == len(steps) == decomp.n_slots * decomp.n_subjects
+    frames = [c["frame"] for c in calls if c["frame"] is not None]
+    assert len(final) == len(frames) == decomp.n_slots * decomp.n_subjects
     z0 = _whitened(decomp, datasets)
     z_work = [z.copy() for z in z0]
-    for k, (g_in, u, g_out) in zip(final, steps):
+    done = [0] * decomp.n_subjects
+    for k, frame in zip(final, frames):
         tol = 1e-12 * np.abs(z0[k]).max()
-        assert np.abs(g_in @ z0[k] - z_work[k]).max() <= tol
-        z_work[k], _ = deflate(z_work[k], u @ z_work[k])
-        assert np.abs(g_out @ z0[k] - z_work[k]).max() <= tol
+        assert np.abs(frame @ z0[k] - z_work[k]).max() <= tol
+        z_work[k], _ = deflate(z_work[k], extracted[k][done[k]] @ z0[k])
+        done[k] += 1
+    for d in decomp.demixing:
+        assert np.abs(d @ d.T - np.eye(len(d))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("algorithm", ["jpji", "jithica"])
@@ -522,8 +508,9 @@ def test_engine_cost_inputs_are_centered(monkeypatch):
     """Every voxel-space input of a cost build is already zero-mean.
 
     The joint step walks the whitened z0 against estimate rows, and the
-    last sweep's self mode hands ``g_acc[k] @ z0[k]`` to the generic
-    build; neither re-centers, so record every input they are given.
+    last sweep's self mode hands ``P @ z0[k]``, with P the projector off
+    the subject's earlier rows, to the generic build; neither re-centers,
+    so record every input they are given.
     """
     import jpjica.engine as engine
 

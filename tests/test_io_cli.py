@@ -13,6 +13,7 @@ import re
 import shutil
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -747,6 +748,99 @@ def test_cli_evaluate_rejects_malformed_ground_truth(cli_dirs, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "malformed ground_truth" in err
+
+
+# Ids that would escape the directory, split a CSV field or a peer list, or hide.
+BAD_IDS = {
+    "empty": lambda root: "",
+    "absolute": lambda root: str(root / "outside" / "x"),
+    "slash": lambda root: "x/y",
+    "backslash": lambda root: "x\\y",
+    "comma": lambda root: "a,b",
+    "pipe": lambda root: "a|b",
+    "control": lambda root: "sub\t01",
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "evaluate"])
+@pytest.mark.parametrize("bad_id", list(BAD_IDS.values()), ids=list(BAD_IDS))
+def test_cli_rejects_bad_subject_id(cli_dirs, tmp_path, capsys, command, bad_id):
+    """A manifest id unfit for a file name or a CSV field: exit 3, one error line, nothing written."""
+    _, sim, res = cli_dirs
+    bad = tmp_path / "ds"
+    shutil.copytree(sim, bad)
+    (tmp_path / "outside").mkdir()
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["subjects"][1]["id"] = bad_id(tmp_path)
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "res"
+    argv = (
+        ["decompose", str(bad), "--out", str(out)]
+        if command == "decompose"
+        else ["evaluate", str(res), str(bad), "--out", str(out)]
+    )
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "subject id" in err
+    assert not out.exists()
+    assert not any((tmp_path / "outside").iterdir())
+
+
+@pytest.mark.parametrize("bad_id", list(BAD_IDS.values()), ids=list(BAD_IDS))
+def test_writers_reject_bad_subject_id(tmp_path, small_scene, small_decomp, bad_id):
+    """save_dataset and save_decomposition raise before writing the subject's files."""
+    _, datasets, truth = small_scene
+    (tmp_path / "outside").mkdir()
+    sid = bad_id(tmp_path)
+    renamed = [datasets[0], SubjectDataset(sid, datasets[1].observations)]
+    with pytest.raises(ValueError, match="subject id"):
+        jio.save_dataset(tmp_path / "ds", renamed, truth)
+    assert [p.name for p in (tmp_path / "ds").iterdir()] == [f"{datasets[0].subject_id}_obs.csv"]
+    ids = list(small_decomp.subject_ids)
+    ids[1] = sid
+    with pytest.raises(ValueError, match="subject id"):
+        jio.save_decomposition(tmp_path / "res", replace(small_decomp, subject_ids=ids))
+    assert not (tmp_path / "res").exists()
+    assert not any((tmp_path / "outside").iterdir())
+
+
+def test_subject_ids_roundtrip(cli_dirs, tmp_path, small_scene):
+    """simulate's ids, and ids with spaces and dots, survive decompose and evaluate."""
+    _, sim, res = cli_dirs
+    ids = [e["id"] for e in json.loads((sim / "manifest.json").read_text())["subjects"]]
+    assert jio.load_decomposition(res).subject_ids == ids
+    _, datasets, truth = small_scene
+    ids = ["sub 01", "s.1", "sub03"]
+    renamed = [SubjectDataset(sid, ds.observations) for sid, ds in zip(ids, datasets)]
+    data, out = tmp_path / "ds", tmp_path / "res"
+    jio.save_dataset(data, renamed, truth)
+    subjects, _ = jio.read_subjects(data)
+    assert [ds.subject_id for ds in subjects] == ids
+    assert cli.main(["decompose", str(data), "--out", str(out), "--seed", "1"]) == cli.EXIT_OK
+    assert cli.main(["evaluate", str(out), str(data)]) == cli.EXIT_OK
+    assert jio.load_decomposition(out).subject_ids == ids
+    report = jio.load_report(out / "report.json")
+    assert {row["subject"] for row in report["features"]} == set(ids)
+
+
+def test_cli_evaluate_rejects_reordered_subject_ids(cli_dirs, tmp_path, capsys):
+    """Results naming the dataset's subjects in another order: exit 3, one error line."""
+    _, sim, res = cli_dirs
+    swapped = tmp_path / "res"
+    shutil.copytree(res, swapped)
+    (swapped / "report.json").unlink()
+    results = json.loads((swapped / "results.json").read_text())
+    ids = results["subject_ids"]
+    ids[0], ids[1] = ids[1], ids[0]
+    (swapped / "results.json").write_text(json.dumps(results))
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(swapped), str(sim)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "disagree on subjects" in err
+    assert not (swapped / "report.json").exists()
 
 
 @pytest.mark.parametrize("target", ["dataset", "results"])
