@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import mode_switch_threshold
+from .engine import WEIGHTS, mode_switch_threshold
 from .errors import (
     DegenerateCorrelation,
     GroupTooSmall,
@@ -34,6 +34,10 @@ from .numerics import (
 from .seeding import rng_for
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
 
+# Relative tolerance of the per-peer contribution uniformity test that
+# detects joint sources.
+TAU_JOINT = 0.15
+
 
 def detect_joint_slots(
     features: FeatureTable, decomp: Decomposition
@@ -41,15 +45,13 @@ def detect_joint_slots(
     """Slots whose sources are shared by all subjects.
 
     A (slot, subject) pair votes joint when the per-position
-    contributions are uniform, i.e. the feature stays within tau of
-    n_alpha times the weakest contribution, and the feature clears the
-    null floor.  The weakest position is the discriminator: one partner
-    outside the sharing set leaves its ring position near zero no matter
-    how the remaining positions are arranged.  A slot is joint on a
-    strict majority of votes.
+    contributions are uniform, i.e. the feature stays within tolerance
+    ``TAU_JOINT`` of n_alpha times the weakest contribution, and the
+    feature clears the null floor.  The weakest position is the
+    discriminator: one partner outside the sharing set leaves its ring
+    position near zero no matter how the remaining positions are
+    arranged.  A slot is joint on a strict majority of votes.
     """
-    cfg = decomp.config
-    tau = cfg.tau_joint
     v = decomp.sources[0].shape[1]
     rows = decomp.slot_rows
     out: list[int] = []
@@ -62,7 +64,7 @@ def detect_joint_slots(
             holders += 1
             n_alpha = contr.shape[0]
             total = features.jpjif[c, k]
-            floor = mode_switch_threshold(cfg.weights, n_alpha, 1, v, n_partners=n_alpha)
+            floor = mode_switch_threshold(WEIGHTS, n_alpha, 1, v, n_partners=n_alpha)
             if n_alpha < 2:
                 # Two subjects: no uniformity to test.  Kurtosis couples to
                 # the residual correlation allowed between distinct maps, so
@@ -81,7 +83,7 @@ def detect_joint_slots(
                 continue
             expected = n_alpha * float(np.min(contr))
             scale = max(total, expected, 1e-300)
-            if total >= floor and abs(total - expected) <= tau * scale:
+            if total >= floor and abs(total - expected) <= TAU_JOINT * scale:
                 votes += 1
         if holders and votes * 2 > holders:
             out.append(c)
@@ -106,9 +108,7 @@ def select_sigma_opt(
     jpjif = features.jpjif
     v = decomp.sources[0].shape[1]
     n_alpha_typ = max(decomp.n_subjects - 1, 1)
-    floor = 2.0 * mode_switch_threshold(
-        cfg.weights, n_alpha_typ, 1, v, n_partners=n_alpha_typ
-    )
+    floor = 2.0 * mode_switch_threshold(WEIGHTS, n_alpha_typ, 1, v, n_partners=n_alpha_typ)
     non_joint = [c for c in range(jpjif.shape[0]) if c not in joint_slots]
     vals = jpjif[non_joint, :]
     finite = vals[np.isfinite(vals)]
@@ -171,10 +171,10 @@ def cluster_subjects(
 
     For each slot with partially joint members the subjects are clustered
     on the rows of the pairwise |correlation| matrix of their estimates
-    (cluster count 2 or 3 by silhouette unless configured); the peer set
-    of a partially joint source is its cluster mates that are also
-    partially joint in that slot.  A partially joint source left without
-    peers is relabeled individual.
+    (cluster count 2 or 3 by silhouette); the peer set of a partially
+    joint source is its cluster mates that are also partially joint in
+    that slot.  A partially joint source left without peers is relabeled
+    individual.
     """
     cfg = decomp.config
     k_total = decomp.n_subjects
@@ -202,7 +202,7 @@ def cluster_subjects(
         if not np.isfinite(corr).all():
             raise DegenerateCorrelation(f"slot {c}: correlation undefined")
         seed = int(rng_for(cfg.seed, "clusters", c + 1).integers(2**31))
-        assign = _cluster_rows(corr, cfg.n_clusters, seed)
+        assign = _cluster_rows(corr, seed)
         groups = {holders[i]: int(assign[i]) for i in range(len(holders))}
         for k in pj:
             mates = frozenset(
@@ -231,12 +231,11 @@ def cluster_subjects(
     return labels
 
 
-def _cluster_rows(corr: np.ndarray, forced_k: int | None, seed: int) -> np.ndarray:
+def _cluster_rows(corr: np.ndarray, seed: int) -> np.ndarray:
     """Cluster correlation-profile rows; silhouette picks 2 vs 3 groups."""
     n = corr.shape[0]
-    candidates = [forced_k] if forced_k else [k for k in (2, 3) if k < n]
     best_assign, best_score = None, -np.inf
-    for k in candidates:
+    for k in range(2, min(n, 4)):
         try:
             assign, _, _ = kmeans(corr, k, seed=seed)
         except TooFewPoints:

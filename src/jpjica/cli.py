@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid simulation scenario (argparse also
 exits 2 on a command-line usage error), 3 invalid input to
-decomposition, 4 missing ground truth during evaluation, 5 no usable
-inputs for report aggregation.
+decomposition or evaluation, or an ``--out`` that cannot be written,
+4 missing ground truth during evaluation, 5 no usable inputs for report
+aggregation.
 """
 from __future__ import annotations
 
@@ -67,12 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--algorithm", choices=("jpji", "jithica"), default="jpji")
     p_dec.add_argument("--components", type=str, default="min",
                        help="'auto' (per-subject), 'min' (shared minimum) or an integer")
-    p_dec.add_argument("--weights", type=str, default="0.5,0.75,1.0")
     p_dec.add_argument("--max-iter", type=int, default=5)
-    p_dec.add_argument("--eps0", type=float, default=1e-6)
     p_dec.add_argument("--sigma0", type=str, default="auto")
-    p_dec.add_argument("--tau-joint", type=float, default=0.15)
-    p_dec.add_argument("--n-clusters", type=int, default=None)
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--binary", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
@@ -116,14 +113,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     # Each subject is mixed, written and dropped in turn; the manifest comes last.
-    jio.save_dataset(args.out, subjects, truth, spec.to_dict(), binary=args.binary)
+    try:
+        jio.save_dataset(args.out, subjects, truth, spec.to_dict(), binary=args.binary)
+    except OSError as exc:
+        return _cannot_write(exc)
     print(f"wrote {spec.n_subjects} subjects to {args.out}")
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        return _cannot_write(f"{out} is not a directory")
     try:
-        subjects, _ = jio.read_subjects(args.input)
         components: int | str
         if args.components == "auto":
             components = "auto-bic"
@@ -131,18 +133,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             components = "global-min"
         else:
             components = int(args.components)
-        weights = tuple(float(w) for w in args.weights.split(","))
         sigma0: float | str = args.sigma0 if args.sigma0 == "auto" else float(args.sigma0)
         config = AlgoConfig(
-            weights=weights,  # type: ignore[arg-type]
             max_outer=args.max_iter,
-            eps0=args.eps0,
             n_components=components,
             sigma0=sigma0,
-            tau_joint=args.tau_joint,
-            n_clusters=args.n_clusters,
             seed=args.seed,
         )
+        subjects, _ = jio.read_subjects(args.input)
     except (JpjicaError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -157,7 +155,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    jio.save_decomposition(args.out, decomp, binary=args.binary)
+    try:
+        jio.save_decomposition(args.out, decomp, binary=args.binary)
+    except OSError as exc:
+        return _cannot_write(exc)
     feats = decomp.features
     sigma_txt = "none" if feats is None or feats.sigma_opt is None else f"{feats.sigma_opt:.6g}"
     print(
@@ -214,7 +215,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "features": features_rows,
     }
     out = Path(args.out) if args.out else Path(args.results) / "report.json"
-    jio.save_report(out, report)
+    try:
+        jio.save_report(out, report)
+    except OSError as exc:
+        return _cannot_write(exc)
     acc_txt = " ".join(
         f"{k}={'yes' if v else 'no'}" for k, v in evaluation["acc_counts"].items()
     )
@@ -252,6 +256,20 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("error: no usable report files", file=sys.stderr)
         return EXIT_NO_REPORTS
     out = Path(args.out)
+    try:
+        _write_tables(out, reports)
+    except OSError as exc:
+        return _cannot_write(exc)
+    print(f"wrote tables for {len(reports)} runs to {out}")
+    return EXIT_OK
+
+
+def _cannot_write(why: OSError | str) -> int:
+    print(f"error: cannot write output: {why}", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
+def _write_tables(out: Path, reports: list[dict]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_group_table(out / "convergence.csv", reports, "max_outer", _key_max_outer)
     _write_group_table(out / "snr.csv", reports, "snr_db", _key_snr)
@@ -266,8 +284,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                     f"{algo},{row['slot']},{row['subject']},"
                     f"{row['kurtosis']:.17g},{row['jpjif']:.17g},{row.get('kind') or ''}\n"
                 )
-    print(f"wrote tables for {len(reports)} runs to {out}")
-    return EXIT_OK
 
 
 def _key_max_outer(rep: dict):

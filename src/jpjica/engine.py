@@ -47,6 +47,10 @@ from .types import (
     validate_analysis_input,
 )
 
+# Cumulant-order weights (w2, w3, w4) of the cost at orders 2, 3, 4.
+WEIGHTS = (0.5, 0.75, 1.0)
+# Inner stopping rule of self mode: stop once 1 - (u . u_prev)^2 < EPS0.
+EPS0 = 1e-6
 # Calibrated against the independent-partner null: the largest cost of a
 # slot carrying no shared information concentrates below
 # c0 * sum(weights) * n_alpha * n_rows / n_samples (see the null test).
@@ -216,7 +220,7 @@ def inner_extract(
     z: np.ndarray,
     weights: tuple[float, float, float],
     u_init: np.ndarray,
-    eps0: float = 1e-6,
+    eps0: float = EPS0,
     max_inner: int = 200,
 ) -> tuple[float, np.ndarray, list[float], bool]:
     """Self-mode extraction of one demixing row; returns (cost, u, trace, converged).
@@ -408,7 +412,6 @@ def run_jpji_ica(
     n_sub = len(pre)
     n_slots = max(orders)
     v = pre[0].z.shape[1]
-    weights = tuple(float(w) for w in config.weights)
     rng = rng_for(config.seed, "engine")
 
     z0 = [p.z for p in pre]
@@ -454,12 +457,12 @@ def run_jpji_ica(
                 if peers.size:
                     ring = peers[rng.permutation(peers.size)[:ring_len]]
                     order2 = ring_order2(xcov[c], coef[c], ring, rows[k])
-                    cm = build_ring_cost(z0[k], est[c], ring, order2, weights, alphas, frame)
+                    cm = build_ring_cost(z0[k], est[c], ring, order2, WEIGHTS, alphas, frame)
                     lam, u_new = dominant_eigenvector(cm.g)
                     floor = fixed_floor
                     if floor is None:
                         floor = mode_switch_threshold(
-                            weights, cm.n_alpha, orders[k], v, n_partners=ring.size
+                            WEIGHTS, cm.n_alpha, orders[k], v, n_partners=ring.size
                         )
                     if lam >= floor:
                         mode = "joint"
@@ -467,9 +470,7 @@ def run_jpji_ica(
                         u_fin, lam_fin, converged = u_new, lam, True
                 if mode == "self":
                     zk = z0[k] if frame is None else frame @ z0[k]
-                    lam_fin, u_fin, trace_vals, converged = inner_extract(
-                        zk, weights, u0, eps0=config.eps0
-                    )
+                    lam_fin, u_fin, trace_vals, converged = inner_extract(zk, WEIGHTS, u0)
                 if frame is not None:
                     u_fin = u_fin @ frame
                     nrm = float(np.linalg.norm(u_fin))
@@ -498,7 +499,7 @@ def run_jpji_ica(
         for c in range(orders[k]):
             u_work[k][c] = _fix_sign(u_work[k][c])
             est[c][k] = standardize(u_work[k][c] @ z0[k])
-    feats = build_features(est, orders, weights)
+    feats = build_features(est, orders, WEIGHTS)
     # Unheld entries are NaN: the mean runs over the holders, and the
     # first finite kurtosis is the first holder's.
     mean_f = np.nanmean(feats.jpjif, axis=1)

@@ -21,14 +21,6 @@ class MismatchedVoxelCount(JpjicaError):
     """Subjects do not share a common sample (voxel) count."""
 
 
-class LengthMismatch(JpjicaError):
-    """Vectors that must share a length do not."""
-
-
-class OrderOutOfRange(JpjicaError):
-    """Cumulant order outside the supported set {2, 3, 4}."""
-
-
 class NotSymmetric(JpjicaError):
     """Matrix expected to be symmetric is not."""
 

@@ -14,14 +14,13 @@ import json
 import os
 import struct
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .types import (
-    AlgoConfig,
     Decomposition,
     FeatureTable,
     GroundTruth,
@@ -309,7 +308,6 @@ def save_decomposition(
                     f"{t.sweep},{t.slot},{ids[t.subject]},{i},{val:.17g},"
                     f"{t.mode},{int(t.converged)}\n"
                 )
-    cfg = decomp.config
     results = {
         "format_version": FORMAT_VERSION,
         "kind": "results",
@@ -317,7 +315,7 @@ def save_decomposition(
         "binary": binary,
         "subject_ids": list(ids),
         "orders": [int(s.shape[0]) for s in decomp.sources],
-        "config": _config_dict(cfg),
+        "config": asdict(decomp.config),
         "joint_slots": list(feats.joint_slots) if feats is not None else None,
         "sigma_opt": feats.sigma_opt if feats is not None else None,
         "jpjif_joint": feats.jpjif_joint if feats is not None else None,
@@ -449,19 +447,6 @@ def load_report(path: str | Path) -> dict:
             f"{path}: 'metrics' needs numbers jsir_db and acc_peer_sets and an object acc_counts"
         )
     return data
-
-
-def _config_dict(cfg: AlgoConfig) -> dict:
-    return {
-        "weights": list(cfg.weights),
-        "max_outer": cfg.max_outer,
-        "eps0": cfg.eps0,
-        "n_components": cfg.n_components,
-        "sigma0": cfg.sigma0,
-        "tau_joint": cfg.tau_joint,
-        "n_clusters": cfg.n_clusters,
-        "seed": cfg.seed,
-    }
 
 
 def _nan_to_none(arr: np.ndarray) -> list:

@@ -19,6 +19,8 @@ from .numerics import centred_blocks, covariance, covariance_eig, inverse_sqrt_p
 from .types import SubjectDataset
 
 _RANK_RTOL = 1e-12
+# Largest model order the BIC search considers.
+C_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,13 @@ class PreprocessedSubject:
         return self.z.shape[0]
 
 
-def _bic_order(lam: np.ndarray, v: int, c_max: int | None = None) -> int:
+def _bic_order(lam: np.ndarray, v: int) -> int:
     n = lam.shape[0]
     hard_cap = min(n, v) - 1
-    if c_max is None:
-        c_max = min(hard_cap, 60)
-    if not 1 <= c_max <= hard_cap:
-        raise ValueError(f"c_max must lie in [1, {hard_cap}]")
+    if hard_cap < 1:
+        raise ValueError("BIC order selection needs at least 2 time points and 2 voxels")
     rank = int(np.sum(lam > _RANK_RTOL * max(lam[0], 0.0)))
-    cap = max(1, min(c_max, rank))
+    cap = max(1, min(C_MAX, hard_cap, rank))
     lam = np.clip(lam, 1e-300, None)
     best_c, best_bic = 1, np.inf
     for c in range(1, cap + 1):
@@ -82,18 +82,18 @@ def _bic_order(lam: np.ndarray, v: int, c_max: int | None = None) -> int:
     return best_c
 
 
-def estimate_order_bic(x: np.ndarray, c_max: int | None = None) -> int:
+def estimate_order_bic(x: np.ndarray) -> int:
     """Model order via the probabilistic-PCA BIC score.
 
     The score of order c combines the log-likelihood of keeping the top c
     covariance eigenvalues (remaining variance pooled isotropically) with
     a parameter-count penalty; the minimizing c is returned.  The search
-    is capped at the numerical rank, so noiseless low-rank data yields
-    its exact rank.
+    is capped at ``C_MAX`` and at the numerical rank, so noiseless
+    low-rank data yields its exact rank up to ``C_MAX``.
     """
     x = np.asarray(x, dtype=float)
     lam, _ = covariance_eig(x, x.mean(axis=1))
-    return _bic_order(lam, x.shape[1], c_max)
+    return _bic_order(lam, x.shape[1])
 
 
 def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:

@@ -61,6 +61,8 @@ class ScenarioSpec:
             raise InvalidScenario("need at least one subject")
         if self.n_voxels < 16:
             raise InvalidScenario("need at least 16 voxels")
+        if self.n_clusters < 1:
+            raise InvalidScenario("need at least one cluster")
         if self.n_joint < 0:
             raise InvalidScenario("joint source count must be >= 0")
         pj = self.pjoint_counts
@@ -116,7 +118,7 @@ class ScenarioSpec:
     def partition(self) -> tuple[tuple[int, ...], ...]:
         if self.clusters is not None:
             return tuple(tuple(int(j) for j in grp) for grp in self.clusters)
-        k, q = self.n_subjects, max(1, self.n_clusters)
+        k, q = self.n_subjects, self.n_clusters
         sizes = [k // q + (1 if i < k % q else 0) for i in range(q)]
         out, start = [], 0
         for s in sizes:

@@ -7,6 +7,7 @@ matrices are time-by-voxel: rows are time points, columns are samples.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -128,14 +129,13 @@ class GroundTruth:
 class AlgoConfig:
     """Run parameters for the decomposition engine and classifier.
 
-    weights
-        Cumulant-order weights (w2, w3, w4) for orders 2, 3, 4.
+    The cumulant-order weights, the inner stopping rule and the joint
+    tolerance are fixed: ``engine.WEIGHTS``, ``engine.EPS0`` and
+    ``classify.TAU_JOINT``.
+
     max_outer
         Outer sweeps over all (slot, subject) pairs; deflation happens in
         the last sweep only.
-    eps0
-        Inner stopping rule: stop once 1 - (u . u_prev)^2 < eps0, within
-        the 200-iteration cap of ``engine.inner_extract``.
     n_components
         "global-min": per-subject BIC order estimate, minimum over
         subjects (every subject reduced to the same order).
@@ -144,41 +144,30 @@ class AlgoConfig:
     sigma0
         Joint/individual decision threshold for the single-tuple baseline
         or an explicit feature threshold for classification; "auto"
-        derives it from the data.  A float is also the single-tuple
-        baseline's cost floor for falling back to single-set extraction;
-        otherwise that floor is ``engine.mode_switch_threshold``.
-    tau_joint
-        Relative tolerance of the per-peer contribution uniformity test
-        used to detect joint sources.
+        derives it from the data.  A float must be finite and >= 0.  It
+        is also the single-tuple baseline's cost floor for falling back
+        to single-set extraction; otherwise that floor is
+        ``engine.mode_switch_threshold``.
     """
 
-    weights: tuple[float, float, float] = (0.5, 0.75, 1.0)
     max_outer: int = 5
-    eps0: float = 1e-6
     n_components: int | str = "global-min"
     sigma0: float | str = "auto"
-    tau_joint: float = 0.15
-    n_clusters: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ValueError("weights must be three nonnegative values, not all zero")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if not 0 < self.eps0 < 1:
-            raise ValueError("eps0 must lie in (0, 1)")
         if isinstance(self.n_components, str):
             if self.n_components not in ("global-min", "auto-bic"):
                 raise ValueError("n_components must be an int, 'global-min' or 'auto-bic'")
         elif self.n_components < 1:
             raise ValueError("n_components must be >= 1")
-        if isinstance(self.sigma0, str) and self.sigma0 != "auto":
-            raise ValueError("sigma0 must be a float or 'auto'")
-        if not 0 < self.tau_joint < 1:
-            raise ValueError("tau_joint must lie in (0, 1)")
-        if self.n_clusters is not None and self.n_clusters < 2:
-            raise ValueError("n_clusters must be >= 2 when given")
+        if isinstance(self.sigma0, str):
+            if self.sigma0 != "auto":
+                raise ValueError("sigma0 must be a float or 'auto'")
+        elif not 0 <= self.sigma0 < math.inf:
+            raise ValueError("sigma0 must be finite and >= 0")
 
 
 @dataclass

@@ -3,6 +3,7 @@
 Everything here is written the slow, obvious way (set partitions, power
 iteration, continued fractions, exhaustive search) precisely so it shares
 no code with the library under test; only the error types are imported.
+The two errors only the oracles raise are defined here.
 """
 from __future__ import annotations
 
@@ -10,7 +11,15 @@ import math
 
 import numpy as np
 
-from jpjica.errors import LengthMismatch, NonFinite, OrderOutOfRange
+from jpjica.errors import JpjicaError, NonFinite
+
+
+class LengthMismatch(JpjicaError):
+    """Vectors that must share a length do not."""
+
+
+class OrderOutOfRange(JpjicaError):
+    """Cumulant order outside the supported set {2, 3, 4}."""
 
 
 def set_partitions(items):

@@ -11,7 +11,7 @@ from jpjica.classify import (
     label_decomposition,
     select_sigma_opt,
 )
-from jpjica.engine import build_cost_matrix, build_features, run_jpji_ica
+from jpjica.engine import WEIGHTS, build_cost_matrix, build_features, run_jpji_ica
 from jpjica.errors import GroupTooSmall, NoJointSources
 from jpjica.numerics import standardize
 from jpjica.simulate import ScenarioSpec, generate_dataset
@@ -53,7 +53,7 @@ def _stub_decomp(sources, config=None):
         traces=[],
         config=config,
         features=build_features(
-            _slot_major(sources), [s.shape[0] for s in sources], config.weights
+            _slot_major(sources), [s.shape[0] for s in sources], WEIGHTS
         ),
     )
 

@@ -9,6 +9,7 @@ import pytest
 from jpjica.baseline import run_ji_thica
 from jpjica.classify import label_decomposition
 from jpjica.engine import (
+    WEIGHTS,
     build_cost_matrix,
     build_features,
     cost,
@@ -461,7 +462,7 @@ def test_slots_ordered_by_mean_feature(algorithm):
         feats = decomp.features
         assert np.all(np.diff(np.nanmean(feats.jpjif, axis=1)) <= 0)
         est = [np.stack([s[c] for s in decomp.sources]) for c in range(decomp.n_slots)]
-        again = build_features(est, [decomp.n_slots] * 5, decomp.config.weights)
+        again = build_features(est, [decomp.n_slots] * 5, WEIGHTS)
         assert np.array_equal(again.jpjif, feats.jpjif)
         assert np.array_equal(again.kurtosis, feats.kurtosis)
     ragged = run_jpji_ica(_ragged_datasets(), AlgoConfig(seed=0, n_components="auto-bic"))

@@ -525,6 +525,15 @@ def test_cli_exit_code_bad_scenario(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("clusters", ["0", "-4"])
+def test_cli_simulate_rejects_no_clusters(tmp_path, clusters):
+    out = tmp_path / "x"
+    code = cli.main(["simulate", "--subjects", "3", "--joint", "1", "--clusters", clusters,
+                     "--out", str(out)])
+    assert code == cli.EXIT_BAD_SCENARIO
+    assert not out.exists()
+
+
 def test_cli_generation_error_writes_nothing(tmp_path, monkeypatch):
     """A scenario that fails while drawing the third subject exits 2 before any file exists."""
     smooth_mixing = simulate._smooth_mixing
@@ -984,6 +993,69 @@ def test_cli_exit_code_bad_components(cli_dirs, tmp_path):
     assert code == cli.EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("sigma0", ["nan", "-5", "inf"])
+def test_cli_decompose_rejects_bad_sigma0(cli_dirs, tmp_path, capsys, sigma0):
+    """A non-finite or negative threshold would mislabel every source: exit 3, nothing written."""
+    _, sim, _ = cli_dirs
+    out = tmp_path / "y"
+    code = cli.main(["decompose", str(sim), "--out", str(out), "--sigma0", sigma0])
+    assert code == cli.EXIT_BAD_INPUT
+    assert "sigma0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_decompose_has_no_tuning_flags(cli_dirs, tmp_path):
+    """The order weights, stopping rule, joint tolerance and cluster count are constants."""
+    _, sim, _ = cli_dirs
+    for flag in (["--weights", "1,1,1"], ["--eps0", "1e-3"], ["--tau-joint", "0.2"],
+                 ["--n-clusters", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decompose", str(sim), "--out", str(tmp_path / "y"), *flag])
+        assert exc.value.code == 2
+    assert not (tmp_path / "y").exists()
+
+
+def test_cli_evaluate_accepts_results_with_removed_config_keys(cli_dirs, tmp_path):
+    """The config echo holds the AlgoConfig fields; an older echo with more keys still loads."""
+    _, sim, res = cli_dirs
+    manifest = json.loads((res / "results.json").read_text())
+    assert set(manifest["config"]) == {"max_outer", "n_components", "sigma0", "seed"}
+    old = tmp_path / "old"
+    shutil.copytree(res, old)
+    manifest["config"].update(weights=[0.5, 0.75, 1.0], eps0=1e-6, tau_joint=0.15, n_clusters=None)
+    (old / "results.json").write_text(json.dumps(manifest))
+    assert cli.main(["evaluate", str(old), str(sim)]) == cli.EXIT_OK
+    assert jio.load_report(old / "report.json")["results"]["config"] == manifest["config"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "decompose", "evaluate", "report"])
+def test_cli_unwritable_out_exits_3(cli_dirs, tmp_path, capsys, monkeypatch, command):
+    """An --out that cannot be written: exit 3, one error line, nothing read or written.
+
+    decompose refuses an --out that is a file before it reads a subject.
+    """
+    _, sim, res = cli_dirs
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    missing = tmp_path / "missing"
+    reads = []
+    read_subjects = jio.read_subjects
+    monkeypatch.setattr(jio, "read_subjects", lambda path: reads.append(path) or read_subjects(path))
+    argv = {
+        "simulate": ["simulate", "--subjects", "2", "--joint", "1", "--voxels", "64",
+                     "--time", "20", "--out", str(blocker)],
+        "decompose": ["decompose", str(sim), "--out", str(blocker)],
+        "evaluate": ["evaluate", str(res), str(sim), "--out", str(missing / "report.json")],
+        "report": ["report", str(res / "report.json"), "--out", str(blocker)],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: "), err
+    assert reads == []
+    assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_cli_exit_code_no_ground_truth(cli_dirs, tmp_path, small_scene):
     _, _, res = cli_dirs
     _, datasets, _ = small_scene
@@ -1101,17 +1173,37 @@ def test_cli_evaluate_rejects_malformed_features(cli_dirs, tmp_path, capsys, cor
     assert "cannot load inputs" in capsys.readouterr().err
 
 
-def test_readme_cli_flags_exist():
-    """Every --flag in the README's CLI section is an option of some subcommand."""
+def _readme_cli_flags() -> set[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    return set(re.findall(r"--[a-z][a-z0-9-]*", section))
+
+
+def _cli_flags() -> set[str]:
+    """Every option string of every subcommand, --help aside."""
     sub = next(
         a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    known = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    return {
+        o
+        for p in sub.choices.values()
+        for a in p._actions
+        if not isinstance(a, argparse._HelpAction)
+        for o in a.option_strings
+    }
+
+
+def test_readme_cli_flags_exist():
+    """Every --flag in the README's CLI section is an option of some subcommand."""
+    documented = _readme_cli_flags()
     assert documented
-    assert documented <= known, sorted(documented - known)
+    assert documented <= _cli_flags(), sorted(documented - _cli_flags())
+
+
+def test_cli_flags_are_documented():
+    """Every option of every subcommand is named in the README's CLI section."""
+    missing = _cli_flags() - _readme_cli_flags()
+    assert not missing, sorted(missing)
 
 
 def test_readme_library_block_runs(capsys):

@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from jpjica.errors import (
     InvalidQ,
-    LengthMismatch,
     NonFinite,
-    OrderOutOfRange,
     SingularCovariance,
     TooFewPoints,
     ZeroSource,
@@ -28,6 +26,8 @@ from jpjica.numerics import (
     welch_t_columns,
 )
 from oracles import (
+    LengthMismatch,
+    OrderOutOfRange,
     best_bipartition_inertia,
     bh_select,
     cross_cumulant,

@@ -7,6 +7,7 @@ import pytest
 from jpjica.errors import OrderExceedsRank
 from jpjica.numerics import _CENTRE_BLOCK_COLS
 from jpjica.preprocess import (
+    C_MAX,
     estimate_order_bic,
     pca_reduce,
     preprocess_subject,
@@ -40,10 +41,8 @@ def test_bic_recovers_rank_under_weak_noise():
 
 
 def test_bic_respects_cap():
-    x = _low_rank(seed=3, rank=8)
-    assert estimate_order_bic(x, c_max=4) <= 4
-    with pytest.raises(ValueError):
-        estimate_order_bic(x, c_max=0)
+    x = _low_rank(seed=3, n_time=80, rank=70)
+    assert estimate_order_bic(x) == C_MAX == 60
 
 
 def test_pca_matches_svd_oracle():

@@ -40,6 +40,9 @@ def test_spec_validation_errors():
     with pytest.raises(InvalidScenario):
         # partially joint sources need a second cluster
         ScenarioSpec(n_subjects=6, n_joint=1, n_pjoint=1, n_clusters=1)
+    for clusters in (0, -4):
+        with pytest.raises(InvalidScenario, match="cluster"):
+            ScenarioSpec(n_subjects=4, n_joint=1, n_clusters=clusters)
 
 
 def test_partition_contiguous_near_equal():

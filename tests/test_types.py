@@ -78,31 +78,21 @@ def test_subject_dataset_rejects_non_finite_in_any_row(where, bad):
 
 def test_algo_config_defaults_and_validation():
     cfg = AlgoConfig()
-    assert cfg.weights == (0.5, 0.75, 1.0)
     assert cfg.max_outer == 5
-    assert cfg.eps0 == 1e-6
     assert cfg.n_components == "global-min"
     assert cfg.sigma0 == "auto"
     with pytest.raises(ValueError):
-        AlgoConfig(weights=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        AlgoConfig(weights=(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        AlgoConfig(weights=(-1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
         AlgoConfig(max_outer=0)
-    with pytest.raises(ValueError):
-        AlgoConfig(eps0=0.0)
     with pytest.raises(ValueError):
         AlgoConfig(n_components="bogus")
     with pytest.raises(ValueError):
         AlgoConfig(n_components=0)
     with pytest.raises(ValueError):
         AlgoConfig(sigma0="none")
-    with pytest.raises(ValueError):
-        AlgoConfig(tau_joint=1.0)
-    with pytest.raises(ValueError):
-        AlgoConfig(n_clusters=1)
+    for bad in (np.nan, np.inf, -np.inf, -5.0, -1e-300):
+        with pytest.raises(ValueError, match="sigma0"):
+            AlgoConfig(sigma0=bad)
+    assert AlgoConfig(sigma0=0.0).sigma0 == 0.0
 
 
 def test_slot_rows_maps_held_slots_in_order():
