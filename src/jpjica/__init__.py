@@ -32,7 +32,6 @@ from .numerics import (
     bh_fdr,
     covariance,
     dominant_eigenvector,
-    inverse_sqrt_psd,
     kmeans,
 )
 from .preprocess import (
@@ -94,7 +93,6 @@ __all__ = [
     "generate_dataset",
     "generate_spatial_source",
     "inner_extract",
-    "inverse_sqrt_psd",
     "jsir",
     "jsir_db",
     "kmeans",

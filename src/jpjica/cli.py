@@ -95,6 +95,8 @@ def _int_or_list(text: str) -> int | tuple[int, ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if blocked := _blocked_out(Path(args.out)):
+        return _cannot_write(blocked)
     try:
         spec = ScenarioSpec(
             n_subjects=args.subjects,
@@ -122,9 +124,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        return _cannot_write(f"{out} is not a directory")
+    if blocked := _blocked_out(Path(args.out)):
+        return _cannot_write(blocked)
     try:
         components: int | str
         if args.components == "auto":
@@ -262,6 +263,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         return _cannot_write(exc)
     print(f"wrote tables for {len(reports)} runs to {out}")
     return EXIT_OK
+
+
+def _blocked_out(out: Path) -> str | None:
+    """Why an output directory cannot be made: its nearest existing ancestor is no directory."""
+    existing = next((path for path in (out, *out.parents) if path.exists()), None)
+    return None if existing is None or existing.is_dir() else f"{existing} is not a directory"
 
 
 def _cannot_write(why: OSError | str) -> int:

@@ -384,12 +384,13 @@ def run_jpji_ica(
     A ring cost at or above the floor keeps the joint eigen step; below
     it, or without peers, the row is extracted in self mode.
 
-    ``datasets`` is iterated once, and each subject is reduced before the
-    next is requested: a lazy iterable (``io.read_subjects``) keeps one
-    observation matrix alive at a time, and the PCA reductions are
-    dropped once whitened.  Peak memory is thus the larger of one
-    subject's T x V matrix plus K*C*V for the reductions, and 3*K*C*V
-    when the sources are stacked (whitened data, estimates and sources).
+    ``datasets`` is iterated once, and each subject is reduced and
+    whitened before the next is requested: a lazy iterable
+    (``io.read_subjects``) keeps one observation matrix alive at a time.
+    Under "global-min" the whitened reductions are only truncated.  Peak
+    memory is thus the larger of one subject's T x V matrix plus K*C*V
+    for the whitened reductions, and 3*K*C*V when the sources are stacked
+    (whitened data, estimates and sources).
     """
     if config is None:
         config = AlgoConfig()
@@ -404,10 +405,9 @@ def run_jpji_ica(
         fixed_floor = float(config.sigma0)
 
     # Unlike a loop variable, map holds no subject once it is reduced.
-    reduced = list(map(preprocess_subject, datasets, repeat(config.n_components)))
-    validate_analysis_input(reduced)
-    pre = resolve_orders(reduced, config.n_components)
-    del reduced  # whitened into pre; the K score matrices are dead weight
+    pre = list(map(preprocess_subject, datasets, repeat(config.n_components)))
+    validate_analysis_input(pre)
+    pre = resolve_orders(pre, config.n_components)
     orders = [p.n_components for p in pre]
     n_sub = len(pre)
     n_slots = max(orders)

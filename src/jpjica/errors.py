@@ -21,16 +21,8 @@ class MismatchedVoxelCount(JpjicaError):
     """Subjects do not share a common sample (voxel) count."""
 
 
-class NotSymmetric(JpjicaError):
-    """Matrix expected to be symmetric is not."""
-
-
 class DegenerateSampleCount(JpjicaError):
     """Too few samples to form the requested statistic."""
-
-
-class SingularCovariance(JpjicaError):
-    """Covariance eigenvalue below tolerance; cannot invert."""
 
 
 class OrderExceedsRank(JpjicaError):

@@ -71,6 +71,15 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _load_finite(path: Path) -> np.ndarray:
+    """:func:`load_matrix`, with NaN/Inf rejected by a ValueError that names the file."""
+    arr = load_matrix(path)
+    # Row by row, as SubjectDataset checks: no boolean mask of the whole matrix.
+    if not all(np.isfinite(row).all() for row in arr):
+        raise ValueError(f"{path}: matrix contains NaN/Inf")
+    return arr
+
+
 def _check_subject_id(sid: str) -> None:
     """Reject an id that is empty or holds a path or CSV separator or a control character."""
     if not sid or any(ch in "/\\,|" or unicodedata.category(ch) == "Cc" for ch in sid):
@@ -210,7 +219,7 @@ def _load_dataset_manifest(directory: Path) -> dict:
 
 
 def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
-    """Ground truth of a manifest, or None; a malformed block raises ValueError."""
+    """Ground truth of a manifest, or None; a malformed block or NaN/Inf raises ValueError."""
     gt = manifest.get("ground_truth")
     if gt is None:
         return None
@@ -218,8 +227,8 @@ def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
         idx_of = {entry["id"]: k for k, entry in enumerate(manifest["subjects"])}
         sources, mixing, labels = [], [], []
         for k, entry in enumerate(gt["subjects"]):
-            sources.append(load_matrix(directory / entry["sources"]))
-            mixing.append(load_matrix(directory / entry["mixing"]))
+            sources.append(_load_finite(directory / entry["sources"]))
+            mixing.append(_load_finite(directory / entry["mixing"]))
             labels.append(
                 [
                     SourceLabel(
@@ -344,8 +353,8 @@ class ResultsBundle:
 def load_decomposition(directory: str | Path) -> ResultsBundle:
     """Read a results directory back into arrays and labels.
 
-    A ``results.json`` missing ``subject_ids``, ``files`` or a file entry
-    raises ValueError.
+    A ``results.json`` missing ``subject_ids``, ``files`` or a file entry,
+    or a sources matrix holding NaN/Inf, raises ValueError.
     """
     directory = Path(directory)
     manifest = _load_json(directory / "results.json")
@@ -357,7 +366,7 @@ def load_decomposition(directory: str | Path) -> ResultsBundle:
         ids = list(manifest["subject_ids"])
         for sid in ids:
             entry = manifest["files"][sid]
-            sources.append(load_matrix(directory / entry["sources"]))
+            sources.append(_load_finite(directory / entry["sources"]))
             demixing.append(load_matrix(directory / entry["demixing"]))
             whiteners.append(load_matrix(directory / entry["whitener"]))
             means.append(load_matrix(directory / entry["mean"]).ravel())

@@ -23,9 +23,7 @@ from .errors import (
     InsufficientSamples,
     InvalidQ,
     NonFinite,
-    NotSymmetric,
     PartnerLengthMismatch,
-    SingularCovariance,
     TooFewPoints,
     ZeroSource,
 )
@@ -240,21 +238,6 @@ def covariance_eig(x: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndar
     r /= x.shape[1]
     w, e = np.linalg.eigh((r + r.T) / 2.0)
     return w[::-1], e[:, ::-1]
-
-
-def inverse_sqrt_psd(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Inverse symmetric square root of a positive definite matrix."""
-    r = np.asarray(r, dtype=float)
-    scale = max(1.0, float(np.abs(r).max()))
-    if np.abs(r - r.T).max() > 1e-10 * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    w, e = np.linalg.eigh((r + r.T) / 2.0)
-    floor = tol * max(float(w[-1]), 0.0)
-    if w[0] <= floor or w[-1] <= 0.0:
-        raise SingularCovariance(
-            f"eigenvalue {w[0]:.3e} below tolerance {floor:.3e}"
-        )
-    return (e * (1.0 / np.sqrt(w))) @ e.T
 
 
 def kmeans(

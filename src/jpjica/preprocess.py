@@ -3,7 +3,10 @@
 The observation matrix is time-by-voxel; covariance is taken across
 voxels (columns as samples), so order selection and reduction act on the
 time dimension.  :func:`preprocess_subject` is the only step that reads a
-subject's observations; :func:`resolve_orders` works on the reductions.
+subject's observations: one covariance eigendecomposition gives the BIC
+order and the PCA scores, and scaling each score row to unit variance
+whitens them (PCA scores are already uncorrelated).  The rows stay white
+when later ones are dropped, so :func:`resolve_orders` only truncates.
 Observations are centred block by block (``numerics.centred_blocks``),
 so no step here holds a second T x V array.
 """
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OrderExceedsRank
-from .numerics import centred_blocks, covariance, covariance_eig, inverse_sqrt_psd
+from .numerics import centred_blocks, covariance_eig
 from .types import SubjectDataset
 
 _RANK_RTOL = 1e-12
@@ -34,18 +37,6 @@ class PcaResult:
 
 
 @dataclass(frozen=True)
-class ReducedSubject:
-    """PCA reduction of one subject, kept after its observations are dropped."""
-
-    subject_id: str
-    pca: PcaResult
-
-    @property
-    def n_voxels(self) -> int:
-        return self.pca.scores.shape[1]
-
-
-@dataclass(frozen=True)
 class PreprocessedSubject:
     """Whitened reduction of one subject.
 
@@ -61,6 +52,10 @@ class PreprocessedSubject:
     @property
     def n_components(self) -> int:
         return self.z.shape[0]
+
+    @property
+    def n_voxels(self) -> int:
+        return self.z.shape[1]
 
 
 def _bic_order(lam: np.ndarray, v: int) -> int:
@@ -130,41 +125,58 @@ def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
     return PcaResult(scores=scores, loadings=loadings, mean=mean, retained_variance=retained)
 
 
+def _unit_variance(pca: PcaResult) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened rows and whitener of a reduction: each score row over its RMS.
+
+    The measured RMS, not the square root of the eigenvalue, keeps
+    cov(z) = I to rounding when the kept eigenvalues span many decades.
+    """
+    s = pca.scores
+    rms = np.sqrt(np.einsum("ij,ij->i", s, s) / s.shape[1])[:, None]
+    return s / rms, pca.loadings.T / rms
+
+
 def whiten(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitening transform of row signals: returns (z, w) with cov(z) = I."""
+    """Whitening transform of row signals: returns (z, w) with cov(z) = I.
+
+    z = w @ (x - mean) is the full-order PCA of x scaled to unit variance;
+    a rank-deficient x raises OrderExceedsRank.
+    """
     x = np.asarray(x, dtype=float)
-    w = inverse_sqrt_psd(covariance(x))
-    z = w @ (x - x.mean(axis=1, keepdims=True))
-    return z, w
+    return _unit_variance(pca_reduce(x, x.shape[0]))
 
 
-def preprocess_subject(data: SubjectDataset, policy: int | str) -> ReducedSubject:
-    """PCA reduction of one subject.
+def preprocess_subject(data: SubjectDataset, policy: int | str) -> PreprocessedSubject:
+    """Whitened PCA reduction of one subject.
 
     A fixed order ``policy`` is used as given; under "auto-bic" and
     "global-min" the subject is reduced to its own BIC order, which
     :func:`resolve_orders` may lower afterwards.
     """
     order = policy if isinstance(policy, int) else None
-    return ReducedSubject(data.subject_id, pca_reduce(data.observations, order))
+    pca = pca_reduce(data.observations, order)
+    z, w = _unit_variance(pca)
+    return PreprocessedSubject(data.subject_id, z, w, pca.mean)
 
 
 def resolve_orders(
-    subjects: Sequence[ReducedSubject], policy: int | str
+    subjects: Sequence[PreprocessedSubject], policy: int | str
 ) -> list[PreprocessedSubject]:
-    """Apply the order policy to the reductions of all subjects, then whiten each.
+    """Apply the order policy to the whitened reductions of all subjects.
 
-    "global-min" truncates every reduction to the smallest order among
-    them, which is exact because PCA score rows do not depend on how many
-    are kept; a fixed order and "auto-bic" keep each subject's own order.
+    "global-min" keeps the first rows of every reduction, as many as the
+    smallest order among them; PCA score rows do not depend on how many
+    are kept, and each is whitened on its own, so this is exact.  The
+    kept rows are copied, so the larger reductions can be freed.  A fixed
+    order and "auto-bic" keep each subject's own order.
     """
-    orders = [s.pca.scores.shape[0] for s in subjects]
     if policy == "global-min":
-        orders = [min(orders)] * len(orders)
-    elif not isinstance(policy, int) and policy != "auto-bic":
+        o = min(s.n_components for s in subjects)
+        return [
+            s if s.n_components == o
+            else PreprocessedSubject(s.subject_id, s.z[:o].copy(), s.w_total[:o].copy(), s.mean)
+            for s in subjects
+        ]
+    if not isinstance(policy, int) and policy != "auto-bic":
         raise ValueError(f"unknown order policy: {policy!r}")
-    out = []
-    for s, o in zip(subjects, orders):
-        z, w = whiten(s.pca.scores[:o])
-        out.append(PreprocessedSubject(s.subject_id, z, w @ s.pca.loadings[:, :o].T, s.pca.mean))
-    return out
+    return list(subjects)

@@ -35,12 +35,11 @@ class ScenarioSpec:
 
     ``n_pjoint``, ``n_individual`` and ``n_time`` take either a single
     value for all subjects or one value per subject.  Subjects are
-    partitioned into ``n_clusters`` contiguous near-equal groups unless
-    an explicit ``clusters`` partition is given; partially joint maps
-    are shared within a cluster.  Sharing a fourth-order cumulant ring
-    needs more than three in-cluster peers, so clusters carrying
-    partially joint sources must have at least five members unless
-    ``allow_small_clusters`` is set.
+    partitioned into ``n_clusters`` contiguous near-equal groups, and
+    partially joint maps are shared within a cluster.  Sharing a
+    fourth-order cumulant ring needs more than three in-cluster peers,
+    so clusters carrying partially joint sources must have at least
+    five members unless ``allow_small_clusters`` is set.
     """
 
     n_subjects: int
@@ -48,7 +47,6 @@ class ScenarioSpec:
     n_pjoint: int | tuple[int, ...] = 0
     n_individual: int | tuple[int, ...] = 0
     n_clusters: int = 2
-    clusters: tuple[tuple[int, ...], ...] | None = None
     n_voxels: int = 4096
     n_time: int | tuple[int, ...] = 150
     snr_db: float | None = None
@@ -81,8 +79,6 @@ class ScenarioSpec:
             if total > self.n_voxels:
                 raise InvalidScenario("more sources than voxels")
         part = self.partition
-        if sorted(j for grp in part for j in grp) != list(range(k)):
-            raise InvalidScenario("clusters must partition the subjects")
         if any(pj):
             if len(part) < 2:
                 raise InvalidScenario(
@@ -116,8 +112,6 @@ class ScenarioSpec:
 
     @property
     def partition(self) -> tuple[tuple[int, ...], ...]:
-        if self.clusters is not None:
-            return tuple(tuple(int(j) for j in grp) for grp in self.clusters)
         k, q = self.n_subjects, self.n_clusters
         sizes = [k // q + (1 if i < k % q else 0) for i in range(q)]
         out, start = [], 0

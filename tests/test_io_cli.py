@@ -874,6 +874,34 @@ def test_cli_evaluate_rejects_oversized_matrix(tmp_path, capsys, target):
     assert "size mismatch" in err
 
 
+@pytest.mark.parametrize(
+    "target, value",
+    [("results-sources", np.nan), ("truth-sources", np.inf), ("truth-mixing", -np.inf)],
+)
+def test_cli_evaluate_rejects_non_finite_matrix(cli_dirs, tmp_path, capsys, target, value):
+    """A NaN or Inf in estimated sources, true sources or true mixing: exit 3, no report."""
+    _, sim, res = cli_dirs
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(sim, data)
+    shutil.copytree(res, run)
+    (run / "report.json").unlink()
+    if target == "results-sources":
+        results = json.loads((run / "results.json").read_text())
+        path = run / results["files"][results["subject_ids"][0]]["sources"]
+    else:
+        truth = json.loads((data / "manifest.json").read_text())["ground_truth"]
+        path = data / truth["subjects"][0][target.split("-")[1]]
+    arr = jio.load_matrix(path)
+    arr[-1, -1] = value
+    jio.save_matrix(path, arr)
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(run), str(data)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert path.name in err and "NaN/Inf" in err
+    assert not (run / "report.json").exists()
+
+
 def test_cli_components_above_rank_exit_3_and_write_nothing(cli_dirs, tmp_path, capsys):
     """Noiseless subjects of rank 2 asked for 5 components: OrderExceedsRank, exit 3."""
     _, sim, _ = cli_dirs
@@ -1028,11 +1056,15 @@ def test_cli_evaluate_accepts_results_with_removed_config_keys(cli_dirs, tmp_pat
     assert jio.load_report(old / "report.json")["results"]["config"] == manifest["config"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "decompose", "evaluate", "report"])
+@pytest.mark.parametrize(
+    "command",
+    ["simulate", "simulate-below-file", "decompose", "decompose-below-file", "evaluate", "report"],
+)
 def test_cli_unwritable_out_exits_3(cli_dirs, tmp_path, capsys, monkeypatch, command):
     """An --out that cannot be written: exit 3, one error line, nothing read or written.
 
-    decompose refuses an --out that is a file before it reads a subject.
+    decompose refuses an --out that is a file, or lies below one, before
+    it reads a subject; simulate refuses it before it draws a map.
     """
     _, sim, res = cli_dirs
     blocker = tmp_path / "file"
@@ -1041,10 +1073,14 @@ def test_cli_unwritable_out_exits_3(cli_dirs, tmp_path, capsys, monkeypatch, com
     reads = []
     read_subjects = jio.read_subjects
     monkeypatch.setattr(jio, "read_subjects", lambda path: reads.append(path) or read_subjects(path))
+    stream_dataset = cli.stream_dataset
+    monkeypatch.setattr(cli, "stream_dataset", lambda spec: reads.append(spec) or stream_dataset(spec))
+    simulate = ["simulate", "--subjects", "2", "--joint", "1", "--voxels", "64", "--time", "20"]
     argv = {
-        "simulate": ["simulate", "--subjects", "2", "--joint", "1", "--voxels", "64",
-                     "--time", "20", "--out", str(blocker)],
+        "simulate": [*simulate, "--out", str(blocker)],
+        "simulate-below-file": [*simulate, "--out", str(blocker / "sub")],
         "decompose": ["decompose", str(sim), "--out", str(blocker)],
+        "decompose-below-file": ["decompose", str(sim), "--out", str(blocker / "sub")],
         "evaluate": ["evaluate", str(res), str(sim), "--out", str(missing / "report.json")],
         "report": ["report", str(res / "report.json"), "--out", str(blocker)],
     }[command]

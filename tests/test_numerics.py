@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from jpjica.errors import (
     InvalidQ,
     NonFinite,
-    SingularCovariance,
     TooFewPoints,
     ZeroSource,
 )
@@ -17,7 +16,6 @@ from jpjica.numerics import (
     cumulant_vectors_ring,
     dominant_eigenvector,
     excess_kurtosis,
-    inverse_sqrt_psd,
     kmeans,
     one_sample_t_columns,
     ring_products,
@@ -245,17 +243,6 @@ def test_covariance_matches_loop_oracle():
             want[i, j] = np.mean(xi * xj)
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(got, got.T, atol=0)
-
-
-def test_inverse_sqrt_psd_whitens():
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal((5, 200))
-    r = covariance(x)
-    w = inverse_sqrt_psd(r)
-    np.testing.assert_allclose(w @ r @ w, np.eye(5), atol=1e-10)
-    np.testing.assert_allclose(w, w.T, atol=1e-10)
-    with pytest.raises(SingularCovariance):
-        inverse_sqrt_psd(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_kmeans_reaches_global_optimum_on_small_sets():

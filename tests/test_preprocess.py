@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jpjica.errors import OrderExceedsRank
-from jpjica.numerics import _CENTRE_BLOCK_COLS
+from jpjica.numerics import _CENTRE_BLOCK_COLS, covariance
 from jpjica.preprocess import (
     C_MAX,
     estimate_order_bic,
@@ -139,19 +139,41 @@ def test_whiten_gives_identity_covariance():
     np.testing.assert_allclose(cov, np.eye(6), atol=1e-10)
     xc = x - x.mean(axis=1, keepdims=True)
     np.testing.assert_allclose(z, w @ xc, atol=1e-12)
+    np.testing.assert_allclose(w @ covariance(x) @ w.T, np.eye(6), atol=1e-10)
+    # two identical rows: nothing can whiten them
+    with pytest.raises(OrderExceedsRank):
+        whiten(np.vstack([x[:1], x[:1]]))
 
 
 def test_preprocess_subject_w_total_reproduces_z():
     rng = np.random.default_rng(17)
     obs = rng.standard_normal((20, 256))
-    ds = SubjectDataset(subject_id="s", observations=obs)
-    (pre,) = resolve_orders([preprocess_subject(ds, 4)], 4)
+    pre = preprocess_subject(SubjectDataset(subject_id="s", observations=obs), 4)
     np.testing.assert_allclose(
         pre.z, pre.w_total @ (obs - pre.mean[:, None]), atol=1e-10
     )
-    assert pre.n_components == 4
+    assert pre.n_components == 4 and pre.n_voxels == 256
     cov = pre.z @ pre.z.T / pre.z.shape[1]
     np.testing.assert_allclose(cov, np.eye(4), atol=1e-10)
+
+
+def test_whitening_holds_across_eight_decades_of_eigenvalues():
+    """Kept eigenvalues from 1 down to 1e-8: cov(z) stays within 1e-9 of I.
+
+    Dividing the scores by the square roots of the eigenvalues misses by
+    up to 2.6e-9 on these seeds; dividing by each row's measured RMS does not.
+    """
+    worst = 0.0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        scales = np.logspace(0, -4, 6)
+        x = q[:, :6] @ (scales[:, None] * rng.standard_normal((6, 3000))) + 5.0
+        ds = SubjectDataset(subject_id="s", observations=x)
+        (pre,) = resolve_orders([preprocess_subject(ds, 6)], 6)
+        cov = pre.z @ pre.z.T / pre.z.shape[1]
+        worst = max(worst, float(np.abs(cov - np.eye(6)).max()))
+    assert worst <= 1e-9, worst
 
 
 def _resolved_orders(datasets, policy):
@@ -173,7 +195,7 @@ def test_resolve_orders_policies():
 
 @pytest.mark.filterwarnings("ignore::jpjica.errors.ConvergenceWarning")
 def test_bic_and_pca_share_one_eigendecomposition(monkeypatch):
-    """Streamed engine: one covariance eigh per subject in its reduction, one whitening eigh."""
+    """Streamed engine: one covariance eigh per subject in the whole run, none in resolve_orders."""
     import jpjica.engine as engine
     from jpjica.engine import run_jpji_ica
     from jpjica.types import AlgoConfig
@@ -182,13 +204,12 @@ def test_bic_and_pca_share_one_eigendecomposition(monkeypatch):
     datasets = [SubjectDataset(subject_id=f"s{k}", observations=x) for k, x in enumerate(xs)]
     raw_orders = [estimate_order_bic(x) for x in xs]
     raw_pcas = [pca_reduce(x, o) for x, o in zip(xs, raw_orders)]
-    calls = {"preprocess_subject": [], "resolve_orders": []}
-    inside = []
+    calls = {"preprocess_subject": [], "resolve_orders": [], None: []}
+    inside = [None]
     real_eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        if inside:
-            calls[inside[-1]].append(a.shape)
+        calls[inside[-1]].append(a.shape)
         return real_eigh(a, *args, **kwargs)
 
     def spanned(name):
@@ -204,12 +225,14 @@ def test_bic_and_pca_share_one_eigendecomposition(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    for name in calls:
+    for name in ("preprocess_subject", "resolve_orders"):
         monkeypatch.setattr(engine, name, spanned(name))
     decomp = run_jpji_ica(iter(datasets), AlgoConfig(seed=0, n_components="auto-bic", max_outer=1))
     n_time = xs[0].shape[0]
-    assert calls["preprocess_subject"] == [(n_time, n_time)] * 3
-    assert calls["resolve_orders"] == [(o, o) for o in raw_orders]
+    assert calls == {"preprocess_subject": [(n_time, n_time)] * 3, "resolve_orders": [], None: []}
     for k, pca in enumerate(raw_pcas):
         assert decomp.sources[k].shape == (raw_orders[k], xs[k].shape[1])
-        np.testing.assert_array_equal(decomp.whiteners[k], whiten(pca.scores)[1] @ pca.loadings.T)
+        rms = np.sqrt(np.mean(pca.scores**2, axis=1))
+        np.testing.assert_allclose(
+            decomp.whiteners[k], pca.loadings.T / rms[:, None], rtol=1e-12, atol=0
+        )

@@ -35,9 +35,6 @@ def test_spec_validation_errors():
     with pytest.raises(InvalidScenario):
         ScenarioSpec(n_subjects=2, n_joint=1, snr_db=float("nan"))
     with pytest.raises(InvalidScenario):
-        # explicit clusters must partition the subjects
-        ScenarioSpec(n_subjects=4, n_joint=1, clusters=((0, 1), (1, 2, 3)))
-    with pytest.raises(InvalidScenario):
         # partially joint sources need a second cluster
         ScenarioSpec(n_subjects=6, n_joint=1, n_pjoint=1, n_clusters=1)
     for clusters in (0, -4):
@@ -50,9 +47,6 @@ def test_partition_contiguous_near_equal():
     assert spec.partition == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
     spec = ScenarioSpec(n_subjects=7, n_joint=1, n_clusters=3)
     assert spec.partition == ((0, 1, 2), (3, 4), (5, 6))
-    explicit = ((0, 2, 4), (1, 3, 5))
-    spec = ScenarioSpec(n_subjects=6, n_joint=1, clusters=explicit)
-    assert spec.partition == explicit
 
 
 def test_spec_to_dict_round_trip_fields():
