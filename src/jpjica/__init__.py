@@ -3,7 +3,6 @@
 from .baseline import run_ji_thica
 from .classify import (
     classify_by_feature,
-    classify_by_spatial,
     cluster_subjects,
     detect_joint_slots,
     label_decomposition,
@@ -46,7 +45,6 @@ from .simulate import (
     add_noise,
     generate_dataset,
     generate_spatial_source,
-    random_scenario,
 )
 from .types import (
     AlgoConfig,
@@ -82,7 +80,6 @@ __all__ = [
     "build_cost_matrix",
     "build_features",
     "classify_by_feature",
-    "classify_by_spatial",
     "cluster_subjects",
     "cost",
     "covariance",
@@ -100,7 +97,6 @@ __all__ = [
     "match_sources",
     "pca_reduce",
     "preprocess_subject",
-    "random_scenario",
     "run_ji_thica",
     "run_jpji_ica",
     "select_sigma_opt",

@@ -11,26 +11,18 @@ individual source from nobody.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import replace
 
 import numpy as np
 
 from .engine import WEIGHTS, mode_switch_threshold
 from .errors import (
     DegenerateCorrelation,
-    GroupTooSmall,
     NoJointSources,
     TooFewPoints,
     UnseparableFeatures,
 )
-from .numerics import (
-    bh_fdr,
-    kmeans,
-    one_sample_t_columns,
-    silhouette,
-    welch_t_columns,
-)
+from .numerics import kmeans, silhouette
 from .seeding import rng_for
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
 
@@ -171,10 +163,10 @@ def cluster_subjects(
 
     For each slot with partially joint members the subjects are clustered
     on the rows of the pairwise |correlation| matrix of their estimates
-    (cluster count 2 or 3 by silhouette); the peer set of a partially
-    joint source is its cluster mates that are also partially joint in
-    that slot.  A partially joint source left without peers is relabeled
-    individual.
+    (the silhouette picks the cluster count, see ``_cluster_rows``); the
+    peer set of a partially joint source is its cluster mates that are
+    also partially joint in that slot.  A partially joint source left
+    without peers is relabeled individual.
     """
     cfg = decomp.config
     k_total = decomp.n_subjects
@@ -232,10 +224,14 @@ def cluster_subjects(
 
 
 def _cluster_rows(corr: np.ndarray, seed: int) -> np.ndarray:
-    """Cluster correlation-profile rows; silhouette picks 2 vs 3 groups."""
+    """Cluster correlation-profile rows; silhouette picks the group count.
+
+    A sharing cluster has at least five members, so n holders form at
+    most n // 5 clusters; the counts 2 .. max(3, n // 5) are tried.
+    """
     n = corr.shape[0]
     best_assign, best_score = None, -np.inf
-    for k in range(2, min(n, 4)):
+    for k in range(2, min(n, max(3, n // 5) + 1)):
         try:
             assign, _, _ = kmeans(corr, k, seed=seed)
         except TooFewPoints:
@@ -279,63 +275,3 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
         features, joint_slots=sorted(joint_slots), sigma_opt=sigma, jpjif_joint=ref
     )
     return replace(decomp, features=features, labels=labels)
-
-
-@dataclass(frozen=True)
-class SpatialVerdict:
-    """Spatial-route classification of one slot."""
-
-    slot: int
-    kind: SourceKind
-    mask: np.ndarray
-    n_survivors: int
-
-
-def classify_by_spatial(
-    sources: Decomposition | Sequence[np.ndarray],
-    groups: tuple[Sequence[int], Sequence[int]],
-    q: float = 0.05,
-) -> list[SpatialVerdict]:
-    """Label slots by voxel-wise group statistics instead of features.
-
-    Per slot, a Welch test per voxel between the two subject groups with
-    Benjamini-Hochberg selection at level ``q`` finds group-different
-    voxels.  Survivors mean the slot separates the groups: it is
-    partially joint if each group is internally homogeneous (half-split
-    subtests find nothing) and individual otherwise.  No survivors means
-    the groups agree; the slot is joint when the common map is nonzero
-    (one-sample test across all subjects) and individual otherwise.
-    """
-    mats = sources.sources if isinstance(sources, Decomposition) else list(sources)
-    g1, g2 = [list(g) for g in groups]
-    if len(g1) < 2 or len(g2) < 2:
-        raise GroupTooSmall("each group needs at least 2 subjects")
-    if set(g1) & set(g2):
-        raise ValueError("groups must be disjoint")
-    n_slots = min(m.shape[0] for m in mats)
-    out: list[SpatialVerdict] = []
-    for c in range(n_slots):
-        rows = np.stack([mats[k][c] for k in g1 + g2])
-        a = rows[: len(g1)]
-        b = rows[len(g1):]
-        _, p = welch_t_columns(a, b)
-        mask = bh_fdr(p, q)
-        if mask.any():
-            homogeneous = True
-            for grp in (a, b):
-                half = grp.shape[0] // 2
-                if half < 2 or grp.shape[0] - half < 2:
-                    continue
-                _, p_sub = welch_t_columns(grp[:half], grp[half:])
-                if bh_fdr(p_sub, q).any():
-                    homogeneous = False
-                    break
-            kind = SourceKind.PARTIALLY_JOINT if homogeneous else SourceKind.INDIVIDUAL
-        else:
-            _, p_one = one_sample_t_columns(rows)
-            common = bh_fdr(p_one, q)
-            kind = SourceKind.JOINT if common.any() else SourceKind.INDIVIDUAL
-        out.append(
-            SpatialVerdict(slot=c, kind=kind, mask=mask, n_survivors=int(mask.sum()))
-        )
-    return out

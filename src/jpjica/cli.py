@@ -198,7 +198,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     evaluation = evaluate_run(truth, bundle).to_dict()
     matching = evaluation.pop("matching")
-    del evaluation["n_subjects"]
     report = {
         "dataset": {
             "scenario": ds_manifest.get("scenario"),

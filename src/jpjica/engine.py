@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -44,6 +44,7 @@ from .types import (
     FeatureTable,
     SubjectDataset,
     TraceRecord,
+    check_voxel_count,
     validate_analysis_input,
 )
 
@@ -333,6 +334,18 @@ def _decollide(u: np.ndarray, prior: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
+def _same_voxel_count(datasets: Iterable[SubjectDataset]) -> Iterator[SubjectDataset]:
+    """Yield each subject once its voxel count matches the first subject's."""
+    v = None
+    for ds in datasets:
+        if v is None:
+            v = ds.n_voxels
+        check_voxel_count(ds, v)
+        yield ds
+        # Hold no subject while the next one is read.
+        del ds
+
+
 def run_jpji_ica(
     datasets: Iterable[SubjectDataset],
     config: AlgoConfig | None = None,
@@ -384,9 +397,11 @@ def run_jpji_ica(
     A ring cost at or above the floor keeps the joint eigen step; below
     it, or without peers, the row is extracted in self mode.
 
-    ``datasets`` is iterated once, and each subject is reduced and
-    whitened before the next is requested: a lazy iterable
-    (``io.read_subjects``) keeps one observation matrix alive at a time.
+    ``datasets`` is iterated once, and each subject is checked against
+    the first one's voxel count, reduced and whitened before the next is
+    requested: a lazy iterable (``io.read_subjects``) keeps one
+    observation matrix alive at a time, and a subject with another voxel
+    count is refused before any later one is read.
     Under "global-min" the whitened reductions are only truncated.  Peak
     memory is thus the larger of one subject's T x V matrix plus K*C*V
     for the whitened reductions, and 3*K*C*V when the sources are stacked
@@ -405,7 +420,9 @@ def run_jpji_ica(
         fixed_floor = float(config.sigma0)
 
     # Unlike a loop variable, map holds no subject once it is reduced.
-    pre = list(map(preprocess_subject, datasets, repeat(config.n_components)))
+    pre = list(
+        map(preprocess_subject, _same_voxel_count(datasets), repeat(config.n_components))
+    )
     validate_analysis_input(pre)
     pre = resolve_orders(pre, config.n_components)
     orders = [p.n_components for p in pre]

@@ -13,10 +13,6 @@ class NonFiniteData(JpjicaError):
     """NaN or Inf encountered where finite values are required."""
 
 
-# Alias used by the low-level numeric routines.
-NonFinite = NonFiniteData
-
-
 class MismatchedVoxelCount(JpjicaError):
     """Subjects do not share a common sample (voxel) count."""
 
@@ -67,10 +63,6 @@ class UnseparableFeatures(JpjicaError):
 
 class DegenerateCorrelation(JpjicaError):
     """Correlation undefined (zero variance) where it is required."""
-
-
-class GroupTooSmall(JpjicaError):
-    """Spatial classification needs at least two subjects per group."""
 
 
 class ConvergenceWarning(UserWarning):

@@ -144,7 +144,6 @@ class EvaluationReport:
     acc_counts: dict[str, bool]
     acc_peer_sets: float
     matches: list[SubjectMatch]
-    n_subjects: int
 
     def to_dict(self) -> dict:
         return {
@@ -160,7 +159,6 @@ class EvaluationReport:
                 }
                 for m in self.matches
             ],
-            "n_subjects": self.n_subjects,
         }
 
 
@@ -182,5 +180,4 @@ def evaluate_run(truth: GroundTruth, decomp: Decomposition) -> EvaluationReport:
         acc_counts=counts,
         acc_peer_sets=peers,
         matches=matches,
-        n_subjects=truth.n_subjects,
     )

@@ -22,7 +22,7 @@ from .errors import (
     DegenerateSampleCount,
     InsufficientSamples,
     InvalidQ,
-    NonFinite,
+    NonFiniteData,
     PartnerLengthMismatch,
     TooFewPoints,
     ZeroSource,
@@ -182,7 +182,7 @@ def dominant_eigenvector(g: np.ndarray) -> tuple[float, np.ndarray]:
     """
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
-        raise NonFinite("factor contains NaN/Inf")
+        raise NonFiniteData("factor contains NaN/Inf")
     e, s, _ = np.linalg.svd(g, full_matrices=False)
     w = s * s
     lam = float(w[0])
@@ -371,22 +371,6 @@ def welch_t_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return t, np.clip(p, 0.0, 1.0)
 
 
-def one_sample_t_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise one-sample t-test against zero mean; returns (t, p)."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n < 2:
-        raise InsufficientSamples("need at least 2 rows")
-    mean = a.mean(axis=0)
-    var = a.var(axis=0, ddof=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(var > 0, mean / np.sqrt(np.where(var > 0, var, 1.0) / n), 0.0)
-        t = np.where((var <= 0) & (mean != 0), np.inf * np.sign(mean), t)
-    p = np.where(np.isinf(t), 0.0, 2.0 * stdtr(n - 1, -np.abs(np.where(np.isinf(t), 0.0, t))))
-    p = np.where((var <= 0) & (mean == 0), 1.0, p)
-    return t, np.clip(p, 0.0, 1.0)
-
-
 def bh_fdr(p_values: np.ndarray, q: float) -> np.ndarray:
     """Benjamini-Hochberg step-up selection at level q; boolean mask."""
     if not 0.0 < q < 1.0:
@@ -395,7 +379,7 @@ def bh_fdr(p_values: np.ndarray, q: float) -> np.ndarray:
     if p.size == 0:
         return np.zeros(0, dtype=bool)
     if not np.isfinite(p).all() or p.min() < 0 or p.max() > 1:
-        raise NonFinite("p-values must be finite and in [0, 1]")
+        raise NonFiniteData("p-values must be finite and in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
     ranked = p[order]

@@ -33,7 +33,6 @@ class PcaResult:
     scores: np.ndarray
     loadings: np.ndarray
     mean: np.ndarray
-    retained_variance: float
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,11 @@ def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
         i = int(np.argmax(np.abs(loadings[:, j])))
         if loadings[i, j] < 0:
             loadings[:, j] = -loadings[:, j]
-    total = float(np.sum(np.clip(lam, 0.0, None)))
-    retained = float(np.sum(lam[:order]) / total) if total > 0 else 1.0
     lt = np.ascontiguousarray(loadings.T)
     scores = np.empty((order, x.shape[1]))
     for start, blk in centred_blocks(x, mean):
         scores[:, start : start + blk.shape[1]] = lt @ blk
-    return PcaResult(scores=scores, loadings=loadings, mean=mean, retained_variance=retained)
+    return PcaResult(scores=scores, loadings=loadings, mean=mean)
 
 
 def _unit_variance(pca: PcaResult) -> tuple[np.ndarray, np.ndarray]:

@@ -383,44 +383,3 @@ def _draw_truth(spec: ScenarioSpec) -> GroundTruth:
         individual_counts=true_iv,
         cluster_map=cluster_map,
     )
-
-
-def random_scenario(
-    seed: int,
-    n_subjects: int = 10,
-    joint_range: tuple[int, int] = (1, 3),
-    pjoint_range: tuple[int, int] = (0, 3),
-    individual_range: tuple[int, int] = (0, 2),
-    n_clusters: int = 2,
-    n_voxels: int = 4096,
-    n_time: int = 150,
-    snr_db: float | None = None,
-) -> ScenarioSpec:
-    """Uniformly drawn source counts within the given inclusive ranges.
-
-    Redraws until the scenario is structurally valid (at least one
-    source per subject, enough time points); counts are shared by all
-    subjects.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
-    for _ in range(100):
-        c1 = int(rng.integers(joint_range[0], joint_range[1] + 1))
-        c2 = int(rng.integers(pjoint_range[0], pjoint_range[1] + 1))
-        c3 = int(rng.integers(individual_range[0], individual_range[1] + 1))
-        if c1 + c2 + c3 < 1:
-            continue
-        try:
-            return ScenarioSpec(
-                n_subjects=n_subjects,
-                n_joint=c1,
-                n_pjoint=c2,
-                n_individual=c3,
-                n_clusters=n_clusters,
-                n_voxels=n_voxels,
-                n_time=n_time,
-                snr_db=snr_db,
-                seed=seed,
-            )
-        except InvalidScenario:
-            continue
-    raise InvalidScenario("could not draw a valid scenario from the given ranges")

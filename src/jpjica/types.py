@@ -259,6 +259,14 @@ def slot_rows(held: np.ndarray, orders: Sequence[int]) -> np.ndarray:
     return np.where(held, np.cumsum(held, axis=0) - 1, -1)
 
 
+def check_voxel_count(subject, n_voxels: int) -> None:
+    """Raise MismatchedVoxelCount unless ``subject`` has ``n_voxels`` voxels."""
+    if subject.n_voxels != n_voxels:
+        raise MismatchedVoxelCount(
+            f"{subject.subject_id}: {subject.n_voxels} voxels, expected {n_voxels}"
+        )
+
+
 def validate_analysis_input(datasets: Sequence) -> None:
     """Reject inputs the engine cannot process.
 
@@ -271,10 +279,7 @@ def validate_analysis_input(datasets: Sequence) -> None:
         raise EmptyInput("at least one subject is required")
     v = datasets[0].n_voxels
     for ds in datasets:
-        if ds.n_voxels != v:
-            raise MismatchedVoxelCount(
-                f"{ds.subject_id}: {ds.n_voxels} voxels, expected {v}"
-            )
+        check_voxel_count(ds, v)
     ids = [ds.subject_id for ds in datasets]
     if len(set(ids)) != len(ids):
         raise ValueError("subject ids must be unique")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from jpjica.errors import JpjicaError, NonFinite
+from jpjica.errors import JpjicaError, NonFiniteData
 
 
 class LengthMismatch(JpjicaError):
@@ -77,7 +77,7 @@ def cross_cumulant(order: int, *series: np.ndarray) -> float:
         raise LengthMismatch("series lengths differ")
     for a in arrs:
         if not np.isfinite(a).all():
-            raise NonFinite("series contain NaN/Inf")
+            raise NonFiniteData("series contain NaN/Inf")
     c = [a - a.mean() for a in arrs]
     if order == 2:
         return float(np.mean(c[0] * c[1]))

@@ -5,14 +5,14 @@ import pytest
 from jpjica import io as jio
 from jpjica.classify import (
     classify_by_feature,
-    classify_by_spatial,
     cluster_subjects,
     detect_joint_slots,
     label_decomposition,
     select_sigma_opt,
 )
 from jpjica.engine import WEIGHTS, build_cost_matrix, build_features, run_jpji_ica
-from jpjica.errors import GroupTooSmall, NoJointSources
+from jpjica.errors import NoJointSources
+from jpjica.metrics import evaluate_run
 from jpjica.numerics import standardize
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, Decomposition, FeatureTable, SourceKind
@@ -240,6 +240,20 @@ def test_cluster_subjects_recovers_peer_sets():
         assert labels[k][0].peers == want
 
 
+@pytest.mark.parametrize("seed, snr_db", [(1, None), (2, 3.0)], ids=["clean", "3dB"])
+def test_four_clusters_of_five_get_their_own_peer_sets(seed, snr_db):
+    """K=20 in four sharing clusters: the silhouette may pick four groups, not merge them."""
+    spec = ScenarioSpec(
+        n_subjects=20, n_joint=3, n_pjoint=2, n_individual=1, n_clusters=4,
+        n_voxels=4096, n_time=150, snr_db=snr_db, seed=seed,
+    )
+    datasets, truth = generate_dataset(spec)
+    decomp = label_decomposition(run_jpji_ica(datasets, AlgoConfig(seed=seed)))
+    report = evaluate_run(truth, decomp)
+    assert all(report.acc_counts.values())
+    assert report.acc_peer_sets == 100.0
+
+
 def test_cluster_subjects_relabels_lone_nominee():
     rng = np.random.default_rng(10)
     v = 1500
@@ -278,63 +292,3 @@ def test_label_decomposition_explicit_sigma_bypasses_selection():
     decomp = run_jpji_ica(datasets, AlgoConfig(seed=12, sigma0=3.5))
     decomp = label_decomposition(decomp)
     assert decomp.features.sigma_opt == 3.5
-
-
-def _spatial_maps(kind, rng, k_total=8, v=1200):
-    half = k_total // 2
-    out = []
-    if kind == "pjoint":
-        a, b = _sharp(rng, v), _sharp(rng, v)
-        for k in range(k_total):
-            base = a if k < half else b
-            out.append(standardize(base + 0.1 * rng.standard_normal(v))[None, :])
-    elif kind == "joint":
-        a = _sharp(rng, v)
-        for _ in range(k_total):
-            out.append(standardize(a + 0.1 * rng.standard_normal(v))[None, :])
-    else:
-        # fully idiosyncratic maps: no group difference, no common mean
-        for _ in range(k_total):
-            out.append(_sharp(rng, v)[None, :])
-    return out
-
-
-def test_classify_by_spatial_three_kinds():
-    rng = np.random.default_rng(13)
-    groups = ([0, 1, 2, 3], [4, 5, 6, 7])
-    pj = classify_by_spatial(_spatial_maps("pjoint", rng), groups)
-    assert pj[0].kind is SourceKind.PARTIALLY_JOINT
-    assert pj[0].n_survivors > 0
-    jo = classify_by_spatial(_spatial_maps("joint", rng), groups)
-    assert jo[0].kind is SourceKind.JOINT
-    assert jo[0].n_survivors == 0
-    iv = classify_by_spatial(_spatial_maps("individual", rng), groups)
-    assert iv[0].kind is SourceKind.INDIVIDUAL
-
-
-def test_classify_by_spatial_inhomogeneous_group_is_individual():
-    rng = np.random.default_rng(15)
-    v = 1200
-    c, d, b = _sharp(rng, v), _sharp(rng, v), _sharp(rng, v)
-    maps = []
-    # first group hides two subpopulations; second group is uniform
-    for k in range(12):
-        if k < 3:
-            base = c
-        elif k < 6:
-            base = d
-        else:
-            base = b
-        maps.append(standardize(base + 0.1 * rng.standard_normal(v))[None, :])
-    verdicts = classify_by_spatial(maps, (list(range(6)), list(range(6, 12))))
-    assert verdicts[0].kind is SourceKind.INDIVIDUAL
-    assert verdicts[0].n_survivors > 0
-
-
-def test_classify_by_spatial_group_validation():
-    rng = np.random.default_rng(14)
-    maps = _spatial_maps("joint", rng)
-    with pytest.raises(GroupTooSmall):
-        classify_by_spatial(maps, ([0], [1, 2]))
-    with pytest.raises(ValueError):
-        classify_by_spatial(maps, ([0, 1, 2], [2, 3, 4]))

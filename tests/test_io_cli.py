@@ -676,6 +676,30 @@ def test_cli_decompose_rejects_bad_subject_file(tmp_path, capsys, corrupt, messa
     assert not out.exists()
 
 
+def test_cli_decompose_refuses_other_voxel_count_before_reading_on(tmp_path, capsys):
+    """A second subject with another voxel count is refused before the third is read."""
+    sim = tmp_path / "ds"
+    code = cli.main(
+        [
+            "simulate", "--subjects", "3", "--joint", "1", "--individual", "1",
+            "--voxels", "256", "--time", "60", "--seed", "5", "--binary",
+            "--out", str(sim),
+        ]
+    )
+    assert code == cli.EXIT_OK
+    manifest = json.loads((sim / "manifest.json").read_text())
+    files = [entry["observations"] for entry in manifest["subjects"]]
+    _widen(sim / files[1])
+    (sim / files[2]).unlink()
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert cli.main(["decompose", str(sim), "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "sub02: 257 voxels, expected 256" in err
+    assert not out.exists()
+
+
 def _drop_id(manifest):
     del manifest["subjects"][1]["id"]
     return manifest

@@ -11,7 +11,6 @@ from jpjica.simulate import (
     add_noise,
     generate_dataset,
     generate_spatial_source,
-    random_scenario,
 )
 from jpjica.types import SourceKind
 
@@ -190,11 +189,3 @@ def test_noisy_dataset_power_ratio():
         noise = datasets[k].observations - signal
         snr = 10.0 * np.log10(np.mean(signal**2) / np.mean(noise**2))
         assert snr == pytest.approx(3.0, abs=0.3)
-
-
-def test_random_scenario_valid_and_deterministic():
-    a = random_scenario(seed=21)
-    b = random_scenario(seed=21)
-    assert a == b
-    assert 1 <= a.n_joint <= 3
-    assert isinstance(a, ScenarioSpec)
