@@ -14,11 +14,11 @@ from typing import Iterable
 import numpy as np
 
 from .engine import run_jpji_ica
-from .types import AlgoConfig, Decomposition, SourceKind, SourceLabel, SubjectDataset
+from .types import AlgoConfig, Decomposition, Observations, SourceKind, SourceLabel
 
 
 def run_ji_thica(
-    datasets: Iterable[SubjectDataset], config: AlgoConfig | None = None
+    datasets: Iterable[Observations], config: AlgoConfig | None = None
 ) -> Decomposition:
     """Run the single-tuple decomposition and attach two-way labels.
 

@@ -42,7 +42,7 @@ from .types import (
     AlgoConfig,
     Decomposition,
     FeatureTable,
-    SubjectDataset,
+    Observations,
     TraceRecord,
     check_voxel_count,
     validate_analysis_input,
@@ -334,8 +334,12 @@ def _decollide(u: np.ndarray, prior: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def _same_voxel_count(datasets: Iterable[SubjectDataset]) -> Iterator[SubjectDataset]:
-    """Yield each subject once its voxel count matches the first subject's."""
+def _same_voxel_count(datasets: Iterable[Observations]) -> Iterator[Observations]:
+    """Yield each subject once its voxel count matches the first subject's.
+
+    The count of a subject on disk comes from its header, so a mismatch
+    is refused before any of its payload is read.
+    """
     v = None
     for ds in datasets:
         if v is None:
@@ -347,7 +351,7 @@ def _same_voxel_count(datasets: Iterable[SubjectDataset]) -> Iterator[SubjectDat
 
 
 def run_jpji_ica(
-    datasets: Iterable[SubjectDataset],
+    datasets: Iterable[Observations],
     config: AlgoConfig | None = None,
     algorithm: str = "jpji",
 ) -> Decomposition:
@@ -399,13 +403,18 @@ def run_jpji_ica(
 
     ``datasets`` is iterated once, and each subject is checked against
     the first one's voxel count, reduced and whitened before the next is
-    requested: a lazy iterable (``io.read_subjects``) keeps one
+    requested: a lazy iterable (``io.read_subjects``) keeps at most one
     observation matrix alive at a time, and a subject with another voxel
-    count is refused before any later one is read.
-    Under "global-min" the whitened reductions are only truncated.  Peak
-    memory is thus the larger of one subject's T x V matrix plus K*C*V
-    for the whitened reductions, and 3*K*C*V when the sources are stacked
-    (whitened data, estimates and sources).
+    count is refused before any later one is read.  A binary subject
+    from ``io.read_subjects`` is reduced from disk, one T x B column
+    block and one row at a time, so none of its T x V matrix is held.
+    Under "global-min" the whitened reductions are only truncated.  Once
+    every estimate is final, the whitened data and the cross-covariance
+    terms kept beside the estimates are freed.  Peak memory is thus the
+    larger of K*C*V for the whitened reductions plus the subject being
+    reduced (one T x B block and one row for a binary subject, its T x V
+    matrix otherwise), and 2*K*C*V: the whitened data and the estimates
+    during the sweeps, then the estimates and the stacked sources.
     """
     if config is None:
         config = AlgoConfig()
@@ -486,8 +495,9 @@ def run_jpji_ica(
                         trace_vals = [cost(u0, cm), lam]
                         u_fin, lam_fin, converged = u_new, lam, True
                 if mode == "self":
-                    zk = z0[k] if frame is None else frame @ z0[k]
-                    lam_fin, u_fin, trace_vals, converged = inner_extract(zk, WEIGHTS, u0)
+                    lam_fin, u_fin, trace_vals, converged = inner_extract(
+                        z0[k] if frame is None else frame @ z0[k], WEIGHTS, u0
+                    )
                 if frame is not None:
                     u_fin = u_fin @ frame
                     nrm = float(np.linalg.norm(u_fin))
@@ -516,6 +526,12 @@ def run_jpji_ica(
         for c in range(orders[k]):
             u_work[k][c] = _fix_sign(u_work[k][c])
             est[c][k] = standardize(u_work[k][c] @ z0[k])
+    subject_ids = [p.subject_id for p in pre]
+    whiteners = [p.w_total for p in pre]
+    row_means = [p.mean for p in pre]
+    # Every estimate is final: free the whitened data and what was kept
+    # beside it (put's closure too) before the sources are stacked.
+    del pre, z0, cross, coef, xcov
     feats = build_features(est, orders, WEIGHTS)
     # Unheld entries are NaN: the mean runs over the holders, and the
     # first finite kurtosis is the first holder's.
@@ -531,9 +547,9 @@ def run_jpji_ica(
     for t in traces:
         t.slot = inverse[t.slot]
     return Decomposition(
-        subject_ids=[p.subject_id for p in pre],
-        whiteners=[p.w_total for p in pre],
-        row_means=[p.mean for p in pre],
+        subject_ids=subject_ids,
+        whiteners=whiteners,
+        row_means=row_means,
         demixing=demixing,
         sources=sources,
         extraction_costs=final_costs[slot_order, :],

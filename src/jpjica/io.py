@@ -27,6 +27,7 @@ from .types import (
     SourceKind,
     SourceLabel,
     SubjectDataset,
+    check_nonempty,
     slot_rows,
 )
 
@@ -48,27 +49,90 @@ def save_matrix(path: str | Path, arr: np.ndarray) -> None:
         np.savetxt(path, arr, delimiter=",", fmt="%.17g")
 
 
+def _binary_shape(fh, path: Path) -> tuple[int, int]:
+    """Rows and columns of the binary matrix open in ``fh``, read from its header.
+
+    Checks the magic, the version and that the file holds exactly the
+    payload the header declares; leaves ``fh`` at the first payload byte.
+    """
+    header = fh.read(16)
+    if len(header) != 16 or header[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a JPJI binary matrix")
+    version, rows, cols = struct.unpack("<III", header[4:])
+    if version != 1:
+        raise ValueError(f"{path}: unsupported binary version {version}")
+    size = os.fstat(fh.fileno()).st_size
+    expected = 16 + 8 * rows * cols
+    if size != expected:
+        kind = "truncated" if size < expected else "oversized"
+        raise ValueError(
+            f"{path}: {kind} binary matrix: size mismatch, {size} bytes"
+            f" where a {rows}x{cols} header needs {expected}"
+        )
+    return rows, cols
+
+
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`."""
     path = Path(path)
     if path.suffix == ".bin":
         with open(path, "rb") as fh:
-            header = fh.read(16)
-            if len(header) != 16 or header[:4] != _MAGIC:
-                raise ValueError(f"{path}: not a JPJI binary matrix")
-            version, rows, cols = struct.unpack("<III", header[4:])
-            if version != 1:
-                raise ValueError(f"{path}: unsupported binary version {version}")
-            size = os.fstat(fh.fileno()).st_size
-            expected = 16 + 8 * rows * cols
-            if size != expected:
-                kind = "truncated" if size < expected else "oversized"
-                raise ValueError(
-                    f"{path}: {kind} binary matrix: size mismatch, {size} bytes"
-                    f" where a {rows}x{cols} header needs {expected}"
-                )
+            rows, cols = _binary_shape(fh, path)
             return np.fromfile(fh, dtype="<f8", count=rows * cols).reshape(rows, cols)
     return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+@dataclass(frozen=True)
+class BinarySubject:
+    """A subject whose binary observation matrix stays on disk.
+
+    Built from the file's header alone; the payload is read only through
+    the ``types.Observations`` views: each row with one ``os.preadv`` of
+    ``n_voxels`` doubles (rows are contiguous in the file), and each
+    T x B column block with one ``os.preadv`` per row into the caller's
+    buffer.  A short read raises ValueError naming the file.
+    """
+
+    subject_id: str
+    path: Path
+    n_time: int
+    n_voxels: int
+
+    @classmethod
+    def from_header(cls, subject_id: str, path: Path) -> "BinarySubject":
+        """Check the header of ``path``; a 0-row or 0-column one raises EmptyInput."""
+        with open(path, "rb") as fh:
+            rows, cols = _binary_shape(fh, path)
+        check_nonempty(subject_id, (rows, cols))
+        return cls(subject_id, path, rows, cols)
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """Each row in turn, in one reused buffer."""
+        row = np.empty(self.n_voxels)
+        with open(self.path, "rb") as fh:
+            for i in range(self.n_time):
+                self._read(fh.fileno(), row, i, 0)
+                yield row
+
+    def column_blocks(self, out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Each block of ``out.shape[1]`` columns, read into ``out[:, :b]``."""
+        width = out.shape[1]
+        with open(self.path, "rb") as fh:
+            for start in range(0, self.n_voxels, width):
+                blk = out[:, : min(width, self.n_voxels - start)]
+                for i in range(self.n_time):
+                    self._read(fh.fileno(), blk[i], i, start)
+                yield start, blk
+
+    def _read(self, fd: int, dest: np.ndarray, row: int, col: int) -> None:
+        """Fill the contiguous ``dest`` from row ``row``, column ``col`` on."""
+        got = os.preadv(fd, [dest], 16 + 8 * (row * self.n_voxels + col))
+        if got != dest.nbytes:
+            raise ValueError(
+                f"{self.path}: short read, {got} of {dest.nbytes} bytes at row {row}"
+            )
+        if not np.little_endian:
+            dest.byteswap(inplace=True)
 
 
 def _load_finite(path: Path) -> np.ndarray:
@@ -169,21 +233,29 @@ def save_dataset(
     return directory / "manifest.json"
 
 
-def read_subjects(directory: str | Path) -> tuple[Iterator[SubjectDataset], dict]:
+def read_subjects(
+    directory: str | Path,
+) -> tuple[Iterator[SubjectDataset | BinarySubject], dict]:
     """Lazy subjects of a dataset directory, and its manifest, read at once.
 
-    Each observation matrix is read when the iterator reaches it.
+    A subject is made when the iterator reaches it.  A binary subject is
+    a :class:`BinarySubject`: its header is checked then and its payload
+    is read block by block by the reduction, so no T x V matrix of it is
+    ever held.  A CSV subject is parsed whole into a ``SubjectDataset``.
     """
     directory = Path(directory)
     manifest = _load_dataset_manifest(directory)
     subjects = (
-        SubjectDataset(
-            subject_id=entry["id"],
-            observations=load_matrix(directory / entry["observations"]),
-        )
+        _subject(entry["id"], directory / entry["observations"])
         for entry in manifest["subjects"]
     )
     return subjects, manifest
+
+
+def _subject(subject_id: str, path: Path) -> SubjectDataset | BinarySubject:
+    if path.suffix == ".bin":
+        return BinarySubject.from_header(subject_id, path)
+    return SubjectDataset(subject_id=subject_id, observations=load_matrix(path))
 
 
 def load_truth(directory: str | Path) -> tuple[GroundTruth | None, dict]:

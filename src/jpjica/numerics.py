@@ -13,8 +13,6 @@ row-centered.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 from scipy.special import stdtr
 
@@ -30,9 +28,6 @@ from .errors import (
 
 # Working-set budget of the ring kernel's per-block buffer (see _ring_block_width).
 _RING_BLOCK_BYTES = 2**19
-# Voxel columns per block of centred_blocks; the fastest width measured
-# for covariance and projection at T=150, V up to 65536.
-_CENTRE_BLOCK_COLS = 4096
 # k-means restarts, and Lloyd iterations per restart.
 _KMEANS_RESTARTS = 20
 _KMEANS_MAX_ITER = 100
@@ -208,36 +203,6 @@ def covariance(x: np.ndarray) -> np.ndarray:
     xc = x - x.mean(axis=1, keepdims=True)
     r = xc @ xc.T / x.shape[1]
     return (r + r.T) / 2.0
-
-
-def centred_blocks(x: np.ndarray, mean: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, x[:, start:start+b] - mean[:, None])`` block by block.
-
-    Blocks are ``_CENTRE_BLOCK_COLS`` columns wide (the last may be
-    narrower) and share one reused T x B buffer, so a block is valid only
-    until the next one is requested and no centred T x V copy is made.
-    """
-    n_cols = x.shape[1]
-    buf = np.empty((x.shape[0], min(n_cols, _CENTRE_BLOCK_COLS)))
-    col_mean = mean[:, None]
-    for start in range(0, n_cols, _CENTRE_BLOCK_COLS):
-        blk = buf[:, : min(_CENTRE_BLOCK_COLS, n_cols - start)]
-        np.subtract(x[:, start : start + blk.shape[1]], col_mean, out=blk)
-        yield start, blk
-
-
-def covariance_eig(x: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the covariance of the rows of x, largest first.
-
-    ``mean`` holds the row means of x.  The covariance is summed over
-    the blocks of :func:`centred_blocks`, so x is never copied whole.
-    """
-    r = np.zeros((x.shape[0], x.shape[0]))
-    for _, blk in centred_blocks(x, mean):
-        r += blk @ blk.T
-    r /= x.shape[1]
-    w, e = np.linalg.eigh((r + r.T) / 2.0)
-    return w[::-1], e[:, ::-1]
 
 
 def kmeans(

@@ -7,21 +7,29 @@ subject's observations: one covariance eigendecomposition gives the BIC
 order and the PCA scores, and scaling each score row to unit variance
 whitens them (PCA scores are already uncorrelated).  The rows stay white
 when later ones are dropped, so :func:`resolve_orders` only truncates.
-Observations are centred block by block (``numerics.centred_blocks``),
-so no step here holds a second T x V array.
+
+Every reduction here is one routine over a subject's ``Observations``
+views, in three passes: the rows (finite check and row means), then the
+covariance and then the projection, both over centred column blocks of
+``_CENTRE_BLOCK_COLS`` in one reused T x B buffer.  A subject held in
+memory serves views of its array; a binary subject on disk
+(``io.BinarySubject``) reads the rows and blocks from its file, so its
+T x V matrix is never held.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import OrderExceedsRank
-from .numerics import centred_blocks, covariance_eig
-from .types import SubjectDataset
+from .types import Observations, SubjectDataset, finite_rows
 
 _RANK_RTOL = 1e-12
+# Voxel columns per block of the covariance and projection passes; the
+# fastest width measured for both at T=150, V up to 65536.
+_CENTRE_BLOCK_COLS = 4096
 # Largest model order the BIC search considers.
 C_MAX = 60
 
@@ -83,31 +91,56 @@ def estimate_order_bic(x: np.ndarray) -> int:
     covariance eigenvalues (remaining variance pooled isotropically) with
     a parameter-count penalty; the minimizing c is returned.  The search
     is capped at ``C_MAX`` and at the numerical rank, so noiseless
-    low-rank data yields its exact rank up to ``C_MAX``.
+    low-rank data yields its exact rank up to ``C_MAX``; data of rank 0
+    raises OrderExceedsRank.
     """
-    x = np.asarray(x, dtype=float)
-    lam, _ = covariance_eig(x, x.mean(axis=1))
-    return _bic_order(lam, x.shape[1])
+    return pca_reduce(x).scores.shape[0]
 
 
 def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
     """Top-``order`` principal component scores (order x n_voxels).
 
-    ``order=None`` takes the BIC order of :func:`estimate_order_bic`.  The
-    order choice and the projection share one covariance
-    eigendecomposition.  x is centred block by block twice, once for the
-    covariance and once to project each block into the scores, so beyond
-    x itself only the scores and one T x B block buffer are allocated.
-    Loadings columns are sign-fixed so their largest-magnitude entry is
-    positive, which pins the rotation ambiguity of eigendecompositions.
+    ``order=None`` takes the BIC order of :func:`estimate_order_bic`.  A
+    NaN or Inf in x raises NonFiniteData.  See :func:`_reduce`.
     """
-    x = np.asarray(x, dtype=float)
-    mean = x.mean(axis=1)
-    lam, vecs = covariance_eig(x, mean)
+    return _reduce(SubjectDataset(subject_id="array", observations=x), order)
+
+
+def _reduce(obs: Observations, order: int | None) -> PcaResult:
+    """Top-``order`` PCA of one subject's observations, in three passes.
+
+    1. Row by row: the finite check and each row's mean, taken over the
+       whole row as ``x.mean(axis=1)`` takes it.
+    2. The covariance, summed over centred column blocks, and its
+       eigendecomposition, which also gives the BIC order when ``order``
+       is None.
+    3. The projection of each centred block into the scores.
+
+    Beyond the views ``obs`` serves, only the scores and one T x B block
+    buffer are allocated.  Loadings columns are sign-fixed so their
+    largest-magnitude entry is positive, which pins the rotation
+    ambiguity of eigendecompositions.
+    """
+    n_time, n_voxels = obs.n_time, obs.n_voxels
+    mean = np.array([row.mean() for row in finite_rows(obs.subject_id, obs.rows())])
+    buf = np.empty((n_time, min(n_voxels, _CENTRE_BLOCK_COLS)))
+
+    def centred_blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for start, raw in obs.column_blocks(buf):
+            blk = buf[:, : raw.shape[1]]
+            np.subtract(raw, mean[:, None], out=blk)
+            yield start, blk
+
+    r = np.zeros((n_time, n_time))
+    for _, blk in centred_blocks():
+        r += blk @ blk.T
+    r /= n_voxels
+    lam, vecs = np.linalg.eigh((r + r.T) / 2.0)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
     if order is None:
-        order = _bic_order(lam, x.shape[1])
-    if order < 1 or order > x.shape[0]:
-        raise OrderExceedsRank(f"order {order} outside [1, {x.shape[0]}]")
+        order = _bic_order(lam, n_voxels)
+    if order < 1 or order > n_time:
+        raise OrderExceedsRank(f"order {order} outside [1, {n_time}]")
     if lam[order - 1] <= _RANK_RTOL * max(lam[0], 0.0):
         raise OrderExceedsRank(f"order {order} exceeds numerical rank")
     loadings = vecs[:, :order].copy()
@@ -116,8 +149,8 @@ def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
         if loadings[i, j] < 0:
             loadings[:, j] = -loadings[:, j]
     lt = np.ascontiguousarray(loadings.T)
-    scores = np.empty((order, x.shape[1]))
-    for start, blk in centred_blocks(x, mean):
+    scores = np.empty((order, n_voxels))
+    for start, blk in centred_blocks():
         scores[:, start : start + blk.shape[1]] = lt @ blk
     return PcaResult(scores=scores, loadings=loadings, mean=mean)
 
@@ -143,15 +176,15 @@ def whiten(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _unit_variance(pca_reduce(x, x.shape[0]))
 
 
-def preprocess_subject(data: SubjectDataset, policy: int | str) -> PreprocessedSubject:
-    """Whitened PCA reduction of one subject.
+def preprocess_subject(data: Observations, policy: int | str) -> PreprocessedSubject:
+    """Whitened PCA reduction of one subject, in memory or on disk.
 
     A fixed order ``policy`` is used as given; under "auto-bic" and
     "global-min" the subject is reduced to its own BIC order, which
     :func:`resolve_orders` may lower afterwards.
     """
     order = policy if isinstance(policy, int) else None
-    pca = pca_reduce(data.observations, order)
+    pca = _reduce(data, order)
     z, w = _unit_variance(pca)
     return PreprocessedSubject(data.subject_id, z, w, pca.mean)
 

@@ -10,7 +10,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -63,9 +63,55 @@ class SourceLabel:
             )
 
 
+class Observations(Protocol):
+    """What the reduction reads of one subject's T x V observation matrix.
+
+    ``rows()`` yields each row in turn; ``column_blocks(out)`` yields
+    ``(start, block)`` for every block of ``out.shape[1]`` columns (the
+    last may be narrower), where ``block`` may be ``out[:, :b]`` itself,
+    so a block is valid only until the next one is requested.
+    ``SubjectDataset`` serves them from memory and ``io.BinarySubject``
+    reads them from disk.
+    """
+
+    subject_id: str
+
+    @property
+    def n_time(self) -> int: ...
+
+    @property
+    def n_voxels(self) -> int: ...
+
+    def rows(self) -> Iterator[np.ndarray]: ...
+
+    def column_blocks(self, out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]: ...
+
+
+def check_nonempty(subject_id: str, shape: tuple[int, ...]) -> None:
+    """Raise EmptyInput unless ``shape`` is that of a nonempty 2-D matrix."""
+    if len(shape) != 2 or 0 in shape:
+        raise EmptyInput(f"{subject_id}: observations must be a nonempty 2-D array")
+
+
+def finite_rows(subject_id: str, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Yield each row once it is finite; the first NaN/Inf raises NonFiniteData.
+
+    Row by row: a T x V boolean mask would be one more large array.
+    """
+    for row in rows:
+        if not np.isfinite(row).all():
+            raise NonFiniteData(f"{subject_id}: observations contain NaN/Inf")
+        yield row
+
+
 @dataclass(frozen=True)
 class SubjectDataset:
-    """One subject's observation matrix (n_time x n_voxels)."""
+    """One subject's observation matrix (n_time x n_voxels), held in memory.
+
+    A CSV subject and an array given to the library are held this way;
+    a binary subject is read from disk by ``io.BinarySubject`` instead.
+    Both serve the ``Observations`` views the reduction reads.
+    """
 
     subject_id: str
     observations: np.ndarray
@@ -73,11 +119,9 @@ class SubjectDataset:
     def __post_init__(self) -> None:
         obs = np.asarray(self.observations, dtype=float)
         object.__setattr__(self, "observations", obs)
-        if obs.ndim != 2 or obs.size == 0:
-            raise EmptyInput(f"{self.subject_id}: observations must be a nonempty 2-D array")
-        # Row by row: a T x V boolean mask would be one more large array.
-        if not all(np.isfinite(row).all() for row in obs):
-            raise NonFiniteData(f"{self.subject_id}: observations contain NaN/Inf")
+        check_nonempty(self.subject_id, obs.shape)
+        for _ in finite_rows(self.subject_id, obs):
+            pass
 
     @property
     def n_time(self) -> int:
@@ -86,6 +130,15 @@ class SubjectDataset:
     @property
     def n_voxels(self) -> int:
         return self.observations.shape[1]
+
+    def rows(self) -> Iterator[np.ndarray]:
+        return iter(self.observations)
+
+    def column_blocks(self, out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Views of the column blocks; ``out`` only sets their width."""
+        width = out.shape[1]
+        for start in range(0, self.n_voxels, width):
+            yield start, self.observations[:, start : start + width]
 
 
 @dataclass(frozen=True)

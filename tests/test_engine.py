@@ -1,11 +1,13 @@
 """Cost construction, extraction, deflation and the full engine loop."""
 import gc
+import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+from jpjica import io as jio
 from jpjica.baseline import run_ji_thica
 from jpjica.classify import label_decomposition
 from jpjica.engine import (
@@ -26,7 +28,7 @@ from jpjica.errors import (
     ZeroSource,
 )
 from jpjica.numerics import dominant_eigenvector, standardize
-from jpjica.preprocess import pca_reduce, whiten
+from jpjica.preprocess import _CENTRE_BLOCK_COLS, pca_reduce, whiten
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SubjectDataset
 from oracles import cumulant_rows, deflate
@@ -547,7 +549,17 @@ def _ragged_datasets():
     return generate_dataset(spec)[0]
 
 
-def test_engine_holds_one_observation_matrix_at_a_time():
+def _traced_peak(fn) -> int:
+    """Peak bytes that fn allocates, as tracemalloc sees them (numpy's buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_holds_one_observation_matrix_at_a_time(tmp_path):
     datasets = _ragged_datasets()
     refs, alive = [], []
 
@@ -564,6 +576,50 @@ def test_engine_holds_one_observation_matrix_at_a_time():
     run_jpji_ica(stream(), AlgoConfig(seed=0, max_outer=1))
     assert len(refs) == len(datasets)
     assert alive == [False] * (len(datasets) - 1)
+
+    # A subject read from disk holds no T x V array at all: the run, its
+    # reductions included, allocates less than one observation matrix.
+    spec = ScenarioSpec(
+        n_subjects=4, n_joint=1, n_individual=1, n_clusters=1,
+        n_voxels=3 * _CENTRE_BLOCK_COLS, n_time=60, seed=21,
+    )
+    jio.save_dataset(tmp_path, generate_dataset(spec)[0], binary=True)
+    read = []
+
+    def from_disk():
+        for sub in jio.read_subjects(tmp_path)[0]:
+            assert isinstance(sub, jio.BinarySubject)
+            assert not any(isinstance(val, np.ndarray) for val in vars(sub).values())
+            read.append(sub.subject_id)
+            yield sub
+
+    peak = _traced_peak(lambda: run_jpji_ica(from_disk(), AlgoConfig(seed=0, max_outer=1)))
+    assert len(read) == spec.n_subjects
+    assert peak < spec.n_time * spec.n_voxels * 8
+
+
+def test_engine_frees_whitened_data_before_stacking_sources(tmp_path):
+    """A binary run peaks below 2.5 K*C*V doubles plus the reduction's block buffer.
+
+    Holding the whitened data while the sources are stacked would take
+    3 K*C*V.
+    """
+    spec = ScenarioSpec(
+        n_subjects=10, n_joint=2, n_pjoint=1, n_individual=1, n_clusters=2,
+        n_voxels=4 * _CENTRE_BLOCK_COLS, n_time=60, seed=4,
+    )
+    jio.save_dataset(tmp_path, generate_dataset(spec)[0], binary=True)
+    subjects = list(jio.read_subjects(tmp_path)[0])
+    decomp = None
+
+    def run():
+        nonlocal decomp
+        decomp = run_jpji_ica(subjects, AlgoConfig(seed=0, max_outer=1))
+
+    peak = _traced_peak(run)
+    k, v = spec.n_subjects, spec.n_voxels
+    assert [s.shape[0] for s in decomp.sources] == [4] * k
+    assert peak < 2.5 * k * 4 * v * 8 + spec.n_time * _CENTRE_BLOCK_COLS * 8
 
 
 @pytest.mark.parametrize(

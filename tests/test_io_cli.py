@@ -166,6 +166,16 @@ def small_scene():
     return spec, datasets, truth
 
 
+def _read_back(subject):
+    """A subject's observation matrix through its row view, checked against its block view."""
+    by_rows = np.array([row.copy() for row in subject.rows()])
+    by_blocks = np.empty_like(by_rows)
+    for start, blk in subject.column_blocks(np.empty((subject.n_time, 300))):
+        by_blocks[:, start : start + blk.shape[1]] = blk
+    assert np.array_equal(by_rows, by_blocks)
+    return by_rows
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_dataset_roundtrip(tmp_path, small_scene, binary):
     spec, datasets, truth = small_scene
@@ -182,8 +192,9 @@ def test_dataset_roundtrip(tmp_path, small_scene, binary):
     assert all(e["observations"].endswith(ext) for e in manifest["subjects"])
 
     assert [d.subject_id for d in back] == [d.subject_id for d in datasets]
+    assert all(isinstance(d, jio.BinarySubject) == binary for d in back)
     for a, b in zip(back, datasets):
-        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(_read_back(a), b.observations)
 
     assert truth2 is not None
     assert truth2.joint_count == truth.joint_count
@@ -495,7 +506,9 @@ def test_cli_simulate_binary_roundtrip(tmp_path):
     truth, _ = jio.load_truth(sim)
     assert manifest["binary"] is True
     assert truth is not None
-    assert datasets[0].observations.shape == (60, 256)
+    assert [(ds.n_time, ds.n_voxels) for ds in datasets] == [(60, 256)] * 2
+    for ds, entry in zip(datasets, manifest["subjects"]):
+        assert np.array_equal(_read_back(ds), jio.load_matrix(sim / entry["observations"]))
 
 
 def test_cli_evaluate_does_not_read_observations(cli_dirs, tmp_path):
@@ -629,8 +642,9 @@ def _truncate(path):
 
 
 def _widen(path):
+    """One more voxel, and a payload of NaNs: the header must decide before the payload."""
     x = jio.load_matrix(path)
-    jio.save_matrix(path, np.random.default_rng(0).standard_normal((x.shape[0], x.shape[1] + 1)))
+    jio.save_matrix(path, np.full((x.shape[0], x.shape[1] + 1), np.nan))
 
 
 def _extend(path):
@@ -643,6 +657,20 @@ def _poison(path):
     jio.save_matrix(path, x)
 
 
+def _poison_last(path):
+    x = jio.load_matrix(path)
+    x[-1, -1] = np.nan
+    jio.save_matrix(path, x)
+
+
+def _no_rows(path):
+    jio.save_matrix(path, np.empty((0, jio.load_matrix(path).shape[1])))
+
+
+def _no_columns(path):
+    jio.save_matrix(path, np.empty((jio.load_matrix(path).shape[0], 0)))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -650,9 +678,12 @@ def _poison(path):
         (Path.unlink, "No such file"),
         (_widen, "voxels"),
         (_poison, "NaN"),
+        (_poison_last, "sub03: observations contain NaN/Inf"),
         (_extend, "size mismatch"),
+        (_no_rows, "sub03: observations must be a nonempty"),
+        (_no_columns, "sub03: observations must be a nonempty"),
     ],
-    ids=["truncated", "deleted", "wider", "nan", "oversized"],
+    ids=["truncated", "deleted", "wider", "nan", "nan-last", "oversized", "no-rows", "no-columns"],
 )
 def test_cli_decompose_rejects_bad_subject_file(tmp_path, capsys, corrupt, message):
     """A bad file found after earlier subjects were read: exit 3, one error line, no results."""
@@ -677,7 +708,11 @@ def test_cli_decompose_rejects_bad_subject_file(tmp_path, capsys, corrupt, messa
 
 
 def test_cli_decompose_refuses_other_voxel_count_before_reading_on(tmp_path, capsys):
-    """A second subject with another voxel count is refused before the third is read."""
+    """A second subject with another voxel count is refused before the third is read.
+
+    Its payload is NaN, so the error names the voxel count only if the
+    header is checked before any payload is read.
+    """
     sim = tmp_path / "ds"
     code = cli.main(
         [

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from jpjica import io as jio
 from jpjica.errors import OrderExceedsRank
-from jpjica.numerics import _CENTRE_BLOCK_COLS, covariance
+from jpjica.numerics import covariance
 from jpjica.preprocess import (
     C_MAX,
+    _CENTRE_BLOCK_COLS,
     estimate_order_bic,
     pca_reduce,
     preprocess_subject,
@@ -112,6 +114,29 @@ def fmri_sized():
 def test_order_and_pca_allocate_no_centred_copy(fmri_sized, step):
     """BIC and PCA allocate under half of x: no centred T x V copy of the data."""
     assert _traced_peak(lambda: step(fmri_sized)) < 0.5 * fmri_sized.nbytes
+
+
+def test_binary_subject_reduces_from_disk_one_block_at_a_time(tmp_path):
+    """A T=300, V=32768 subject (78.6 MB) on disk: its reduction allocates under a quarter of it.
+
+    It reads one row and one T x B block at a time, and its result equals
+    the reduction of the matrix held in memory bit for bit.
+    """
+    path = tmp_path / "s_obs.bin"
+    rng = np.random.default_rng(31)
+    x = 0.01 * rng.standard_normal((300, 32768))
+    x += rng.standard_normal((300, 6)) @ rng.standard_normal((6, 32768)) + 2.0
+    nbytes = x.nbytes
+    jio.save_matrix(path, x)
+    del x
+    subject = jio.BinarySubject.from_header("s", path)
+    reduced = []
+    peak = _traced_peak(lambda: reduced.append(preprocess_subject(subject, "auto-bic")))
+    assert peak < 0.25 * nbytes
+    held = preprocess_subject(SubjectDataset("s", jio.load_matrix(path)), "auto-bic")
+    assert reduced[0].n_components == held.n_components == 6
+    for field in ("z", "w_total", "mean"):
+        np.testing.assert_array_equal(getattr(reduced[0], field), getattr(held, field))
 
 
 def test_subject_dataset_finite_check_allocates_no_mask(fmri_sized):
