@@ -24,7 +24,6 @@ from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceWarning, PartnerLengthMismatch, ZeroSource
 from .numerics import (
@@ -32,6 +31,7 @@ from .numerics import (
     cumulant_vectors_ring,
     dominant_eigenvector,
     excess_kurtosis,
+    linear_sum_assignment,
     ring_cumulants,
     ring_products,
     standardize,

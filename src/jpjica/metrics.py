@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import CountMismatchWarning
+from .numerics import linear_sum_assignment
 from .types import Decomposition, GroundTruth, SourceKind, SourceLabel
 
 _DB_CLAMP = 120.0

@@ -1,4 +1,4 @@
-"""Low-level statistical kernels: cumulants, eigen, clustering, tests.
+"""Low-level statistical kernels: cumulants, eigen, assignment, clustering, tests.
 
 All estimators treat the columns of a matrix (or the entries of a
 vector) as equally weighted samples; moments are population-normalized
@@ -14,7 +14,6 @@ row-centered.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import (
     DegenerateSampleCount,
@@ -205,6 +204,75 @@ def covariance(x: np.ndarray) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of the rows of ``cost`` to its columns.
+
+    The shortest-augmenting-path Hungarian method with row and column
+    potentials (Jonker & Volgenant, 1987), in Crouse's rectangular form
+    (2016) and with his tie-breaking: columns are scanned from the last,
+    and of equally short paths one that ends at a free column wins.  It
+    keeps the contract of ``scipy.optimize.linear_sum_assignment`` for
+    finite costs: ``min(n, m)`` pairs ``(rows, cols)``, rows ascending.
+    Each row costs one augmenting path, each step of which is vectorised
+    over the columns not yet reached, so an n x m problem (n <= m; a
+    taller one is solved transposed) takes O(n^2 m).  NaN or Inf in
+    ``cost`` raises ``ValueError``.
+    """
+    c = np.asarray(cost, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("cost contains NaN or Inf")
+    tall = c.shape[0] > c.shape[1]
+    if tall:
+        c = c.T
+    nr, nc = c.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+    path = np.full(nc, -1, dtype=np.intp)
+    for cur in range(nr):
+        dist = np.full(nc, np.inf)
+        seen_rows = np.zeros(nr, dtype=bool)
+        seen_cols = np.zeros(nc, dtype=bool)
+        remaining = np.arange(nc - 1, -1, -1)
+        n_left, i, min_val, sink = nc, cur, 0.0, -1
+        while sink < 0:
+            seen_rows[i] = True
+            left = remaining[:n_left]
+            reach = min_val + c[i, left] - u[i] - v[left]
+            d = dist[left]
+            closer = reach < d
+            path[left[closer]] = i
+            d = np.where(closer, reach, d)
+            dist[left] = d
+            min_val = d.min()
+            ties = np.flatnonzero(d == min_val)
+            free = ties[row4col[left[ties]] < 0]
+            at = int(free[-1] if free.size else ties[0])
+            j = int(left[at])
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = int(row4col[j])
+            seen_cols[j] = True
+            n_left -= 1
+            remaining[at] = remaining[n_left]
+        u[cur] += min_val
+        seen_rows[cur] = False
+        u[seen_rows] += min_val - dist[col4row[seen_rows]]
+        v[seen_cols] -= min_val - dist[seen_cols]
+        j = sink
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur:
+                break
+    if tall:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def kmeans(
     points: np.ndarray, k: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -308,6 +376,8 @@ def welch_t_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns (t, two-sided p) arrays, one entry per column.
     """
+    from scipy.special import stdtr  # the only scipy use; kept out of the CLI's imports
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = a.shape[0], b.shape[0]

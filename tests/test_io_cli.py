@@ -11,7 +11,10 @@ import argparse
 import json
 import re
 import shutil
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -484,6 +487,41 @@ def test_cli_report_tables(cli_dirs, tmp_path):
     assert len(scatter) > 1
     for name in ("convergence.csv", "snr.csv", "subjects.csv"):
         assert (tables / name).exists()
+
+
+_PIPELINE_IMPORTS = """
+import sys
+from jpjica import cli
+
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+
+for fmt in ([], ["--binary"]):
+    data = "data" + "".join(fmt)
+    run("simulate", "--subjects", "3", "--joint", "1", "--individual", "1",
+        "--voxels", "1024", "--time", "100", "--seed", "3", "--out", data, *fmt)
+    for algorithm in ("jpji", "jithica"):
+        res = data + "-" + algorithm
+        run("decompose", data, "--out", res, "--seed", "1", "--algorithm", algorithm, *fmt)
+        run("evaluate", res, data)
+        run("report", res + "/report.json", "--out", res + "-tables")
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_cli_pipeline_imports_no_scipy(tmp_path):
+    """simulate -> decompose -> evaluate -> report loads numpy, never scipy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PIPELINE_IMPORTS],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_simulate_binary_roundtrip(tmp_path):

@@ -1,4 +1,4 @@
-"""Cumulant, eigen, clustering and test-statistic kernels vs oracles."""
+"""Cumulant, eigen, assignment, clustering and test-statistic kernels vs oracles."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +17,13 @@ from jpjica.numerics import (
     dominant_eigenvector,
     excess_kurtosis,
     kmeans,
+    linear_sum_assignment,
     ring_products,
     silhouette,
     standardize,
     welch_t_columns,
 )
+from jpjica.preprocess import C_MAX
 from oracles import (
     LengthMismatch,
     OrderOutOfRange,
@@ -242,6 +244,66 @@ def test_covariance_matches_loop_oracle():
             want[i, j] = np.mean(xi * xj)
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(got, got.T, atol=0)
+
+
+def _check_assignment(cost, rows, cols):
+    n, m = cost.shape
+    assert rows.dtype.kind == "i" and cols.dtype.kind == "i"
+    assert rows.size == cols.size == min(n, m)
+    assert np.all(np.diff(rows) > 0) and rows.min() >= 0 and rows.max() < n
+    assert np.unique(cols).size == cols.size and cols.min() >= 0 and cols.max() < m
+
+
+def test_assignment_matches_scipy_on_distinct_costs():
+    """Random n x m costs, 0 < n, m <= 12, and one C_MAX x C_MAX: scipy's pairs exactly."""
+    from scipy.optimize import linear_sum_assignment as oracle
+
+    rng = np.random.default_rng(31)
+    shapes = [tuple(rng.integers(1, 13, size=2)) for _ in range(400)] + [(C_MAX, C_MAX)]
+    for shape in shapes:
+        cost = rng.standard_normal(shape)
+        rows, cols = linear_sum_assignment(cost)
+        _check_assignment(cost, rows, cols)
+        r0, c0 = oracle(cost)
+        assert np.array_equal(rows, r0) and np.array_equal(cols, c0)
+
+
+def test_assignment_with_ties_is_optimal_and_repeatable():
+    from scipy.optimize import linear_sum_assignment as oracle
+
+    rng = np.random.default_rng(33)
+    for _ in range(400):
+        n, m = rng.integers(1, 13, size=2)
+        cost = np.round(2.0 * rng.standard_normal((n, m)))
+        rows, cols = linear_sum_assignment(cost)
+        _check_assignment(cost, rows, cols)
+        r0, c0 = oracle(cost)
+        assert cost[rows, cols].sum() == cost[r0, c0].sum()
+        again = linear_sum_assignment(cost)
+        assert np.array_equal(again[0], rows) and np.array_equal(again[1], cols)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
+def test_assignment_of_constant_cost_is_diagonal(shape):
+    """The last free column scanned wins a tie, and columns are scanned from the last."""
+    rows, cols = linear_sum_assignment(np.full(shape, 2.0))
+    assert np.array_equal(rows, np.arange(min(shape)))
+    assert np.array_equal(cols, np.arange(min(shape)))
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+def test_assignment_of_empty_cost_is_empty(shape):
+    rows, cols = linear_sum_assignment(np.zeros(shape))
+    assert rows.shape == cols.shape == (0,)
+    assert rows.dtype.kind == "i" and cols.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assignment_rejects_non_finite_cost(bad):
+    cost = np.ones((3, 4))
+    cost[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        linear_sum_assignment(cost)
 
 
 def test_kmeans_reaches_global_optimum_on_small_sets():
