@@ -407,13 +407,13 @@ def run_jpji_ica(
     observation matrix alive at a time, and a subject with another voxel
     count is refused before any later one is read.  A binary subject
     from ``io.read_subjects`` is reduced from disk, one T x B column
-    block and one row at a time, so none of its T x V matrix is held.
+    block at a time, so none of its T x V matrix is held.
     Under "global-min" the whitened reductions are only truncated.  Once
     every estimate is final, the whitened data and the cross-covariance
     terms kept beside the estimates are freed.  Peak memory is thus the
     larger of K*C*V for the whitened reductions plus the subject being
-    reduced (one T x B block and one row for a binary subject, its T x V
-    matrix otherwise), and 2*K*C*V: the whitened data and the estimates
+    reduced (one T x B block for a binary subject, its T x V matrix
+    otherwise), and 2*K*C*V: the whitened data and the estimates
     during the sweeps, then the estimates and the stacked sources.
     """
     if config is None:
@@ -522,10 +522,14 @@ def run_jpji_ica(
 
     if align:
         _align_rows(est, u_work, final_costs, self_mode, orders)
+    # est[c][k] is standardize(u_work[k][c] @ z0[k]) already (put, then
+    # _align_rows permuting both alike), and negation is exact.
     for k in range(n_sub):
         for c in range(orders[k]):
-            u_work[k][c] = _fix_sign(u_work[k][c])
-            est[c][k] = standardize(u_work[k][c] @ z0[k])
+            u = u_work[k][c]
+            if _fix_sign(u) is not u:
+                u *= -1.0
+                est[c][k] *= -1.0
     subject_ids = [p.subject_id for p in pre]
     whiteners = [p.w_total for p in pre]
     row_means = [p.mean for p in pre]

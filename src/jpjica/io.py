@@ -87,10 +87,10 @@ class BinarySubject:
     """A subject whose binary observation matrix stays on disk.
 
     Built from the file's header alone; the payload is read only through
-    the ``types.Observations`` views: each row with one ``os.preadv`` of
-    ``n_voxels`` doubles (rows are contiguous in the file), and each
-    T x B column block with one ``os.preadv`` per row into the caller's
-    buffer.  A short read raises ValueError naming the file.
+    the ``types.Observations`` view: each T x B column block with one
+    ``os.preadv`` per row into the caller's buffer.  The reduction takes
+    two passes of blocks, so each payload byte is read twice.  A short
+    read raises ValueError naming the file.
     """
 
     subject_id: str
@@ -105,14 +105,6 @@ class BinarySubject:
             rows, cols = _binary_shape(fh, path)
         check_nonempty(subject_id, (rows, cols))
         return cls(subject_id, path, rows, cols)
-
-    def rows(self) -> Iterator[np.ndarray]:
-        """Each row in turn, in one reused buffer."""
-        row = np.empty(self.n_voxels)
-        with open(self.path, "rb") as fh:
-            for i in range(self.n_time):
-                self._read(fh.fileno(), row, i, 0)
-                yield row
 
     def column_blocks(self, out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Each block of ``out.shape[1]`` columns, read into ``out[:, :b]``."""
@@ -239,9 +231,10 @@ def read_subjects(
     """Lazy subjects of a dataset directory, and its manifest, read at once.
 
     A subject is made when the iterator reaches it.  A binary subject is
-    a :class:`BinarySubject`: its header is checked then and its payload
-    is read block by block by the reduction, so no T x V matrix of it is
-    ever held.  A CSV subject is parsed whole into a ``SubjectDataset``.
+    a :class:`BinarySubject`: its header is checked then, and the
+    reduction reads its payload block by block, twice, so no T x V
+    matrix of it is ever held.  A CSV subject is parsed whole into a
+    ``SubjectDataset``.
     """
     directory = Path(directory)
     manifest = _load_dataset_manifest(directory)
@@ -355,32 +348,27 @@ def save_decomposition(
         files[sid] = entry
     feats = decomp.features
     row_of = decomp.slot_rows
+    feature_lines = ["slot,subject,jpjif,kurtosis,kind,peers\n"]
+    label_lines = ["slot,subject,kind,peers\n"]
+    for c in range(decomp.n_slots):
+        for k, sid in enumerate(ids):
+            row = row_of[c, k]
+            if row < 0:
+                continue
+            jp = feats.jpjif[c, k] if feats is not None else float("nan")
+            ku = feats.kurtosis[c, k] if feats is not None else float("nan")
+            kind, peers = "", ""
+            if decomp.labels is not None:
+                lab = decomp.labels[k][row]
+                kind = lab.kind.value
+                peers = "|".join(sorted(ids[j] for j in lab.peers))
+                label_lines.append(f"{c},{sid},{kind},{peers}\n")
+            feature_lines.append(f"{c},{sid},{jp:.17g},{ku:.17g},{kind},{peers}\n")
     with open(directory / "features.csv", "w") as fh:
-        fh.write("slot,subject,jpjif,kurtosis,kind,peers\n")
-        for c in range(decomp.n_slots):
-            for k, sid in enumerate(ids):
-                row = row_of[c, k]
-                if row < 0:
-                    continue
-                jp = feats.jpjif[c, k] if feats is not None else float("nan")
-                ku = feats.kurtosis[c, k] if feats is not None else float("nan")
-                kind, peers = "", ""
-                if decomp.labels is not None:
-                    lab = decomp.labels[k][row]
-                    kind = lab.kind.value
-                    peers = "|".join(sorted(ids[j] for j in lab.peers))
-                fh.write(f"{c},{sid},{jp:.17g},{ku:.17g},{kind},{peers}\n")
+        fh.writelines(feature_lines)
     if decomp.labels is not None:
         with open(directory / "labels.csv", "w") as fh:
-            fh.write("slot,subject,kind,peers\n")
-            for c in range(decomp.n_slots):
-                for k, sid in enumerate(ids):
-                    row = row_of[c, k]
-                    if row < 0:
-                        continue
-                    lab = decomp.labels[k][row]
-                    peers = "|".join(sorted(ids[j] for j in lab.peers))
-                    fh.write(f"{c},{sid},{lab.kind.value},{peers}\n")
+            fh.writelines(label_lines)
     with open(directory / "cost_trace.csv", "w") as fh:
         fh.write("sweep,slot,subject,iteration,cost,mode,converged\n")
         for t in decomp.traces:

@@ -8,23 +8,22 @@ order and the PCA scores, and scaling each score row to unit variance
 whitens them (PCA scores are already uncorrelated).  The rows stay white
 when later ones are dropped, so :func:`resolve_orders` only truncates.
 
-Every reduction here is one routine over a subject's ``Observations``
-views, in three passes: the rows (finite check and row means), then the
-covariance and then the projection, both over centred column blocks of
-``_CENTRE_BLOCK_COLS`` in one reused T x B buffer.  A subject held in
-memory serves views of its array; a binary subject on disk
-(``io.BinarySubject``) reads the rows and blocks from its file, so its
-T x V matrix is never held.
+Every reduction here is one routine over a subject's column blocks of
+``_CENTRE_BLOCK_COLS``, in two passes through one reused T x B buffer:
+the finite check, the row means and the covariance, then the
+projection.  A subject held in memory serves views of its array; a
+binary subject on disk (``io.BinarySubject``) reads the blocks from its
+file, so its T x V matrix is never held.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import OrderExceedsRank
-from .types import Observations, SubjectDataset, finite_rows
+from .types import Observations, SubjectDataset, check_finite
 
 _RANK_RTOL = 1e-12
 # Voxel columns per block of the covariance and projection passes; the
@@ -107,34 +106,40 @@ def pca_reduce(x: np.ndarray, order: int | None = None) -> PcaResult:
 
 
 def _reduce(obs: Observations, order: int | None) -> PcaResult:
-    """Top-``order`` PCA of one subject's observations, in three passes.
+    """Top-``order`` PCA of one subject's observations, in two passes.
 
-    1. Row by row: the finite check and each row's mean, taken over the
-       whole row as ``x.mean(axis=1)`` takes it.
-    2. The covariance, summed over centred column blocks, and its
-       eigendecomposition, which also gives the BIC order when ``order``
-       is None.
-    3. The projection of each centred block into the scores.
+    1. Each column block is checked for NaN/Inf and shifted by the first
+       block's row means; the shifted products S and row sums s give the
+       row means ``shift + d`` and the covariance ``S/V - d d^T``, with
+       ``d = s/V`` (Chan, Golub & LeVeque 1983).  Its
+       eigendecomposition also gives the BIC order when ``order`` is
+       None.
+    2. Each block, centred by the row means, is projected into the
+       scores.
 
-    Beyond the views ``obs`` serves, only the scores and one T x B block
-    buffer are allocated.  Loadings columns are sign-fixed so their
-    largest-magnitude entry is positive, which pins the rotation
-    ambiguity of eigendecompositions.
+    The first block's means are within sqrt(V/B) standard deviations of
+    the row means, so the shift cancels at most a factor 1 + V/B of the
+    covariance's precision.  Beyond the blocks ``obs`` serves, only the
+    scores and one T x B block buffer are allocated.  Loadings columns
+    are sign-fixed so their largest-magnitude entry is positive, which
+    pins the rotation ambiguity of eigendecompositions.
     """
     n_time, n_voxels = obs.n_time, obs.n_voxels
-    mean = np.array([row.mean() for row in finite_rows(obs.subject_id, obs.rows())])
     buf = np.empty((n_time, min(n_voxels, _CENTRE_BLOCK_COLS)))
-
-    def centred_blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for start, raw in obs.column_blocks(buf):
-            blk = buf[:, : raw.shape[1]]
-            np.subtract(raw, mean[:, None], out=blk)
-            yield start, blk
-
+    shift = None
+    sums = np.zeros(n_time)
     r = np.zeros((n_time, n_time))
-    for _, blk in centred_blocks():
+    for _, raw in obs.column_blocks(buf):
+        check_finite(obs.subject_id, raw)
+        if shift is None:
+            shift = raw.mean(axis=1)
+        blk = buf[:, : raw.shape[1]]
+        np.subtract(raw, shift[:, None], out=blk)
+        sums += blk.sum(axis=1)
         r += blk @ blk.T
-    r /= n_voxels
+    d = sums / n_voxels
+    mean = shift + d
+    r = r / n_voxels - np.outer(d, d)
     lam, vecs = np.linalg.eigh((r + r.T) / 2.0)
     lam, vecs = lam[::-1], vecs[:, ::-1]
     if order is None:
@@ -150,7 +155,9 @@ def _reduce(obs: Observations, order: int | None) -> PcaResult:
             loadings[:, j] = -loadings[:, j]
     lt = np.ascontiguousarray(loadings.T)
     scores = np.empty((order, n_voxels))
-    for start, blk in centred_blocks():
+    for start, raw in obs.column_blocks(buf):
+        blk = buf[:, : raw.shape[1]]
+        np.subtract(raw, mean[:, None], out=blk)
         scores[:, start : start + blk.shape[1]] = lt @ blk
     return PcaResult(scores=scores, loadings=loadings, mean=mean)
 

@@ -10,7 +10,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -66,12 +66,11 @@ class SourceLabel:
 class Observations(Protocol):
     """What the reduction reads of one subject's T x V observation matrix.
 
-    ``rows()`` yields each row in turn; ``column_blocks(out)`` yields
-    ``(start, block)`` for every block of ``out.shape[1]`` columns (the
-    last may be narrower), where ``block`` may be ``out[:, :b]`` itself,
-    so a block is valid only until the next one is requested.
-    ``SubjectDataset`` serves them from memory and ``io.BinarySubject``
-    reads them from disk.
+    One view: ``column_blocks(out)`` yields ``(start, block)`` for every
+    block of ``out.shape[1]`` columns (the last may be narrower), where
+    ``block`` may be ``out[:, :b]`` itself, so a block is valid only
+    until the next one is requested.  ``SubjectDataset`` serves the
+    blocks from memory and ``io.BinarySubject`` reads them from disk.
     """
 
     subject_id: str
@@ -82,8 +81,6 @@ class Observations(Protocol):
     @property
     def n_voxels(self) -> int: ...
 
-    def rows(self) -> Iterator[np.ndarray]: ...
-
     def column_blocks(self, out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]: ...
 
 
@@ -93,15 +90,14 @@ def check_nonempty(subject_id: str, shape: tuple[int, ...]) -> None:
         raise EmptyInput(f"{subject_id}: observations must be a nonempty 2-D array")
 
 
-def finite_rows(subject_id: str, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Yield each row once it is finite; the first NaN/Inf raises NonFiniteData.
+def check_finite(subject_id: str, part: np.ndarray) -> None:
+    """Raise NonFiniteData naming the subject if ``part`` holds a NaN or Inf.
 
-    Row by row: a T x V boolean mask would be one more large array.
+    Callers pass a row or a column block of the observations: the
+    boolean mask of a whole T x V matrix would be one more large array.
     """
-    for row in rows:
-        if not np.isfinite(row).all():
-            raise NonFiniteData(f"{subject_id}: observations contain NaN/Inf")
-        yield row
+    if not np.isfinite(part).all():
+        raise NonFiniteData(f"{subject_id}: observations contain NaN/Inf")
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ class SubjectDataset:
 
     A CSV subject and an array given to the library are held this way;
     a binary subject is read from disk by ``io.BinarySubject`` instead.
-    Both serve the ``Observations`` views the reduction reads.
+    Both serve the ``Observations`` view the reduction reads.
     """
 
     subject_id: str
@@ -120,8 +116,8 @@ class SubjectDataset:
         obs = np.asarray(self.observations, dtype=float)
         object.__setattr__(self, "observations", obs)
         check_nonempty(self.subject_id, obs.shape)
-        for _ in finite_rows(self.subject_id, obs):
-            pass
+        for row in obs:
+            check_finite(self.subject_id, row)
 
     @property
     def n_time(self) -> int:
@@ -130,9 +126,6 @@ class SubjectDataset:
     @property
     def n_voxels(self) -> int:
         return self.observations.shape[1]
-
-    def rows(self) -> Iterator[np.ndarray]:
-        return iter(self.observations)
 
     def column_blocks(self, out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Views of the column blocks; ``out`` only sets their width."""

@@ -170,13 +170,11 @@ def small_scene():
 
 
 def _read_back(subject):
-    """A subject's observation matrix through its row view, checked against its block view."""
-    by_rows = np.array([row.copy() for row in subject.rows()])
-    by_blocks = np.empty_like(by_rows)
+    """A subject's observation matrix, read through its block view."""
+    back = np.empty((subject.n_time, subject.n_voxels))
     for start, blk in subject.column_blocks(np.empty((subject.n_time, 300))):
-        by_blocks[:, start : start + blk.shape[1]] = blk
-    assert np.array_equal(by_rows, by_blocks)
-    return by_rows
+        back[:, start : start + blk.shape[1]] = blk
+    return back
 
 
 @pytest.mark.parametrize("binary", [False, True])

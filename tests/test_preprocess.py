@@ -1,11 +1,12 @@
 """Order selection, PCA and whitening against an SVD oracle."""
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from jpjica import io as jio
-from jpjica.errors import OrderExceedsRank
+from jpjica.errors import NonFiniteData, OrderExceedsRank
 from jpjica.numerics import covariance
 from jpjica.preprocess import (
     C_MAX,
@@ -119,8 +120,8 @@ def test_order_and_pca_allocate_no_centred_copy(fmri_sized, step):
 def test_binary_subject_reduces_from_disk_one_block_at_a_time(tmp_path):
     """A T=300, V=32768 subject (78.6 MB) on disk: its reduction allocates under a quarter of it.
 
-    It reads one row and one T x B block at a time, and its result equals
-    the reduction of the matrix held in memory bit for bit.
+    It reads one T x B block at a time, and its result equals the
+    reduction of the matrix held in memory bit for bit.
     """
     path = tmp_path / "s_obs.bin"
     rng = np.random.default_rng(31)
@@ -137,6 +138,69 @@ def test_binary_subject_reduces_from_disk_one_block_at_a_time(tmp_path):
     assert reduced[0].n_components == held.n_components == 6
     for field in ("z", "w_total", "mean"):
         np.testing.assert_array_equal(getattr(reduced[0], field), getattr(held, field))
+
+
+def _binary_subject(tmp_path, x, subject_id="s"):
+    path = tmp_path / f"{subject_id}_obs.bin"
+    jio.save_matrix(path, x)
+    return jio.BinarySubject.from_header(subject_id, path)
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [((-1, -1), np.nan), ((3, 5), np.inf)],
+    ids=["nan-last-entry-partial-block", "inf-first-block"],
+)
+def test_binary_subject_non_finite_in_any_block_is_refused(tmp_path, where, bad):
+    """Every block is checked, the partial second one too; the error names the subject."""
+    x = np.random.default_rng(37).standard_normal((12, _CENTRE_BLOCK_COLS + 7))
+    x[where] = bad
+    subject = _binary_subject(tmp_path, x, "subj-bad")
+    with pytest.raises(NonFiniteData, match="subj-bad"):
+        preprocess_subject(subject, 3)
+
+
+@pytest.mark.parametrize("lift", [1e3, 1e6])
+def test_shifted_covariance_survives_a_lifted_first_block(lift):
+    """The first block sits ``lift`` above the rest, so the shift by its row
+    means is far from the row means: the means stay within 1e-15 and the
+    scores within 1e-9 of a centred long-double oracle.
+    """
+    rng = np.random.default_rng(int(lift))
+    n_voxels = 4 * _CENTRE_BLOCK_COLS + 123
+    x = rng.standard_normal((20, 6)) @ rng.standard_normal((6, n_voxels)) + 3.0
+    x += 0.05 * rng.standard_normal(x.shape)
+    x[:, :_CENTRE_BLOCK_COLS] += lift
+    res = pca_reduce(x, 6)
+    xl = x.astype(np.longdouble)
+    mean = xl.mean(axis=1)
+    xc = xl - mean[:, None]
+    r = (xc @ xc.T / n_voxels).astype(float)
+    _, vecs = np.linalg.eigh((r + r.T) / 2.0)
+    loadings = vecs[:, ::-1][:, :6].copy()
+    for j in range(6):
+        if loadings[np.argmax(np.abs(loadings[:, j])), j] < 0:
+            loadings[:, j] *= -1.0
+    scores = (loadings.T.astype(np.longdouble) @ xc).astype(float)
+    np.testing.assert_allclose(res.mean, mean.astype(float), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(res.scores, scores, rtol=0, atol=1e-9 * np.abs(scores).max())
+
+
+def test_binary_subject_payload_is_read_twice(tmp_path, monkeypatch):
+    """Two passes of column blocks: exactly 2 * T * V * 8 payload bytes through os.preadv."""
+    x = np.random.default_rng(41).standard_normal((30, 2 * _CENTRE_BLOCK_COLS + 99))
+    subject = _binary_subject(tmp_path, x)
+    read = []
+    real_preadv = os.preadv
+
+    def counted(fd, buffers, offset):
+        got = real_preadv(fd, buffers, offset)
+        read.append(got)
+        return got
+
+    monkeypatch.setattr(os, "preadv", counted)
+    preprocess_subject(subject, "auto-bic")
+    assert sum(read) == 2 * x.size * 8
 
 
 def test_subject_dataset_finite_check_allocates_no_mask(fmri_sized):
