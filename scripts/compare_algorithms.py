@@ -4,9 +4,10 @@
 Runs both algorithms on the same datasets (two joint, two partially
 joint and one individual map per subject, two clusters) and aggregates
 the reports into ``tables/comparison.csv`` plus the feature-vs-kurtosis
-scatter ``tables/kurtosis_scatter.csv``.  The baseline only labels
-sources joint or individual, so its partially-joint count accuracy is
-the column to watch.
+scatter ``tables/kurtosis_scatter.csv``.  The baseline finds no sharing
+clusters, so at the equal orders used here it labels sources joint or
+individual only, and its partially-joint count accuracy is the column
+to watch.
 """
 import argparse
 import sys

@@ -1,10 +1,12 @@
-"""Single-tuple baseline decomposition (two-way labels only).
+"""Single-tuple baseline decomposition (shared-or-own labels).
 
 Shares the sweep/deflation schedule with the main engine but replaces
 the full peer ring by one randomly drawn partner tuple per extraction,
-and decides joint versus individual at extraction time by thresholding
-the tuple cost.  Partially joint structure is invisible to this
-variant: every source comes out labeled joint or individual.
+and decides at extraction time, by thresholding the tuple cost, whether
+a source is shared by the slot's holders or is its subject's own.  The
+baseline cannot find a sharing cluster: with equal orders every source
+comes out joint or individual, and under ragged orders a shared source
+is partially joint among the holders of its slot.
 """
 from __future__ import annotations
 
@@ -14,18 +16,18 @@ from typing import Iterable
 import numpy as np
 
 from .engine import run_jpji_ica
-from .types import AlgoConfig, Decomposition, Observations, SourceKind, SourceLabel
+from .types import AlgoConfig, Decomposition, Observations, SourceLabel
 
 
 def run_ji_thica(
     datasets: Iterable[Observations], config: AlgoConfig | None = None
 ) -> Decomposition:
-    """Run the single-tuple decomposition and attach two-way labels.
+    """Run the single-tuple decomposition and attach its labels.
 
     The label of each source is the final-sweep extraction decision:
-    joint if the tuple cost cleared the threshold (sigma0, or its
-    automatic value), individual otherwise.  The feature table is the
-    engine's, unchanged.
+    shared by the slot's holders if the tuple cost cleared the threshold
+    (sigma0, or its automatic value), the subject's own otherwise.  The
+    feature table is the engine's, unchanged.
     """
     decomp = run_jpji_ica(datasets, config, algorithm="jithica")
     k_total = decomp.n_subjects
@@ -34,16 +36,8 @@ def run_ji_thica(
     for k in range(k_total):
         subject_labels: list[SourceLabel] = []
         for c in np.flatnonzero(held[:, k]):
-            holders = frozenset(int(j) for j in np.flatnonzero(held[c]) if j != k)
-            if decomp.self_mode[c, k] or not holders:
-                kind, peers = SourceKind.INDIVIDUAL, frozenset()
-            elif len(holders) == k_total - 1:
-                kind, peers = SourceKind.JOINT, holders
-            else:
-                # Ragged orders: "shared" can only mean the slot holders.
-                kind, peers = SourceKind.PARTIALLY_JOINT, holders
-            subject_labels.append(
-                SourceLabel(kind=kind, peers=peers, n_subjects=k_total, subject=k)
-            )
+            holders = () if decomp.self_mode[c, k] else np.flatnonzero(held[c])
+            peers = {int(j) for j in holders if j != k}
+            subject_labels.append(SourceLabel.shared_with(k, peers, k_total))
         labels.append(subject_labels)
     return replace(decomp, labels=labels)

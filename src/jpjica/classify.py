@@ -161,33 +161,30 @@ def cluster_subjects(
 ) -> list[list[SourceLabel]]:
     """Peer sets per source via clustering of cross-subject correlations.
 
-    For each slot with partially joint members the subjects are clustered
-    on the rows of the pairwise |correlation| matrix of their estimates
-    (the silhouette picks the cluster count, see ``_cluster_rows``); the
-    peer set of a partially joint source is its cluster mates that are
-    also partially joint in that slot.  A partially joint source left
-    without peers is relabeled individual.
+    A source of a joint slot is shared by the slot's holders.  For each
+    slot with partially joint nominees the holders are clustered on the
+    rows of the pairwise |correlation| matrix of their estimates (the
+    silhouette picks the cluster count, see ``_cluster_rows``), and a
+    nominee shares its source with its cluster mates that are nominees
+    too.  Every other source is its subject's alone.  The kind of each
+    label follows from who shares the source (``SourceLabel.shared_with``):
+    a joint slot held by some subjects only is partially joint among
+    them, and a nominee without mates is individual.
     """
     cfg = decomp.config
     k_total = decomp.n_subjects
     slot_rows = decomp.slot_rows
-    n_slots = kinds.shape[0]
     v = decomp.sources[0].shape[1]
-    peer_sets: dict[tuple[int, int], frozenset[int]] = {}
-    for c in range(n_slots):
+    sharers: dict[tuple[int, int], frozenset[int]] = {}
+    for c in range(kinds.shape[0]):
         holders = [k for k in range(k_total) if kinds[c, k] is not None]
         pj = [k for k in holders if kinds[c, k] is SourceKind.PARTIALLY_JOINT]
         for k in holders:
-            if kinds[c, k] is SourceKind.JOINT:
-                peer_sets[(c, k)] = frozenset(j for j in holders if j != k)
-            elif kinds[c, k] is SourceKind.INDIVIDUAL:
-                peer_sets[(c, k)] = frozenset()
+            joint = kinds[c, k] is SourceKind.JOINT
+            sharers[(c, k)] = frozenset(holders) if joint else frozenset({k})
         # With two subjects a proper peer subset cannot exist; lone
         # partially joint nominees have nobody to pair with either way.
         if k_total == 2 or len(pj) < 2:
-            for k in pj:
-                kinds[c, k] = SourceKind.INDIVIDUAL
-                peer_sets[(c, k)] = frozenset()
             continue
         rows = np.stack([decomp.sources[k][slot_rows[c, k]] for k in holders])
         corr = np.abs(rows @ rows.T) / v
@@ -197,29 +194,10 @@ def cluster_subjects(
         assign = _cluster_rows(corr, seed)
         groups = {holders[i]: int(assign[i]) for i in range(len(holders))}
         for k in pj:
-            mates = frozenset(
-                j for j in pj if j != k and groups[j] == groups[k]
-            )
-            if mates:
-                peer_sets[(c, k)] = mates
-            else:
-                kinds[c, k] = SourceKind.INDIVIDUAL
-                peer_sets[(c, k)] = frozenset()
-    labels: list[list[SourceLabel]] = []
-    for k in range(k_total):
-        subject_labels: list[SourceLabel] = []
-        for c in range(n_slots):
-            if kinds[c, k] is None:
-                continue
-            subject_labels.append(
-                SourceLabel(
-                    kind=kinds[c, k],
-                    peers=peer_sets[(c, k)],
-                    n_subjects=k_total,
-                    subject=k,
-                )
-            )
-        labels.append(subject_labels)
+            sharers[(c, k)] = frozenset(j for j in pj if groups[j] == groups[k])
+    labels: list[list[SourceLabel]] = [[] for _ in range(k_total)]
+    for (c, k), group in sorted(sharers.items()):
+        labels[k].append(SourceLabel.shared_with(k, group - {k}, k_total))
     return labels
 
 

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OrderExceedsRank
+from .numerics import _fix_sign
 from .types import Observations, SubjectDataset, check_finite
 
 _RANK_RTOL = 1e-12
@@ -148,11 +149,7 @@ def _reduce(obs: Observations, order: int | None) -> PcaResult:
         raise OrderExceedsRank(f"order {order} outside [1, {n_time}]")
     if lam[order - 1] <= _RANK_RTOL * max(lam[0], 0.0):
         raise OrderExceedsRank(f"order {order} exceeds numerical rank")
-    loadings = vecs[:, :order].copy()
-    for j in range(order):
-        i = int(np.argmax(np.abs(loadings[:, j])))
-        if loadings[i, j] < 0:
-            loadings[:, j] = -loadings[:, j]
+    loadings = np.stack([_fix_sign(vecs[:, j]) for j in range(order)], axis=1)
     lt = np.ascontiguousarray(loadings.T)
     scores = np.empty((order, n_voxels))
     for start, raw in obs.column_blocks(buf):

@@ -256,7 +256,8 @@ def stream_dataset(spec: ScenarioSpec) -> tuple[Iterator[SubjectDataset], Ground
     partially joint maps (subject k uses the first n_pjoint[k] of its
     cluster's stack), and individual maps are unique per subject.  A
     partially joint map that ends up with a single user (asymmetric
-    per-subject counts) is labeled individual in the truth.
+    per-subject counts) is labeled individual in the truth, as is every
+    map of a single subject.
 
     The maps and every subject's mixing matrix are drawn before this
     returns, so a scenario that cannot be built raises here.  Each
@@ -302,84 +303,47 @@ def _draw_truth(spec: ScenarioSpec) -> GroundTruth:
     joint_maps = [draw() for _ in range(spec.n_joint)]
     cluster_of = {j: qi for qi, grp in enumerate(partition) for j in grp}
     pj_maps: dict[int, list[np.ndarray]] = {}
+    pj_sharers: dict[int, list[frozenset[int]]] = {}
     for qi, grp in enumerate(partition):
         depth = max((pj_counts[j] for j in grp), default=0)
         pj_maps[qi] = [draw() for _ in range(depth)]
+        pj_sharers[qi] = [frozenset(j for j in grp if pj_counts[j] > i) for i in range(depth)]
     iv_maps = {k: [draw() for _ in range(iv_counts[k])] for k in range(k_total)}
+    cluster_map = {
+        f"pj{qi}_{i}": group
+        for qi, groups in pj_sharers.items()
+        for i, group in enumerate(groups)
+        if len(group) >= 2
+    }
 
     sources: list[np.ndarray] = []
     mixing: list[np.ndarray] = []
     labels: list[list[SourceLabel]] = []
-    true_pj: list[int] = []
-    true_iv: list[int] = []
-    cluster_map: dict[str, frozenset[int]] = {}
     everyone = frozenset(range(k_total))
-
-    for qi, grp in enumerate(partition):
-        for i in range(len(pj_maps[qi])):
-            sharers = frozenset(j for j in grp if pj_counts[j] > i)
-            if len(sharers) >= 2:
-                cluster_map[f"pj{qi}_{i}"] = sharers
-
     for k in range(k_total):
         qi = cluster_of[k]
         rows = list(joint_maps) + pj_maps[qi][: pj_counts[k]] + iv_maps[k]
         s = np.stack(rows)
-        subject_labels: list[SourceLabel] = []
-        n_pj_eff, n_iv_eff = 0, iv_counts[k]
-        for _ in range(spec.n_joint):
-            subject_labels.append(
-                SourceLabel(
-                    kind=SourceKind.JOINT,
-                    peers=everyone - {k},
-                    n_subjects=k_total,
-                    subject=k,
-                )
-            )
-        for i in range(pj_counts[k]):
-            sharers = cluster_map.get(f"pj{qi}_{i}", frozenset())
-            peers = sharers - {k}
-            if peers:
-                subject_labels.append(
-                    SourceLabel(
-                        kind=SourceKind.PARTIALLY_JOINT,
-                        peers=peers,
-                        n_subjects=k_total,
-                        subject=k,
-                    )
-                )
-                n_pj_eff += 1
-            else:
-                subject_labels.append(
-                    SourceLabel(
-                        kind=SourceKind.INDIVIDUAL,
-                        peers=frozenset(),
-                        n_subjects=k_total,
-                        subject=k,
-                    )
-                )
-                n_iv_eff += 1
-        for _ in range(iv_counts[k]):
-            subject_labels.append(
-                SourceLabel(
-                    kind=SourceKind.INDIVIDUAL,
-                    peers=frozenset(),
-                    n_subjects=k_total,
-                    subject=k,
-                )
-            )
+        sharers = (
+            [everyone] * spec.n_joint
+            + pj_sharers[qi][: pj_counts[k]]
+            + [frozenset({k})] * iv_counts[k]
+        )
+        labels.append(
+            [SourceLabel.shared_with(k, group - {k}, k_total) for group in sharers]
+        )
         sources.append(s)
         mixing.append(_smooth_mixing(rng_for(spec.seed, "mixing", k), nt[k], s.shape[0]))
-        labels.append(subject_labels)
-        true_pj.append(n_pj_eff)
-        true_iv.append(n_iv_eff)
+
+    def count(kind: SourceKind) -> list[int]:
+        return [sum(lab.kind is kind for lab in labs) for labs in labels]
 
     return GroundTruth(
         sources=sources,
         mixing=mixing,
         labels=labels,
-        joint_count=spec.n_joint,
-        pjoint_counts=true_pj,
-        individual_counts=true_iv,
+        joint_count=count(SourceKind.JOINT)[0],
+        pjoint_counts=count(SourceKind.PARTIALLY_JOINT),
+        individual_counts=count(SourceKind.INDIVIDUAL),
         cluster_map=cluster_map,
     )

@@ -10,7 +10,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -34,10 +34,10 @@ class SourceKind(enum.Enum):
 class SourceLabel:
     """Kind plus peer set for one source of one subject.
 
-    ``peers`` holds the indices of the other subjects sharing the source.
-    Consistency with ``kind`` is enforced at construction: a joint source
-    is shared with all K-1 others, an individual source with none, and a
-    partially joint source with a proper nonempty subset.
+    ``peers`` holds the indices of the other subjects sharing the source,
+    and the peer set decides the kind (see :meth:`shared_with`).  A
+    label given a kind, as a file loader gives it, must carry the kind
+    its peer set implies.
     """
 
     kind: SourceKind
@@ -52,15 +52,34 @@ class SourceLabel:
             raise ValueError("peer set must not contain the subject itself")
         if not all(0 <= p < self.n_subjects for p in self.peers):
             raise ValueError("peer index out of range")
-        n = len(self.peers)
-        if self.kind is SourceKind.JOINT and n != self.n_subjects - 1:
-            raise ValueError("joint source must be shared with all other subjects")
-        if self.kind is SourceKind.INDIVIDUAL and n != 0:
-            raise ValueError("individual source must have an empty peer set")
-        if self.kind is SourceKind.PARTIALLY_JOINT and not 0 < n < self.n_subjects - 1:
+        implied = _kind_of(len(self.peers), self.n_subjects)
+        if self.kind is not implied:
             raise ValueError(
-                "partially joint source needs a proper nonempty peer subset"
+                f"a source shared with {len(self.peers)} of {self.n_subjects - 1}"
+                f" other subjects is {implied.value}, not {self.kind.value}"
             )
+
+    @classmethod
+    def shared_with(
+        cls, subject: int, peers: Iterable[int], n_subjects: int
+    ) -> SourceLabel:
+        """The label of a source ``subject`` shares with ``peers``.
+
+        No peers make it individual (so every source of a single
+        subject is), all other subjects joint, and a proper subset of
+        them partially joint.
+        """
+        peers = frozenset(peers)
+        return cls(_kind_of(len(peers), n_subjects), peers, n_subjects, subject)
+
+
+def _kind_of(n_peers: int, n_subjects: int) -> SourceKind:
+    """The kind a peer set of ``n_peers`` implies; see ``SourceLabel.shared_with``."""
+    if n_peers == 0:
+        return SourceKind.INDIVIDUAL
+    if n_peers == n_subjects - 1:
+        return SourceKind.JOINT
+    return SourceKind.PARTIALLY_JOINT
 
 
 class Observations(Protocol):

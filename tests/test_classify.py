@@ -267,6 +267,23 @@ def test_cluster_subjects_relabels_lone_nominee():
     assert labels[2][0].peers == frozenset()
 
 
+def test_cluster_subjects_joint_slot_of_some_holders_is_partially_joint():
+    """A joint vote means shared by the slot's holders; a subset of subjects is a partial share."""
+    rng = np.random.default_rng(11)
+    v = 1500
+    common, extra = _sharp(rng, v), _sharp(rng, v)
+    sources = [common[None, :]] + [np.stack([common, extra]) for _ in range(3)]
+    decomp = _stub_decomp(sources)
+    kinds = np.full((2, 4), SourceKind.JOINT, dtype=object)
+    kinds[1, 0] = None
+    labels = cluster_subjects(decomp, kinds)
+    for k in range(4):
+        assert labels[k][0].kind is SourceKind.JOINT
+    for k in range(1, 4):
+        assert labels[k][1].kind is SourceKind.PARTIALLY_JOINT
+        assert labels[k][1].peers == frozenset({1, 2, 3}) - {k}
+
+
 def test_label_decomposition_end_to_end_counts():
     spec = ScenarioSpec(
         n_subjects=5, n_joint=1, n_individual=1, n_clusters=1,

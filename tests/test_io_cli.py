@@ -29,7 +29,12 @@ from jpjica import io as jio
 from jpjica import simulate
 from jpjica.classify import label_decomposition
 from jpjica.engine import run_jpji_ica
-from jpjica.errors import OrderExceedsRank, RankDeficientMixing, ZeroSource
+from jpjica.errors import (
+    OrderExceedsRank,
+    RankDeficientMixing,
+    SingleSubjectWarning,
+    ZeroSource,
+)
 from jpjica.simulate import ScenarioSpec, generate_dataset
 from jpjica.types import AlgoConfig, SourceKind, SubjectDataset, slot_rows
 
@@ -1040,6 +1045,58 @@ def test_cli_ragged_auto_components_end_to_end(tmp_path):
     lines = [ln.split(",") for ln in (res / "labels.csv").read_text().splitlines()[1:]]
     assert len(lines) == sum(orders)
     assert [(int(f[0]), f[1], f[2]) for f in lines] == want
+
+
+def test_cli_ragged_slot_held_by_one_cluster_is_partially_joint(tmp_path):
+    """A slot only the sharing cluster holds is voted joint by its holders.
+
+    The five subjects with a partially joint map have one more source
+    than the other five, so ``--components auto`` gives ragged orders and
+    that map's slot is held by the cluster alone.  Its sources are
+    partially joint among the holders, not joint.
+    """
+    sim, res = tmp_path / "data", tmp_path / "run"
+    argv = [
+        "simulate", "--subjects", "10", "--joint", "2", "--pjoint", "0,0,0,0,0,1,1,1,1,1",
+        "--voxels", "4096", "--time", "100", "--seed", "0", "--out", str(sim),
+    ]
+    assert cli.main(argv) == cli.EXIT_OK
+    argv = ["decompose", str(sim), "--out", str(res), "--components", "auto", "--seed", "0"]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = [ln.split(",") for ln in (res / "labels.csv").read_text().splitlines()[1:]]
+    holders_of: dict[str, set[str]] = {}
+    for slot, sid, _, _ in lines:
+        holders_of.setdefault(slot, set()).add(sid)
+    cluster = {f"sub{k:02d}" for k in range(6, 11)}
+    extra = [slot for slot, holders in holders_of.items() if holders == cluster]
+    assert len(extra) == 1 and len(holders_of) == 3
+    rows = [f for f in lines if f[0] == extra[0]]
+    for _, sid, kind, peers in rows:
+        assert kind == "pjoint" and set(peers.split("|")) == cluster - {sid}
+    assert cli.main(["evaluate", str(res), str(sim)]) == cli.EXIT_OK
+    metrics = json.loads((res / "report.json").read_text())["metrics"]
+    assert metrics["acc_counts"] == {"joint": True, "pjoint": True, "individual": True}
+    assert metrics["acc_peer_sets"] == 100.0
+
+
+def test_cli_single_subject_labels_every_source_individual(tmp_path):
+    """With one subject nothing is shared: truth and estimate both say individual."""
+    sim, res = tmp_path / "data", tmp_path / "run"
+    argv = [
+        "simulate", "--subjects", "1", "--joint", "2", "--individual", "1",
+        "--voxels", "1024", "--time", "60", "--seed", "0", "--out", str(sim),
+    ]
+    assert cli.main(argv) == cli.EXIT_OK
+    truth = json.loads((sim / "manifest.json").read_text())["ground_truth"]
+    assert truth["joint_count"] == 0
+    assert truth["pjoint_counts"] == [0] and truth["individual_counts"] == [3]
+    assert [lab["kind"] for lab in truth["subjects"][0]["labels"]] == ["individual"] * 3
+    argv = ["decompose", str(sim), "--out", str(res), "--seed", "0"]
+    with pytest.warns(SingleSubjectWarning):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(["evaluate", str(res), str(sim)]) == cli.EXIT_OK
+    metrics = json.loads((res / "report.json").read_text())["metrics"]
+    assert metrics["acc_counts"] == {"joint": True, "pjoint": True, "individual": True}
 
 
 def test_cli_zero_source_mid_sweep_exits_3(cli_dirs, tmp_path, capsys, monkeypatch):

@@ -55,6 +55,30 @@ def test_source_label_consistency_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "subject, peers, n_subjects, kind",
+    [
+        (0, (), 1, SourceKind.INDIVIDUAL),
+        (1, (0,), 2, SourceKind.JOINT),
+        (2, (), 5, SourceKind.INDIVIDUAL),
+        (2, (0, 4), 5, SourceKind.PARTIALLY_JOINT),
+        (2, (0, 1, 3, 4), 5, SourceKind.JOINT),
+    ],
+    ids=["K1-alone", "K2-one-peer", "K5-no-peers", "K5-two-peers", "K5-four-peers"],
+)
+def test_shared_with_picks_the_kind_of_the_peer_set(subject, peers, n_subjects, kind):
+    """The peer set decides the kind; a label given any other kind is refused."""
+    lab = SourceLabel.shared_with(subject, peers, n_subjects)
+    assert lab == SourceLabel(
+        kind=kind, peers=frozenset(peers), n_subjects=n_subjects, subject=subject
+    )
+    for other in set(SourceKind) - {kind}:
+        with pytest.raises(ValueError):
+            SourceLabel(
+                kind=other, peers=frozenset(peers), n_subjects=n_subjects, subject=subject
+            )
+
+
 def test_subject_dataset_validation():
     ds = SubjectDataset(subject_id="s1", observations=[[1.0, 2.0], [3.0, 4.0]])
     assert ds.n_time == 2 and ds.n_voxels == 2
