@@ -16,12 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .engine import WEIGHTS, mode_switch_threshold
-from .errors import (
-    DegenerateCorrelation,
-    NoJointSources,
-    TooFewPoints,
-    UnseparableFeatures,
-)
+from .errors import DegenerateCorrelation, NoJointSources, TooFewPoints
 from .numerics import kmeans, silhouette
 from .seeding import rng_for
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
@@ -87,54 +82,46 @@ def select_sigma_opt(
 ) -> tuple[float, float]:
     """Threshold separating partially joint from individual features.
 
-    Joint slots set a reference level; the ratio of that level to each
-    non-joint feature is clustered into two groups (moderate ratios are
-    partially joint, huge ratios individual), and the threshold is the
-    midpoint between the largest individual feature and the smallest
-    partially joint feature.  Without joint slots the features
-    themselves are clustered as a fallback.
+    The floor is twice the engine's null cost of a full ring,
+    ``2 * mode_switch_threshold`` with K - 1 partners.  When no non-joint
+    feature lies below it there is no individual class, and the floor is
+    the threshold, so every non-joint source is partially joint.
+    Otherwise the log10 of the non-joint features is split into two
+    groups by k-means (features span decades within each class), and
+    the threshold is the midpoint between the largest feature of the
+    low (individual) group and the smallest of the high (partially
+    joint) group, never below the floor.
 
-    Returns (sigma, joint reference level).
+    Features that are all equal, or none at all, leave nothing to split:
+    the floor decides, unless there is no joint slot either
+    (``NoJointSources``).
+
+    Returns (sigma, joint reference level): the level is the mean
+    feature of the joint slots' sources, NaN without joint slots.
     """
-    cfg = decomp.config
-    jpjif = features.jpjif
     v = decomp.sources[0].shape[1]
     n_alpha_typ = max(decomp.n_subjects - 1, 1)
     floor = 2.0 * mode_switch_threshold(WEIGHTS, n_alpha_typ, 1, v, n_partners=n_alpha_typ)
-    non_joint = [c for c in range(jpjif.shape[0]) if c not in joint_slots]
-    vals = jpjif[non_joint, :]
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
-        return floor, float("nan")
-    seed = int(rng_for(cfg.seed, "clusters", 0).integers(2**31))
-    if joint_slots:
-        ref = float(np.nanmean(jpjif[joint_slots, :]))
-        points = np.where(finite > 0, ref / np.clip(finite, 1e-300, None), np.inf)
-        points = np.where(np.isfinite(points), points, 1e15)
-        # Ratios span decades within each class; cluster on log scale.
-        points = np.log10(np.clip(points, 1e-300, None))
-        if np.unique(points).size < 2:
-            return max(float(finite.max()) * 0.5, floor), ref
-        labels, centers, _ = kmeans(points[:, None], 2, seed=seed)
-        pj_cluster = int(np.argmin(centers[:, 0]))
-    else:
-        ref = float("nan")
-        points = np.log10(np.clip(finite, 1e-300, None))
-        if np.unique(points).size < 2:
-            raise NoJointSources("no joint reference and features are degenerate")
-        labels, centers, _ = kmeans(points[:, None], 2, seed=seed)
-        pj_cluster = int(np.argmax(centers[:, 0]))
-    pj_vals = finite[labels == pj_cluster]
-    iv_vals = finite[labels != pj_cluster]
-    if pj_vals.size == 0 or iv_vals.size == 0:
-        return max(float(finite.max()) * 0.5, floor), ref
-    lower = float(iv_vals.max())
-    upper = float(pj_vals.min())
-    if lower >= upper:
-        raise UnseparableFeatures(
-            f"individual features reach {lower:.3g}, partially joint start at {upper:.3g}"
-        )
-    return max((lower + upper) / 2.0, floor), ref
+    ref = _joint_level(features, joint_slots)
+    non_joint = np.delete(features.jpjif, joint_slots, axis=0)
+    finite = non_joint[np.isfinite(non_joint)]
+    distinct = np.unique(finite).size
+    if distinct < 2 and not joint_slots:
+        raise NoJointSources("no joint reference and features are degenerate")
+    if distinct < 2 or finite.min() > floor:
+        return floor, ref
+    seed = int(rng_for(decomp.config.seed, "clusters", 0).integers(2**31))
+    points = np.log10(np.clip(finite, 1e-300, None))
+    labels, centers, _ = kmeans(points[:, None], 2, seed=seed)
+    # A 1-D nearest-centre split is an interval cut: both groups are
+    # non-empty and the low group lies wholly below the high one.
+    pj = labels == int(np.argmax(centers[:, 0]))
+    return max((float(finite[~pj].max()) + float(finite[pj].min())) / 2.0, floor), ref
+
+
+def _joint_level(features: FeatureTable, joint_slots: list[int]) -> float:
+    """Mean feature of the joint slots' sources; NaN without joint slots."""
+    return float(np.nanmean(features.jpjif[joint_slots, :])) if joint_slots else float("nan")
 
 
 def classify_by_feature(
@@ -245,8 +232,7 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
     if isinstance(cfg.sigma0, str):
         sigma, ref = select_sigma_opt(features, joint_slots, decomp)
     else:
-        sigma = float(cfg.sigma0)
-        ref = float(np.nanmean(features.jpjif[joint_slots, :])) if joint_slots else float("nan")
+        sigma, ref = float(cfg.sigma0), _joint_level(features, joint_slots)
     kinds = classify_by_feature(features, sigma, joint_slots)
     labels = cluster_subjects(decomp, kinds)
     features = replace(

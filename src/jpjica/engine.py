@@ -454,8 +454,8 @@ def run_jpji_ica(
     coef = [np.zeros((n_sub, cross.shape[0])) for _ in range(n_slots)]
     xcov = [np.zeros((n_sub, cross.shape[0])) for _ in range(n_slots)]
     traces: list[TraceRecord] = []
-    self_mode = np.zeros((n_slots, n_sub), dtype=bool)
-    final_costs = np.full((n_slots, n_sub), np.nan)
+    # The last sweep's record of each subject's rows, in slot order.
+    final_traces: list[list[TraceRecord]] = [[] for _ in range(n_sub)]
 
     def put(c: int, j: int, a: np.ndarray) -> None:
         """Set est[c][j] to standardize(a @ z0[j]), with its coefficients."""
@@ -493,9 +493,9 @@ def run_jpji_ica(
                     if lam >= floor:
                         mode = "joint"
                         trace_vals = [cost(u0, cm), lam]
-                        u_fin, lam_fin, converged = u_new, lam, True
+                        u_fin, converged = u_new, True
                 if mode == "self":
-                    lam_fin, u_fin, trace_vals, converged = inner_extract(
+                    _, u_fin, trace_vals, converged = inner_extract(
                         z0[k] if frame is None else frame @ z0[k], WEIGHTS, u0
                     )
                 if frame is not None:
@@ -517,11 +517,17 @@ def run_jpji_ica(
                     )
                 )
                 if final:
-                    self_mode[c, k] = mode == "self"
-                    final_costs[c, k] = lam_fin
+                    final_traces[k].append(traces[-1])
 
     if align:
-        _align_rows(est, u_work, final_costs, self_mode, orders)
+        _align_rows(est, u_work, final_traces, orders)
+    # A row's final cost is the last of its record's trace values.
+    self_mode = np.zeros((n_slots, n_sub), dtype=bool)
+    final_costs = np.full((n_slots, n_sub), np.nan)
+    for records in final_traces:
+        for t in records:
+            self_mode[t.slot, t.subject] = t.mode == "self"
+            final_costs[t.slot, t.subject] = t.costs[-1]
     # est[c][k] is standardize(u_work[k][c] @ z0[k]) already (put, then
     # _align_rows permuting both alike), and negation is exact.
     for k in range(n_sub):
@@ -570,8 +576,7 @@ def run_jpji_ica(
 def _align_rows(
     est: list[np.ndarray],
     u_work: list[np.ndarray],
-    final_costs: np.ndarray,
-    self_mode: np.ndarray,
+    final_traces: list[list[TraceRecord]],
     orders: list[int],
 ) -> None:
     """Re-match each subject's rows to the consensus slots, in place.
@@ -588,6 +593,9 @@ def _align_rows(
     product per slot correlates the subject's o rows with every subject's
     row in that slot; the rows of slots a subject does not hold are zero
     and add nothing, and the subject's own row is zeroed.
+    ``final_traces[k]`` holds the last sweep's records of subject k's
+    rows in slot order; each record moves, and takes the slot, with its
+    row.
     """
     n_sub, v = est[0].shape
     if n_sub < 2:
@@ -612,8 +620,9 @@ def _align_rows(
                 for c in range(o):
                     est[c][k] = rows[perm[c]]
                 u_work[k] = u_work[k][perm]
-                final_costs[:o, k] = final_costs[perm, k]
-                self_mode[:o, k] = self_mode[perm, k]
+                final_traces[k] = [final_traces[k][p] for p in perm]
+                for c, t in enumerate(final_traces[k]):
+                    t.slot = c
         if not changed:
             break
 

@@ -57,10 +57,6 @@ class NoJointSources(JpjicaError):
     """Threshold selection found no joint slot and no usable fallback."""
 
 
-class UnseparableFeatures(JpjicaError):
-    """Feature bounds for threshold selection are inverted."""
-
-
 class DegenerateCorrelation(JpjicaError):
     """Correlation undefined (zero variance) where it is required."""
 

@@ -209,6 +209,59 @@ def test_select_sigma_degenerate_features_raise():
         select_sigma_opt(feats, [], decomp)
 
 
+def _floor_stub(jpjif):
+    """The table given, on five subjects at V=1024: the floor is 2 * 6 * 2.25 * 4 / 1024."""
+    rng = np.random.default_rng(13)
+    decomp = _stub_decomp([rng.standard_normal((3, 1024)) for _ in range(5)])
+    contributions = np.empty(jpjif.shape, dtype=object)
+    feats = FeatureTable(jpjif=jpjif, contributions=contributions, kurtosis=np.ones(jpjif.shape))
+    return feats, decomp
+
+
+def test_select_sigma_is_the_floor_when_nothing_lies_below_it():
+    jpjif = np.array([
+        [50.0, 52.0, 49.0, 51.0, 50.5],
+        [3.0, 8.0, 2.0, 40.0, 5.0],
+        [1.5, 6.0, 9.0, 0.2, 20.0],
+    ])
+    feats, decomp = _floor_stub(jpjif)
+    sigma, ref = select_sigma_opt(feats, [0], decomp)
+    assert sigma == 2 * 6.0 * 2.25 * 4 / 1024
+    assert ref == pytest.approx(float(np.mean(jpjif[0])), rel=1e-12)
+    kinds = classify_by_feature(feats, sigma, [0])
+    assert all(kind is SourceKind.PARTIALLY_JOINT for kind in kinds[1:].ravel())
+
+
+def test_select_sigma_splits_at_the_midpoint_below_the_floor():
+    jpjif = np.array([
+        [50.0, 52.0, 49.0, 51.0, 50.5],
+        [3.0, 8.0, 2.0, 40.0, 5.0],
+        [1.5, 6.0, 9.0, 0.001, 20.0],
+    ])
+    feats, decomp = _floor_stub(jpjif)
+    for joint in ([0], []):
+        sigma, _ = select_sigma_opt(feats, joint, decomp)
+        assert sigma == (0.001 + 1.5) / 2
+    kinds = classify_by_feature(feats, sigma, [0])
+    assert kinds[2, 3] is SourceKind.INDIVIDUAL
+    assert sum(kind is SourceKind.INDIVIDUAL for kind in kinds.ravel()) == 1
+
+
+def test_label_decomposition_explicit_sigma_runs_no_kmeans(monkeypatch):
+    import jpjica.classify as classify
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran")
+
+    monkeypatch.setattr(classify, "kmeans", no_kmeans)
+    decomp = _stub_decomp(_three_kind_sources(), AlgoConfig(sigma0=1e9))
+    labelled = label_decomposition(decomp)
+    assert labelled.features.sigma_opt == 1e9
+    assert labelled.features.joint_slots == [0]
+    joint_mean = float(np.mean(decomp.features.jpjif[0]))
+    assert labelled.features.jpjif_joint == pytest.approx(joint_mean, rel=1e-12)
+
+
 def test_classify_by_feature_mapping():
     jpjif = np.array([[50.0, 60.0], [8.0, 0.001], [np.nan, 0.002]])
     contributions = np.empty((3, 2), dtype=object)
@@ -249,6 +302,44 @@ def test_four_clusters_of_five_get_their_own_peer_sets(seed, snr_db):
     )
     datasets, truth = generate_dataset(spec)
     decomp = label_decomposition(run_jpji_ica(datasets, AlgoConfig(seed=seed)))
+    report = evaluate_run(truth, decomp)
+    assert all(report.acc_counts.values())
+    assert report.acc_peer_sets == 100.0
+
+
+@pytest.mark.parametrize(
+    "n_subjects, n_joint, n_pjoint, n_individual, n_clusters, snr_db",
+    [
+        (25, 3, 2, 0, 5, None),
+        (25, 3, 2, 0, 5, 3.0),
+        (10, 3, 2, 0, 2, None),
+        (10, 3, 2, 0, 2, 3.0),
+        (10, 3, 0, 2, 1, None),
+        (10, 0, 2, 1, 2, None),
+        (15, 3, 2, 1, 3, None),
+        (2, 2, 0, 1, 1, None),
+    ],
+    ids=[
+        "k25-no-individual-clean", "k25-no-individual-3dB",
+        "k10-no-individual-clean", "k10-no-individual-3dB",
+        "k10-no-pjoint", "k10-no-joint", "k15-all-kinds", "k2-joint-individual",
+    ],
+)
+def test_scenario_grid_gets_every_count_and_peer_set(
+    n_subjects, n_joint, n_pjoint, n_individual, n_clusters, snr_db
+):
+    """Each kind present or absent, 1-5 sharing clusters, K from 2 to 25.
+
+    Without individual maps every non-joint feature clears the null
+    floor, so the threshold is the floor and no individual class is made up.
+    """
+    spec = ScenarioSpec(
+        n_subjects=n_subjects, n_joint=n_joint, n_pjoint=n_pjoint,
+        n_individual=n_individual, n_clusters=n_clusters,
+        n_voxels=4096, n_time=150, snr_db=snr_db, seed=1,
+    )
+    datasets, truth = generate_dataset(spec)
+    decomp = label_decomposition(run_jpji_ica(datasets, AlgoConfig(seed=1)))
     report = evaluate_run(truth, decomp)
     assert all(report.acc_counts.values())
     assert report.acc_peer_sets == 100.0

@@ -30,7 +30,7 @@ from jpjica.errors import (
 from jpjica.numerics import dominant_eigenvector, standardize
 from jpjica.preprocess import _CENTRE_BLOCK_COLS, pca_reduce, whiten
 from jpjica.simulate import ScenarioSpec, generate_dataset
-from jpjica.types import AlgoConfig, SubjectDataset
+from jpjica.types import AlgoConfig, SubjectDataset, TraceRecord
 from oracles import cumulant_rows, deflate
 
 
@@ -158,16 +158,69 @@ def test_align_rows_undoes_a_swap_with_ragged_orders():
         est[c][0] = want[i][0]
     u_eff = [np.eye(o) for o in orders]
     u_eff[0] = u_eff[0][swap]
-    final_costs = np.arange(9.0).reshape(3, 3)
-    final_costs[2, 2] = np.nan
-    self_mode = np.zeros((3, 3), dtype=bool)
-    self_mode[0, 0] = True
-    _align_rows(est, u_eff, final_costs, self_mode, orders)
+    # The last sweep's records, in slot order: cost 3c + k, slot 0 of subject 0 in self mode.
+    records = [
+        [
+            TraceRecord(sweep=5, slot=c, subject=k, costs=[0.0, 3.0 * c + k],
+                        mode="self" if (c, k) == (0, 0) else "joint", converged=True)
+            for c in range(o)
+        ]
+        for k, o in enumerate(orders)
+    ]
+    _align_rows(est, u_eff, records, orders)
     np.testing.assert_array_equal(np.stack(est), np.stack(want))
     np.testing.assert_array_equal(u_eff[0], np.eye(3))
-    np.testing.assert_array_equal(final_costs[:, 0], [6.0, 3.0, 0.0])
-    np.testing.assert_array_equal(self_mode[:, 0], [False, False, True])
-    assert np.isnan(final_costs[2, 2])
+    # Subject 0's records moved with its rows and took their slots.
+    assert [t.costs[-1] for t in records[0]] == [6.0, 3.0, 0.0]
+    assert [t.mode for t in records[0]] == ["joint", "joint", "self"]
+    for k in range(3):
+        assert [t.slot for t in records[k]] == list(range(orders[k]))
+    assert [t.costs[-1] for t in records[2]] == [2.0, 5.0]
+
+
+def test_cost_trace_follows_rows_after_a_forced_swap(monkeypatch, tmp_path):
+    """Every final-sweep row of ``cost_trace.csv`` agrees with ``results.json``.
+
+    The assignment is forced to reverse subject 0's rows in both passes
+    of ``_align_rows``, so they end reversed against the order they were
+    extracted in; the records of the last sweep must move with them.
+    """
+    import json
+
+    import jpjica.engine as engine
+
+    real = engine.linear_sum_assignment
+    calls = []
+
+    def reversed_for_subject_0(cost):
+        slots, picked = real(cost)
+        if len(calls) % 5 == 0:
+            picked = picked[::-1].copy()
+        calls.append(cost.shape)
+        return slots, picked
+
+    monkeypatch.setattr(engine, "linear_sum_assignment", reversed_for_subject_0)
+    decomp, _, _ = _small_run(seed=2)
+    last = decomp.config.max_outer
+    assert len(calls) == 10  # the first pass changed a subject, so a second ran
+    jio.save_decomposition(tmp_path / "run", decomp)
+    results = json.loads((tmp_path / "run" / "results.json").read_text())
+    ids = results["subject_ids"]
+    last_rows = {}
+    with open(tmp_path / "run" / "cost_trace.csv") as fh:
+        next(fh)
+        for line in fh:
+            sweep, slot, subject, _, cost_, mode, _ = line.strip().split(",")
+            if int(sweep) == last:
+                last_rows[(int(slot), ids.index(subject))] = (float(cost_), mode)
+    assert len(last_rows) == decomp.n_slots * 5
+    for (c, k), (cost_, mode) in last_rows.items():
+        assert cost_ == results["extraction_costs"][c][k]
+        assert (mode == "self") == bool(results["self_mode"][c][k])
+    # Read in the order they were extracted, subject 0's records name its slots reversed.
+    final = [t for t in decomp.traces if t.sweep == last]
+    extracted = [[t.slot for t in final if t.subject == k] for k in range(5)]
+    assert extracted[0] == extracted[1][::-1] and extracted[1] == extracted[4]
 
 
 def test_mode_switch_threshold_scaling():
