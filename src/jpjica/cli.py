@@ -20,7 +20,7 @@ from .baseline import run_ji_thica
 from .classify import label_decomposition
 from .engine import run_jpji_ica
 from .errors import JpjicaError
-from .metrics import evaluate_run
+from .metrics import acc_c, acc_k, evaluate_run
 from .simulate import ScenarioSpec, stream_dataset
 from .types import AlgoConfig, slot_rows
 
@@ -322,15 +322,12 @@ def _write_group_table(path: Path, reports: list[dict], key_name: str, key_fn) -
         for key in sorted(groups, key=lambda v: (v is None, str(v))):
             reps = groups[key]
             jsirs = [r["metrics"]["jsir_db"] for r in reps]
-            peer = [r["metrics"]["acc_peer_sets"] for r in reps]
-            accs = {}
-            for kind in ("joint", "pjoint", "individual"):
-                vals = [100.0 * bool(r["metrics"]["acc_counts"].get(kind)) for r in reps]
-                accs[kind] = float(np.mean(vals))
+            accs = acc_c([r["metrics"]["acc_counts"] for r in reps])
+            peer = acc_k([r["metrics"]["acc_peer_sets"] for r in reps])
             fh.write(
                 f"{key},{len(reps)},{float(np.mean(jsirs)):.6g},"
                 f"{accs['joint']:.6g},{accs['pjoint']:.6g},{accs['individual']:.6g},"
-                f"{float(np.mean(peer)):.6g}\n"
+                f"{peer:.6g}\n"
             )
 
 

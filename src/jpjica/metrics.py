@@ -104,10 +104,13 @@ def acc_counts_run(
 
 
 def acc_c(runs: Sequence[dict[str, bool]]) -> dict[str, float]:
-    """Percentage of runs with fully correct counts, per kind."""
+    """Percentage of runs with fully correct counts, per kind.
+
+    A run that does not name a kind counts as wrong for it.
+    """
     out: dict[str, float] = {}
     for kind in SourceKind:
-        vals = [100.0 * bool(r[kind.value]) for r in runs]
+        vals = [100.0 * bool(r.get(kind.value)) for r in runs]
         out[kind.value] = float(np.mean(vals)) if vals else float("nan")
     return out
 

@@ -1,7 +1,7 @@
 """Synthetic multi-subject datasets with known joint structure.
 
-Spatial sources are sparse positive Gaussian-blob maps on a square grid
-(line segments when the voxel count is not a perfect square), which
+Spatial sources are sparse two-blob Gaussian maps on the smallest square
+grid that holds the voxels, cut to the voxel count in raster order, which
 makes them strongly super-Gaussian; time courses are smoothed white
 noise.  Every map is standardized to zero mean and unit variance over
 voxels, and maps are redrawn until all pairwise correlations stay small
@@ -147,39 +147,30 @@ def _per_subject(value: int | tuple[int, ...], k: int) -> tuple[int, ...]:
 
 
 def generate_spatial_source(n_voxels: int, rng: np.random.Generator) -> np.ndarray:
-    """One standardized blob map with excess kurtosis above the floor."""
-    side = math.isqrt(n_voxels)
-    two_d = side * side == n_voxels and side >= 8
-    if two_d:
-        yy, xx = np.mgrid[0:side, 0:side]
+    """One standardized blob map with excess kurtosis above the floor.
+
+    The blobs are drawn on the smallest square grid that holds every
+    voxel, and the map is the grid's first ``n_voxels`` cells in raster
+    order; when the voxel count is a perfect square that is the whole
+    grid.
+    """
+    side = math.isqrt(n_voxels - 1) + 1
+    yy, xx = np.mgrid[0:side, 0:side]
     for _ in range(_MAP_TRIES):
-        if two_d:
-            m = np.zeros((side, side))
-            # Exactly two blobs: every extra blob raises the chance of
-            # overlapping some other map, and scenarios with many subjects
-            # need pools of 20+ mutually decorrelated maps.
-            for _ in range(2):
-                w = rng.uniform(side / 32.0, side / 24.0)
-                # Keep blobs inside the grid: clipping would skew kurtosis.
-                lo, hi = (2 * w, side - 2 * w) if side > 4 * w else (0.0, float(side))
-                cx, cy = rng.uniform(lo, hi, 2)
-                # Mixed signs keep the raw mean near zero; same-sign blob
-                # maps all share a background after standardization and a
-                # large pool can then never stay mutually decorrelated.
-                amp = rng.uniform(0.8, 1.2) * (1.0 if rng.integers(2) else -1.0)
-                m += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * w * w))
-            flat = m.ravel()
-        else:
-            pos = np.arange(n_voxels, dtype=float)
-            flat = np.zeros(n_voxels)
-            for _ in range(int(rng.integers(2, 4))):
-                # Line segments lack the second dimension of the grid, so
-                # widths must be narrower for comparable sparsity.
-                w = rng.uniform(n_voxels / 120.0, n_voxels / 80.0)
-                lo, hi = (2 * w, n_voxels - 2 * w) if n_voxels > 4 * w else (0.0, float(n_voxels))
-                c = rng.uniform(lo, hi)
-                amp = rng.uniform(0.8, 1.2) * (1.0 if rng.integers(2) else -1.0)
-                flat = flat + amp * np.exp(-((pos - c) ** 2) / (2 * w * w))
+        m = np.zeros((side, side))
+        # Exactly two blobs: every extra blob raises the chance of
+        # overlapping some other map, and scenarios with many subjects
+        # need pools of 20+ mutually decorrelated maps.
+        for _ in range(2):
+            w = rng.uniform(side / 32.0, side / 24.0)
+            # Keep blobs inside the grid: clipping would skew kurtosis.
+            cx, cy = rng.uniform(2 * w, side - 2 * w, 2)
+            # Mixed signs keep the raw mean near zero; same-sign blob
+            # maps all share a background after standardization and a
+            # large pool can then never stay mutually decorrelated.
+            amp = rng.uniform(0.8, 1.2) * (1.0 if rng.integers(2) else -1.0)
+            m += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * w * w))
+        flat = m.ravel()[:n_voxels]
         if flat.std() < 1e-12:
             continue
         out = standardize(flat)

@@ -308,35 +308,39 @@ def test_four_clusters_of_five_get_their_own_peer_sets(seed, snr_db):
 
 
 @pytest.mark.parametrize(
-    "n_subjects, n_joint, n_pjoint, n_individual, n_clusters, snr_db",
+    "n_subjects, n_joint, n_pjoint, n_individual, n_clusters, n_voxels, snr_db",
     [
-        (25, 3, 2, 0, 5, None),
-        (25, 3, 2, 0, 5, 3.0),
-        (10, 3, 2, 0, 2, None),
-        (10, 3, 2, 0, 2, 3.0),
-        (10, 3, 0, 2, 1, None),
-        (10, 0, 2, 1, 2, None),
-        (15, 3, 2, 1, 3, None),
-        (2, 2, 0, 1, 1, None),
+        (25, 3, 2, 0, 5, 4096, None),
+        (25, 3, 2, 0, 5, 4096, 3.0),
+        (10, 3, 2, 0, 2, 4096, None),
+        (10, 3, 2, 0, 2, 4096, 3.0),
+        (10, 3, 0, 2, 1, 4096, None),
+        (10, 0, 2, 1, 2, 4096, None),
+        (15, 3, 2, 1, 3, 4096, None),
+        (2, 2, 0, 1, 1, 4096, None),
+        (20, 3, 2, 1, 2, 4000, None),
     ],
     ids=[
         "k25-no-individual-clean", "k25-no-individual-3dB",
         "k10-no-individual-clean", "k10-no-individual-3dB",
         "k10-no-pjoint", "k10-no-joint", "k15-all-kinds", "k2-joint-individual",
+        "k20-v4000",
     ],
 )
 def test_scenario_grid_gets_every_count_and_peer_set(
-    n_subjects, n_joint, n_pjoint, n_individual, n_clusters, snr_db
+    n_subjects, n_joint, n_pjoint, n_individual, n_clusters, n_voxels, snr_db
 ):
     """Each kind present or absent, 1-5 sharing clusters, K from 2 to 25.
 
     Without individual maps every non-joint feature clears the null
     floor, so the threshold is the floor and no individual class is made up.
+    A voxel count that is not a perfect square (4000) draws its maps on a
+    cut grid.
     """
     spec = ScenarioSpec(
         n_subjects=n_subjects, n_joint=n_joint, n_pjoint=n_pjoint,
         n_individual=n_individual, n_clusters=n_clusters,
-        n_voxels=4096, n_time=150, snr_db=snr_db, seed=1,
+        n_voxels=n_voxels, n_time=150, snr_db=snr_db, seed=1,
     )
     datasets, truth = generate_dataset(spec)
     decomp = label_decomposition(run_jpji_ica(datasets, AlgoConfig(seed=1)))

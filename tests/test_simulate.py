@@ -58,7 +58,7 @@ def test_spec_to_dict_round_trip_fields():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([256, 1024, 4096, 50]))
+@given(st.integers(0, 10_000), st.sampled_from([256, 1024, 4096, 50, 500, 5000]))
 def test_maps_standardized_and_super_gaussian(seed, n_voxels):
     m = generate_spatial_source(n_voxels, rng_for(seed, "maps", 7))
     assert abs(m.mean()) < 1e-10
