@@ -38,6 +38,6 @@ def run_ji_thica(
         for c in np.flatnonzero(held[:, k]):
             holders = () if decomp.self_mode[c, k] else np.flatnonzero(held[c])
             peers = {int(j) for j in holders if j != k}
-            subject_labels.append(SourceLabel.shared_with(k, peers, k_total))
+            subject_labels.append(SourceLabel(peers=peers, n_subjects=k_total, subject=k))
         labels.append(subject_labels)
     return replace(decomp, labels=labels)

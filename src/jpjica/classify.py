@@ -153,10 +153,10 @@ def cluster_subjects(
     rows of the pairwise |correlation| matrix of their estimates (the
     silhouette picks the cluster count, see ``_cluster_rows``), and a
     nominee shares its source with its cluster mates that are nominees
-    too.  Every other source is its subject's alone.  The kind of each
-    label follows from who shares the source (``SourceLabel.shared_with``):
-    a joint slot held by some subjects only is partially joint among
-    them, and a nominee without mates is individual.
+    too.  Every other source is its subject's alone.  The labels hold
+    these peer sets only, and ``SourceLabel.kind`` reads the kind off
+    them: a joint slot held by some subjects only is partially joint
+    among them, and a nominee without mates is individual.
     """
     cfg = decomp.config
     k_total = decomp.n_subjects
@@ -184,7 +184,7 @@ def cluster_subjects(
             sharers[(c, k)] = frozenset(j for j in pj if groups[j] == groups[k])
     labels: list[list[SourceLabel]] = [[] for _ in range(k_total)]
     for (c, k), group in sorted(sharers.items()):
-        labels[k].append(SourceLabel.shared_with(k, group - {k}, k_total))
+        labels[k].append(SourceLabel(peers=group - {k}, n_subjects=k_total, subject=k))
     return labels
 
 
@@ -221,8 +221,6 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
     selection.
     """
     features = decomp.features
-    if features is None:
-        raise ValueError("decomposition carries no feature table")
     if decomp.n_subjects == 1:
         kinds = np.empty_like(features.jpjif, dtype=object)
         kinds[:, :] = SourceKind.INDIVIDUAL

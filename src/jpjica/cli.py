@@ -160,8 +160,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         jio.save_decomposition(args.out, decomp, binary=args.binary)
     except OSError as exc:
         return _cannot_write(exc)
-    feats = decomp.features
-    sigma_txt = "none" if feats is None or feats.sigma_opt is None else f"{feats.sigma_opt:.6g}"
+    sigma = decomp.features.sigma_opt
+    sigma_txt = "none" if sigma is None else f"{sigma:.6g}"
     print(
         f"decomposed {decomp.n_subjects} subjects, {decomp.n_slots} slots"
         f" (algorithm={decomp.algorithm}, sigma={sigma_txt})"

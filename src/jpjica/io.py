@@ -28,6 +28,7 @@ from .types import (
     SourceLabel,
     SubjectDataset,
     check_nonempty,
+    kind_counts,
     slot_rows,
 )
 
@@ -211,14 +212,11 @@ def save_dataset(
                     ],
                 }
             )
+        counts = [kind_counts(labs) for labs in truth.labels]
         manifest["ground_truth"] = {
-            "joint_count": truth.joint_count,
-            "pjoint_counts": list(truth.pjoint_counts),
-            "individual_counts": list(truth.individual_counts),
-            "cluster_map": {
-                key: sorted(ids[j] for j in members)
-                for key, members in sorted(truth.cluster_map.items())
-            },
+            "joint_count": counts[0][SourceKind.JOINT],
+            "pjoint_counts": [c[SourceKind.PARTIALLY_JOINT] for c in counts],
+            "individual_counts": [c[SourceKind.INDIVIDUAL] for c in counts],
             "subjects": gt_subjects,
         }
     _dump_json(directory / "manifest.json", manifest)
@@ -284,7 +282,11 @@ def _load_dataset_manifest(directory: Path) -> dict:
 
 
 def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
-    """Ground truth of a manifest, or None; a malformed block or NaN/Inf raises ValueError."""
+    """Ground truth of a manifest, or None.
+
+    A malformed block, NaN/Inf, a label whose kind is not the one its
+    peers imply, or a count that is not its labels' raises ValueError.
+    """
     gt = manifest.get("ground_truth")
     if gt is None:
         return None
@@ -296,31 +298,47 @@ def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
             mixing.append(_load_finite(directory / entry["mixing"]))
             labels.append(
                 [
-                    SourceLabel(
-                        kind=SourceKind(lab["kind"]),
-                        peers=frozenset(idx_of[p] for p in lab["peers"]),
-                        n_subjects=len(manifest["subjects"]),
-                        subject=k,
+                    _stored_label(
+                        lab["kind"],
+                        (idx_of[p] for p in lab["peers"]),
+                        len(manifest["subjects"]),
+                        k,
                     )
                     for lab in entry["labels"]
                 ]
             )
-        return GroundTruth(
-            sources=sources,
-            mixing=mixing,
-            labels=labels,
-            joint_count=gt["joint_count"],
-            pjoint_counts=list(gt["pjoint_counts"]),
-            individual_counts=list(gt["individual_counts"]),
-            cluster_map={
-                key: frozenset(idx_of[p] for p in members)
-                for key, members in gt["cluster_map"].items()
-            },
-        )
+        joint = gt["joint_count"]
+        pjoint, individual = list(gt["pjoint_counts"]), list(gt["individual_counts"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(
             f"{directory}: malformed ground_truth ({type(exc).__name__}: {exc})"
         ) from exc
+    if not len(pjoint) == len(individual) == len(labels):
+        raise ValueError(
+            f"{directory}: malformed ground_truth (pjoint_counts and"
+            f" individual_counts need one entry per subject, {len(labels)})"
+        )
+    for k, counts in enumerate(map(kind_counts, labels)):
+        if counts[SourceKind.JOINT] != joint:
+            raise ValueError("joint count mismatch")
+        pj, iv = counts[SourceKind.PARTIALLY_JOINT], counts[SourceKind.INDIVIDUAL]
+        if (pj, iv) != (pjoint[k], individual[k]):
+            raise ValueError("per-subject count mismatch")
+    return GroundTruth(sources=sources, mixing=mixing, labels=labels)
+
+
+def _stored_label(kind: str, peers: Iterable[int], n_subjects: int, subject: int) -> SourceLabel:
+    """The label of a file entry that stores ``kind`` beside the peer set.
+
+    Raises ValueError when ``kind`` is not the kind the peers imply.
+    """
+    label = SourceLabel(peers=peers, n_subjects=n_subjects, subject=subject)
+    if SourceKind(kind) is not label.kind:
+        raise ValueError(
+            f"a source shared with {len(label.peers)} of {n_subjects - 1}"
+            f" other subjects is {label.kind.value}, not {kind}"
+        )
+    return label
 
 
 def save_decomposition(
@@ -355,8 +373,7 @@ def save_decomposition(
             row = row_of[c, k]
             if row < 0:
                 continue
-            jp = feats.jpjif[c, k] if feats is not None else float("nan")
-            ku = feats.kurtosis[c, k] if feats is not None else float("nan")
+            jp, ku = feats.jpjif[c, k], feats.kurtosis[c, k]
             kind, peers = "", ""
             if decomp.labels is not None:
                 lab = decomp.labels[k][row]
@@ -385,9 +402,9 @@ def save_decomposition(
         "subject_ids": list(ids),
         "orders": [int(s.shape[0]) for s in decomp.sources],
         "config": asdict(decomp.config),
-        "joint_slots": list(feats.joint_slots) if feats is not None else None,
-        "sigma_opt": feats.sigma_opt if feats is not None else None,
-        "jpjif_joint": feats.jpjif_joint if feats is not None else None,
+        "joint_slots": list(feats.joint_slots),
+        "sigma_opt": feats.sigma_opt,
+        "jpjif_joint": feats.jpjif_joint,
         "extraction_costs": _nan_to_none(decomp.extraction_costs),
         "self_mode": decomp.self_mode.astype(int).tolist(),
         "files": files,
@@ -406,7 +423,7 @@ class ResultsBundle:
     whiteners: list[np.ndarray]
     means: list[np.ndarray]
     labels: list[list[SourceLabel]] | None
-    features: FeatureTable | None
+    features: FeatureTable
     manifest: dict
 
 
@@ -465,9 +482,7 @@ def load_decomposition(directory: str | Path) -> ResultsBundle:
             raise ValueError("features.csv labels some sources but not others")
         labels = [[None] * o for o in orders]
         for (c, k), (kind, peer_idx) in kinds.items():
-            labels[k][row_of[c, k]] = SourceLabel(
-                kind=SourceKind(kind), peers=peer_idx, n_subjects=len(ids), subject=k
-            )
+            labels[k][row_of[c, k]] = _stored_label(kind, peer_idx, len(ids), k)
     features = FeatureTable(
         jpjif=jpjif,
         contributions=np.empty(jpjif.shape, dtype=object),

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import CountMismatchWarning
 from .numerics import linear_sum_assignment
-from .types import Decomposition, GroundTruth, SourceKind, SourceLabel
+from .types import Decomposition, GroundTruth, SourceKind, SourceLabel, kind_counts
 
 _DB_CLAMP = 120.0
 
@@ -87,20 +87,12 @@ def jsir(matches: Sequence[SubjectMatch]) -> tuple[float, list[float]]:
     return float(np.mean(per_subject)), per_subject
 
 
-def _count(labels: Sequence[SourceLabel], kind: SourceKind) -> int:
-    return sum(1 for l in labels if l.kind is kind)
-
-
 def acc_counts_run(
     truth: Sequence[Sequence[SourceLabel]], est: Sequence[Sequence[SourceLabel]]
 ) -> dict[str, bool]:
     """Per-kind run verdict: every subject's count of that kind matches."""
-    out: dict[str, bool] = {}
-    for kind in SourceKind:
-        out[kind.value] = all(
-            _count(t, kind) == _count(e, kind) for t, e in zip(truth, est)
-        )
-    return out
+    counts = [(kind_counts(t), kind_counts(e)) for t, e in zip(truth, est)]
+    return {kind.value: all(t[kind] == e[kind] for t, e in counts) for kind in SourceKind}
 
 
 def acc_c(runs: Sequence[dict[str, bool]]) -> dict[str, float]:

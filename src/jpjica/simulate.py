@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidScenario, RankDeficientMixing
 from .numerics import excess_kurtosis, standardize
 from .seeding import rng_for
-from .types import GroundTruth, SourceKind, SourceLabel, SubjectDataset
+from .types import GroundTruth, SourceLabel, SubjectDataset
 
 _MAX_MIXING_COND = 1e3
 _MAX_MAP_CORR = 0.1
@@ -300,12 +300,6 @@ def _draw_truth(spec: ScenarioSpec) -> GroundTruth:
         pj_maps[qi] = [draw() for _ in range(depth)]
         pj_sharers[qi] = [frozenset(j for j in grp if pj_counts[j] > i) for i in range(depth)]
     iv_maps = {k: [draw() for _ in range(iv_counts[k])] for k in range(k_total)}
-    cluster_map = {
-        f"pj{qi}_{i}": group
-        for qi, groups in pj_sharers.items()
-        for i, group in enumerate(groups)
-        if len(group) >= 2
-    }
 
     sources: list[np.ndarray] = []
     mixing: list[np.ndarray] = []
@@ -321,20 +315,8 @@ def _draw_truth(spec: ScenarioSpec) -> GroundTruth:
             + [frozenset({k})] * iv_counts[k]
         )
         labels.append(
-            [SourceLabel.shared_with(k, group - {k}, k_total) for group in sharers]
+            [SourceLabel(peers=group - {k}, n_subjects=k_total, subject=k) for group in sharers]
         )
         sources.append(s)
         mixing.append(_smooth_mixing(rng_for(spec.seed, "mixing", k), nt[k], s.shape[0]))
-
-    def count(kind: SourceKind) -> list[int]:
-        return [sum(lab.kind is kind for lab in labs) for labs in labels]
-
-    return GroundTruth(
-        sources=sources,
-        mixing=mixing,
-        labels=labels,
-        joint_count=count(SourceKind.JOINT)[0],
-        pjoint_counts=count(SourceKind.PARTIALLY_JOINT),
-        individual_counts=count(SourceKind.INDIVIDUAL),
-        cluster_map=cluster_map,
-    )
+    return GroundTruth(sources=sources, mixing=mixing, labels=labels)

@@ -32,54 +32,43 @@ class SourceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SourceLabel:
-    """Kind plus peer set for one source of one subject.
+    """Peer set of one source of one subject, and the kind it implies.
 
-    ``peers`` holds the indices of the other subjects sharing the source,
-    and the peer set decides the kind (see :meth:`shared_with`).  A
-    label given a kind, as a file loader gives it, must carry the kind
-    its peer set implies.
+    ``peers`` holds the indices of the other subjects sharing the source
+    (any iterable, kept as a frozenset).  The peer set decides the kind:
+    no peers make it individual (so every source of a single subject
+    is), all other subjects joint, and a proper subset of them partially
+    joint.
     """
 
-    kind: SourceKind
     peers: frozenset[int]
     n_subjects: int
     subject: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "peers", frozenset(self.peers))
         if not 0 <= self.subject < self.n_subjects:
             raise ValueError("subject index out of range")
         if self.subject in self.peers:
             raise ValueError("peer set must not contain the subject itself")
         if not all(0 <= p < self.n_subjects for p in self.peers):
             raise ValueError("peer index out of range")
-        implied = _kind_of(len(self.peers), self.n_subjects)
-        if self.kind is not implied:
-            raise ValueError(
-                f"a source shared with {len(self.peers)} of {self.n_subjects - 1}"
-                f" other subjects is {implied.value}, not {self.kind.value}"
-            )
 
-    @classmethod
-    def shared_with(
-        cls, subject: int, peers: Iterable[int], n_subjects: int
-    ) -> SourceLabel:
-        """The label of a source ``subject`` shares with ``peers``.
-
-        No peers make it individual (so every source of a single
-        subject is), all other subjects joint, and a proper subset of
-        them partially joint.
-        """
-        peers = frozenset(peers)
-        return cls(_kind_of(len(peers), n_subjects), peers, n_subjects, subject)
+    @property
+    def kind(self) -> SourceKind:
+        if not self.peers:
+            return SourceKind.INDIVIDUAL
+        if len(self.peers) == self.n_subjects - 1:
+            return SourceKind.JOINT
+        return SourceKind.PARTIALLY_JOINT
 
 
-def _kind_of(n_peers: int, n_subjects: int) -> SourceKind:
-    """The kind a peer set of ``n_peers`` implies; see ``SourceLabel.shared_with``."""
-    if n_peers == 0:
-        return SourceKind.INDIVIDUAL
-    if n_peers == n_subjects - 1:
-        return SourceKind.JOINT
-    return SourceKind.PARTIALLY_JOINT
+def kind_counts(labels: Iterable[SourceLabel]) -> dict[SourceKind, int]:
+    """How many of ``labels`` are of each kind; every kind is a key."""
+    counts = dict.fromkeys(SourceKind, 0)
+    for lab in labels:
+        counts[lab.kind] += 1
+    return counts
 
 
 class Observations(Protocol):
@@ -157,17 +146,13 @@ class SubjectDataset:
 class GroundTruth:
     """Reference sources, mixing and labels for a simulated dataset.
 
-    ``cluster_map`` records, for every partially joint map id, the set of
-    subject indices sharing it.
+    The labels' peer sets are the one record of which subjects share a
+    map; kinds and per-kind counts follow from them (``kind_counts``).
     """
 
     sources: list[np.ndarray]
     mixing: list[np.ndarray]
     labels: list[list[SourceLabel]]
-    joint_count: int
-    pjoint_counts: list[int]
-    individual_counts: list[int]
-    cluster_map: dict[str, frozenset[int]]
 
     def __post_init__(self) -> None:
         k = len(self.sources)
@@ -176,14 +161,6 @@ class GroundTruth:
         for s, a, labs in zip(self.sources, self.mixing, self.labels):
             if s.shape[0] != a.shape[1] or len(labs) != s.shape[0]:
                 raise ValueError("per-subject source count mismatch")
-        for idx, labs in enumerate(self.labels):
-            n_j = sum(l.kind is SourceKind.JOINT for l in labs)
-            n_p = sum(l.kind is SourceKind.PARTIALLY_JOINT for l in labs)
-            n_i = sum(l.kind is SourceKind.INDIVIDUAL for l in labs)
-            if n_j != self.joint_count:
-                raise ValueError("joint count mismatch")
-            if n_p != self.pjoint_counts[idx] or n_i != self.individual_counts[idx]:
-                raise ValueError("per-subject count mismatch")
 
     @property
     def n_subjects(self) -> int:
@@ -285,8 +262,8 @@ class Decomposition:
     self_mode: np.ndarray
     traces: list[TraceRecord]
     config: AlgoConfig
+    features: FeatureTable
     algorithm: str = "jpji"
-    features: FeatureTable | None = None
     labels: list[list[SourceLabel]] | None = None
 
     @property

@@ -36,7 +36,7 @@ from jpjica.errors import (
     ZeroSource,
 )
 from jpjica.simulate import ScenarioSpec, generate_dataset
-from jpjica.types import AlgoConfig, SourceKind, SubjectDataset, slot_rows
+from jpjica.types import AlgoConfig, SourceKind, SubjectDataset, kind_counts, slot_rows
 
 
 # ---------------------------------------------------------------- matrices
@@ -203,10 +203,12 @@ def test_dataset_roundtrip(tmp_path, small_scene, binary):
         assert np.array_equal(_read_back(a), b.observations)
 
     assert truth2 is not None
-    assert truth2.joint_count == truth.joint_count
-    assert truth2.pjoint_counts == list(truth.pjoint_counts)
-    assert truth2.individual_counts == list(truth.individual_counts)
-    assert truth2.cluster_map == truth.cluster_map
+    counts = [kind_counts(labs) for labs in truth.labels]
+    gt = manifest["ground_truth"]
+    assert gt["joint_count"] == counts[0][SourceKind.JOINT]
+    assert gt["pjoint_counts"] == [c[SourceKind.PARTIALLY_JOINT] for c in counts]
+    assert gt["individual_counts"] == [c[SourceKind.INDIVIDUAL] for c in counts]
+    assert [kind_counts(labs) for labs in truth2.labels] == counts
     for k in range(3):
         assert np.array_equal(truth2.sources[k], truth.sources[k])
         assert np.array_equal(truth2.mixing[k], truth.mixing[k])
@@ -840,13 +842,36 @@ def _unknown_peer(manifest):
     return manifest
 
 
+def _short_pjoint_counts(manifest):
+    manifest["ground_truth"]["pjoint_counts"] = [0]
+    return manifest
+
+
+def _long_individual_counts(manifest):
+    manifest["ground_truth"]["individual_counts"].append(1)
+    return manifest
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_joint_count, _drop_truth_sources, _unknown_peer],
-    ids=["no-joint-count", "no-sources", "unknown-peer"],
+    [
+        _drop_joint_count,
+        _drop_truth_sources,
+        _unknown_peer,
+        _short_pjoint_counts,
+        _long_individual_counts,
+    ],
+    ids=[
+        "no-joint-count",
+        "no-sources",
+        "unknown-peer",
+        "short-pjoint-counts",
+        "long-individual-counts",
+    ],
 )
 def test_cli_evaluate_rejects_malformed_ground_truth(cli_dirs, tmp_path, capsys, corrupt):
-    """A ground_truth block missing a key or naming an unknown subject: exit 3, one error line."""
+    """A ground_truth block missing a key, naming an unknown subject or holding a
+    count list without one entry per subject: exit 3, one error line."""
     _, sim, res = cli_dirs
     bad = tmp_path / "ds"
     shutil.copytree(sim, bad)
@@ -857,6 +882,55 @@ def test_cli_evaluate_rejects_malformed_ground_truth(cli_dirs, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "malformed ground_truth" in err
+
+
+def test_cli_evaluate_rejects_truth_label_of_the_wrong_kind(cli_dirs, tmp_path, capsys):
+    """A manifest label whose stored kind is not the one its peers imply: exit 3, one error line."""
+    _, sim, res = cli_dirs
+    bad = tmp_path / "ds"
+    shutil.copytree(sim, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    label = manifest["ground_truth"]["subjects"][0]["labels"][0]
+    assert label["kind"] == "joint" and len(label["peers"]) == 2
+    label["kind"] = "pjoint"
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(res), str(bad)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "shared with 2 of 2 other subjects is joint, not pjoint" in err
+
+
+def test_cli_evaluate_rejects_feature_row_of_the_wrong_kind(cli_dirs, tmp_path, capsys):
+    """A features.csv row whose stored kind is not the one its peers imply: exit 3, one error line."""
+    _, sim, res = cli_dirs
+    bad = tmp_path / "run"
+    shutil.copytree(res, bad)
+    path = bad / "features.csv"
+    lines = path.read_text().splitlines()
+    f = lines[1].split(",")
+    implied = f[4]
+    f[4] = "individual" if implied != "individual" else "joint"
+    path.write_text("\n".join([lines[0], ",".join(f), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(bad), str(sim)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"is {implied}, not {f[4]}" in err
+
+
+def test_cli_evaluate_accepts_dataset_with_cluster_map(cli_dirs, tmp_path):
+    """A manifest written with the former ``cluster_map`` key still evaluates."""
+    _, sim, res = cli_dirs
+    old = tmp_path / "ds"
+    shutil.copytree(sim, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    assert "cluster_map" not in manifest["ground_truth"]
+    manifest["ground_truth"]["cluster_map"] = {}
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "report.json"
+    assert cli.main(["evaluate", str(res), str(old), "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["metrics"] == jio.load_report(res / "report.json")["metrics"]
 
 
 # Ids that would escape the directory, split a CSV field or a peer list, or hide.

@@ -92,7 +92,9 @@ def test_jsir_aggregates_per_subject():
 
 
 def _label(kind, peers, k, subject):
-    return SourceLabel(kind=kind, peers=frozenset(peers), n_subjects=k, subject=subject)
+    lab = SourceLabel(peers=peers, n_subjects=k, subject=subject)
+    assert lab.kind is kind
+    return lab
 
 
 def _labels_for(k_total, spec_per_subject):
@@ -158,7 +160,7 @@ def test_acc_peer_sets_counts_exact_matches_only():
 
 def test_evaluate_run_perfect_recovery():
     from jpjica.simulate import ScenarioSpec, generate_dataset
-    from jpjica.types import AlgoConfig, Decomposition
+    from jpjica.types import AlgoConfig, Decomposition, FeatureTable
 
     spec = ScenarioSpec(
         n_subjects=4, n_joint=1, n_individual=1, n_clusters=1,
@@ -179,6 +181,7 @@ def test_evaluate_run_perfect_recovery():
         self_mode=np.zeros((2, k), dtype=bool),
         traces=[],
         config=AlgoConfig(),
+        features=FeatureTable(np.ones((2, k)), np.empty((2, k), dtype=object), np.ones((2, k))),
         labels=labels,
     )
     report = evaluate_run(truth, decomp)

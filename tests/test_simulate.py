@@ -12,7 +12,7 @@ from jpjica.simulate import (
     generate_dataset,
     generate_spatial_source,
 )
-from jpjica.types import SourceKind
+from jpjica.types import SourceKind, kind_counts
 
 
 def test_spec_validation_errors():
@@ -133,7 +133,9 @@ def test_singleton_share_becomes_individual():
     _, truth = generate_dataset(spec)
     # subject 0 is the only sharer in its cluster: its map is individual
     assert truth.labels[0][1].kind is SourceKind.INDIVIDUAL
-    assert truth.pjoint_counts[0] == 0 and truth.individual_counts[0] == 1
+    assert kind_counts(truth.labels[0]) == {
+        SourceKind.JOINT: 1, SourceKind.PARTIALLY_JOINT: 0, SourceKind.INDIVIDUAL: 1
+    }
     # the other cluster shares normally
     assert truth.labels[5][1].kind is SourceKind.PARTIALLY_JOINT
 

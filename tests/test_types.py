@@ -13,6 +13,7 @@ from jpjica.types import (
     SourceKind,
     SourceLabel,
     SubjectDataset,
+    kind_counts,
     slot_rows,
     validate_analysis_input,
 )
@@ -20,39 +21,18 @@ from jpjica.types import (
 
 def test_source_label_consistency_enforced():
     everyone_else = frozenset({1, 2, 3})
-    lab = SourceLabel(kind=SourceKind.JOINT, peers=everyone_else, n_subjects=4, subject=0)
+    lab = SourceLabel(peers=everyone_else, n_subjects=4, subject=0)
     assert lab.peers == everyone_else
-    SourceLabel(kind=SourceKind.INDIVIDUAL, peers=frozenset(), n_subjects=4, subject=2)
-    SourceLabel(
-        kind=SourceKind.PARTIALLY_JOINT, peers=frozenset({1}), n_subjects=4, subject=0
-    )
-    with pytest.raises(ValueError):
-        SourceLabel(kind=SourceKind.JOINT, peers=frozenset({1}), n_subjects=4, subject=0)
-    with pytest.raises(ValueError):
-        SourceLabel(
-            kind=SourceKind.INDIVIDUAL, peers=frozenset({1}), n_subjects=4, subject=0
-        )
-    with pytest.raises(ValueError):
-        # all K-1 peers is joint, not partially joint
-        SourceLabel(
-            kind=SourceKind.PARTIALLY_JOINT,
-            peers=frozenset({1, 2, 3}),
-            n_subjects=4,
-            subject=0,
-        )
-    with pytest.raises(ValueError):
-        SourceLabel(
-            kind=SourceKind.PARTIALLY_JOINT, peers=frozenset(), n_subjects=4, subject=0
-        )
+    # any iterable of peers is kept as a frozenset
+    assert SourceLabel(peers={1, 2, 3}, n_subjects=4, subject=0) == lab
+    assert isinstance(SourceLabel(peers=[1], n_subjects=4, subject=0).peers, frozenset)
     with pytest.raises(ValueError):
         # subject may not be its own peer
-        SourceLabel(
-            kind=SourceKind.PARTIALLY_JOINT, peers=frozenset({0}), n_subjects=4, subject=0
-        )
+        SourceLabel(peers=frozenset({0}), n_subjects=4, subject=0)
     with pytest.raises(ValueError):
-        SourceLabel(
-            kind=SourceKind.PARTIALLY_JOINT, peers=frozenset({9}), n_subjects=4, subject=0
-        )
+        SourceLabel(peers=frozenset({9}), n_subjects=4, subject=0)
+    with pytest.raises(ValueError):
+        SourceLabel(peers=frozenset(), n_subjects=4, subject=4)
 
 
 @pytest.mark.parametrize(
@@ -67,16 +47,10 @@ def test_source_label_consistency_enforced():
     ids=["K1-alone", "K2-one-peer", "K5-no-peers", "K5-two-peers", "K5-four-peers"],
 )
 def test_shared_with_picks_the_kind_of_the_peer_set(subject, peers, n_subjects, kind):
-    """The peer set decides the kind; a label given any other kind is refused."""
-    lab = SourceLabel.shared_with(subject, peers, n_subjects)
-    assert lab == SourceLabel(
-        kind=kind, peers=frozenset(peers), n_subjects=n_subjects, subject=subject
-    )
-    for other in set(SourceKind) - {kind}:
-        with pytest.raises(ValueError):
-            SourceLabel(
-                kind=other, peers=frozenset(peers), n_subjects=n_subjects, subject=subject
-            )
+    """The peer set decides the kind."""
+    lab = SourceLabel(peers=peers, n_subjects=n_subjects, subject=subject)
+    assert lab.kind is kind
+    assert kind_counts([lab]) == {k: int(k is kind) for k in SourceKind}
 
 
 def test_subject_dataset_validation():
