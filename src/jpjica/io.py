@@ -513,9 +513,12 @@ def save_report(path: str | Path, report_dict: dict) -> None:
 def load_report(path: str | Path) -> dict:
     """Read a report written by :func:`save_report`.
 
-    Raises ValueError unless ``metrics`` holds the entries ``jpjica
-    report`` aggregates: numbers ``jsir_db`` and ``acc_peer_sets`` and an
-    object ``acc_counts``.
+    Raises ValueError unless the report holds what ``jpjica report``
+    reads: in ``metrics``, numbers ``jsir_db`` and ``acc_peer_sets`` and
+    an object ``acc_counts``; a number, string or null at each key the
+    tables group by, each step of whose path is an object or absent; and
+    a list ``features`` (or none) of rows with an integer ``slot``, a
+    string ``subject`` and numbers ``jpjif`` and ``kurtosis``.
     """
     data = _load_json(Path(path))
     if data.get("kind") != "report":
@@ -529,6 +532,34 @@ def load_report(path: str | Path) -> dict:
     ):
         raise ValueError(
             f"{path}: 'metrics' needs numbers jsir_db and acc_peer_sets and an object acc_counts"
+        )
+    for name in (
+        "results.config.max_outer", "dataset.scenario.snr_db", "dataset.n_subjects",
+        "results.algorithm",
+    ):
+        value = data
+        for key in name.split("."):
+            if value is None:
+                break
+            if not isinstance(value, dict):
+                raise ValueError(f"{path}: the parent of '{key}' in '{name}' is not an object")
+            value = value.get(key)
+        if not isinstance(value, (int, float, str, type(None))):
+            raise ValueError(f"{path}: '{name}' must be a number, string or null")
+    features = data.get("features", [])
+    if not (
+        isinstance(features, list)
+        and all(
+            isinstance(row, dict)
+            and isinstance(row.get("slot"), int)
+            and isinstance(row.get("subject"), str)
+            and all(isinstance(row.get(k), (int, float)) for k in ("jpjif", "kurtosis"))
+            for row in features
+        )
+    ):
+        raise ValueError(
+            f"{path}: 'features' needs rows with an integer slot, a string subject "
+            "and numbers jpjif and kurtosis"
         )
     return data
 

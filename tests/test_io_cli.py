@@ -1376,6 +1376,58 @@ def test_cli_report_skips_report_without_metrics(cli_dirs, tmp_path, capsys):
     assert cli.main(["report", str(bad), "--out", str(tmp_path / "u")]) == cli.EXIT_NO_REPORTS
 
 
+def _drop_kurtosis(report):
+    del report["features"][0]["kurtosis"]
+
+
+def _kurtosis_text(report):
+    report["features"][0]["kurtosis"] = "1.5"
+
+
+def _features_text(report):
+    report["features"] = "slot,subject"
+
+
+def _features_null(report):
+    report["features"] = None
+
+
+def _dataset_text(report):
+    report["dataset"] = "data"
+
+
+def _scenario_text(report):
+    report["dataset"]["scenario"] = "default"
+
+
+def _max_outer_list(report):
+    report["results"]["config"]["max_outer"] = [1, 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_kurtosis, _kurtosis_text, _features_text, _features_null, _dataset_text,
+     _scenario_text, _max_outer_list],
+    ids=["row-no-kurtosis", "kurtosis-text", "features-text", "features-null",
+         "dataset-text", "scenario-text", "max-outer-list"],
+)
+def test_cli_report_skips_report_the_tables_cannot_read(cli_dirs, tmp_path, capsys, corrupt):
+    """A report whose features or group keys ``report`` cannot read is skipped, not a traceback."""
+    _, _, res = cli_dirs
+    good = res / "report.json"
+    report = json.loads(good.read_text())
+    corrupt(report)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main(["report", str(bad), str(good), "--out", str(tmp_path / "t")]) == cli.EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"warning: skipping {bad}")
+    assert cli.main(["report", str(good), "--out", str(tmp_path / "u")]) == cli.EXIT_OK
+    for table in sorted((tmp_path / "u").iterdir()):
+        assert (tmp_path / "t" / table.name).read_bytes() == table.read_bytes(), table.name
+
+
 def _drop_files(results):
     del results["files"]
     return results

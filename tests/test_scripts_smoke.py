@@ -1,10 +1,10 @@
-"""Every experiment script imports and parses its arguments.
+"""Every script imports and parses its arguments; each also runs once.
 
 The scripts drive ``jpjica.cli`` and have no other test, so a renamed
 public name or a removed CLI flag would only surface when an experiment
 is run.  ``--help`` imports the script and builds its parser, and runs
-nothing else.  ``compare_runs.py`` also runs on two tiny results
-directories.
+nothing else.  ``study.py comparison`` runs end to end at one seed, and
+``compare_runs.py`` on two tiny results directories.
 """
 import os
 import shutil
@@ -31,6 +31,28 @@ def test_script_help_exits_zero(script):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "usage:" in proc.stdout
+
+
+def test_study_comparison_runs_end_to_end(tmp_path):
+    """One dataset, decomposed by both algorithms, gives one table row per algorithm."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "comparison"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "study.py"), "comparison",
+         "--seeds", "1", "--out", str(out)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "data_0", "run_jithica_0", "run_jpji_0", "tables"
+    ]
+    rows = (out / "tables" / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["jithica", "1"], ["jpji", "1"]]
+    assert len((out / "tables" / "kurtosis_scatter.csv").read_text().splitlines()) > 1
 
 
 def _compare_runs(run_a, run_b):
