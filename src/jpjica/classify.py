@@ -7,7 +7,7 @@ a ring of the slot's other holders, ordered by association; its
 breakdown over ring positions (one per peer) carries the signature that
 separates the three types: a joint source draws near-equal contributions
 from every peer, a partially joint source only from its cluster, an
-individual source from nobody.
+individual source from nobody.  Nothing here draws from ``config.seed``.
 """
 from __future__ import annotations
 
@@ -16,9 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from .engine import WEIGHTS, mode_switch_threshold
-from .errors import DegenerateCorrelation, NoJointSources, TooFewPoints
+from .errors import DegenerateCorrelation, TooFewPoints
 from .numerics import kmeans, silhouette
-from .seeding import rng_for
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
 
 # Relative tolerance of the per-peer contribution uniformity test that
@@ -83,18 +82,13 @@ def select_sigma_opt(
     """Threshold separating partially joint from individual features.
 
     The floor is twice the engine's null cost of a full ring,
-    ``2 * mode_switch_threshold`` with K - 1 partners.  When no non-joint
-    feature lies below it there is no individual class, and the floor is
-    the threshold, so every non-joint source is partially joint.
-    Otherwise the log10 of the non-joint features is split into two
-    groups by k-means (features span decades within each class), and
-    the threshold is the midpoint between the largest feature of the
-    low (individual) group and the smallest of the high (partially
-    joint) group, never below the floor.
-
-    Features that are all equal, or none at all, leave nothing to split:
-    the floor decides, unless there is no joint slot either
-    (``NoJointSources``).
+    ``2 * mode_switch_threshold`` with K - 1 partners.  The threshold is
+    the geometric midpoint of the widest gap between neighbours among
+    the sorted non-joint features (which span decades within each class)
+    and the floor, never below the floor.  Non-joint features sitting
+    together above the floor leave the widest gap at the floor, so all
+    are partially joint.  Zero features (below any threshold) are left
+    out; with no other, the floor is the threshold.
 
     Returns (sigma, joint reference level): the level is the mean
     feature of the joint slots' sources, NaN without joint slots.
@@ -104,19 +98,12 @@ def select_sigma_opt(
     floor = 2.0 * mode_switch_threshold(WEIGHTS, n_alpha_typ, 1, v, n_partners=n_alpha_typ)
     ref = _joint_level(features, joint_slots)
     non_joint = np.delete(features.jpjif, joint_slots, axis=0)
-    finite = non_joint[np.isfinite(non_joint)]
-    distinct = np.unique(finite).size
-    if distinct < 2 and not joint_slots:
-        raise NoJointSources("no joint reference and features are degenerate")
-    if distinct < 2 or finite.min() > floor:
+    # NaN marks an unheld entry and fails the comparison.
+    points = np.sort(np.log10(np.append(non_joint[non_joint > 0], floor)))
+    if points.size < 2:
         return floor, ref
-    seed = int(rng_for(decomp.config.seed, "clusters", 0).integers(2**31))
-    points = np.log10(np.clip(finite, 1e-300, None))
-    labels, centers, _ = kmeans(points[:, None], 2, seed=seed)
-    # A 1-D nearest-centre split is an interval cut: both groups are
-    # non-empty and the low group lies wholly below the high one.
-    pj = labels == int(np.argmax(centers[:, 0]))
-    return max((float(finite[~pj].max()) + float(finite[pj].min())) / 2.0, floor), ref
+    gap = int(np.argmax(np.diff(points)))
+    return max(float(10.0 ** ((points[gap] + points[gap + 1]) / 2.0)), floor), ref
 
 
 def _joint_level(features: FeatureTable, joint_slots: list[int]) -> float:
@@ -158,7 +145,6 @@ def cluster_subjects(
     them: a joint slot held by some subjects only is partially joint
     among them, and a nominee without mates is individual.
     """
-    cfg = decomp.config
     k_total = decomp.n_subjects
     slot_rows = decomp.slot_rows
     v = decomp.sources[0].shape[1]
@@ -177,8 +163,7 @@ def cluster_subjects(
         corr = np.abs(rows @ rows.T) / v
         if not np.isfinite(corr).all():
             raise DegenerateCorrelation(f"slot {c}: correlation undefined")
-        seed = int(rng_for(cfg.seed, "clusters", c + 1).integers(2**31))
-        assign = _cluster_rows(corr, seed)
+        assign = _cluster_rows(corr)
         groups = {holders[i]: int(assign[i]) for i in range(len(holders))}
         for k in pj:
             sharers[(c, k)] = frozenset(j for j in pj if groups[j] == groups[k])
@@ -188,17 +173,18 @@ def cluster_subjects(
     return labels
 
 
-def _cluster_rows(corr: np.ndarray, seed: int) -> np.ndarray:
+def _cluster_rows(corr: np.ndarray) -> np.ndarray:
     """Cluster correlation-profile rows; silhouette picks the group count.
 
     A sharing cluster has at least five members, so n holders form at
     most n // 5 clusters; the counts 2 .. max(3, n // 5) are tried.
+    The k-means keeps its fixed default seed.
     """
     n = corr.shape[0]
     best_assign, best_score = None, -np.inf
     for k in range(2, min(n, max(3, n // 5) + 1)):
         try:
-            assign, _, _ = kmeans(corr, k, seed=seed)
+            assign, _, _ = kmeans(corr, k)
         except TooFewPoints:
             continue
         score = silhouette(corr, assign)

@@ -401,10 +401,10 @@ def run_jpji_ica(
     covariance with all of them (``coef[c]``, ``xcov[c]``).  ``put``
     writes an estimate as its coefficients times the subject's whitened
     rows, scaled to unit variance through the cross-covariance, so no
-    estimate is standardized over the voxels.  Each extraction draws a
-    random ring from the other holders of the slot; its order-2 terms
-    come from ``coef`` and ``xcov`` (``ring_order2``), and the order-3/4
-    walk gathers the partner rows from ``est[c]`` block by block
+    estimate is standardized over the voxels.  Each extraction takes a
+    ring from the other holders of the slot; its order-2 terms come
+    from ``coef`` and ``xcov`` (``ring_order2``), and the order-3/4 walk
+    gathers the partner rows from ``est[c]`` block by block
     (``build_ring_cost``), against ``z0[k]`` and left-multiplied by
     ``P`` in the last sweep.  The new estimate is written back at once,
     so later extractions in the slot see it.
@@ -412,15 +412,18 @@ def run_jpji_ica(
     ``algorithm`` fixes one policy before the sweeps:
 
     ``"jpji"``
-        the ring holds every other holder and the cost sums over all ring
-        positions; the floor is the automatic ``mode_switch_threshold``.
+        the ring holds every other holder by decreasing |covariance|
+        with the subject's current estimate, read from ``xcov`` and
+        ``coef`` (as ``build_features`` orders its rings), so nothing is
+        drawn; the cost sums over all ring positions, and the floor is
+        the automatic ``mode_switch_threshold``.
         After the last sweep each subject's rows are re-matched to the
         consensus slots, by correlations read from ``coef`` and ``xcov``
         (see ``_align_rows``).
     ``"jithica"``
-        the single-tuple variant: the ring is up to three random peers and
-        only ring position 0 enters the cost; an explicit ``config.sigma0``
-        is the floor, else the automatic one.  Rows are not re-matched.
+        the single-tuple variant: the ring is up to three peers drawn
+        from ``config.seed``, and only ring position 0 enters the cost; an
+        explicit ``config.sigma0`` is the floor, else the automatic one.  Rows are not re-matched.
 
     A ring cost at or above the floor keeps the joint eigen step; below
     it, or without peers, the row is extracted in self mode.
@@ -445,7 +448,6 @@ def run_jpji_ica(
     if algorithm not in ("jpji", "jithica"):
         raise ValueError(f"unknown algorithm: {algorithm!r}")
     single = algorithm == "jithica"
-    ring_len = 3 if single else None
     alphas = "first" if single else "all"
     align = not single
     fixed_floor: float | None = None
@@ -513,7 +515,12 @@ def run_jpji_ica(
                 u0 = u_work[k][c]
                 mode = "self"
                 if peers.size:
-                    ring = peers[rng.permutation(peers.size)[:ring_len]]
+                    if single:
+                        ring = peers[rng.permutation(peers.size)[:3]]
+                    else:
+                        # Strongest covariance with subject k's estimate first.
+                        assoc = np.abs(xcov[c][peers] @ coef[c][k])
+                        ring = peers[np.argsort(-assoc, kind="stable")]
                     order2 = ring_order2(xcov[c], coef[c], ring, rows[k])
                     cm = build_ring_cost(z0[k], est[c], ring, order2, WEIGHTS, alphas, frame)
                     lam, u_new = dominant_eigenvector(cm.g)

@@ -53,10 +53,6 @@ class InvalidScenario(JpjicaError):
     """Simulation scenario violates a structural constraint."""
 
 
-class NoJointSources(JpjicaError):
-    """Threshold selection found no joint slot and no usable fallback."""
-
-
 class DegenerateCorrelation(JpjicaError):
     """Correlation undefined (zero variance) where it is required."""
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 # Codes are permanent: retiring a stage must not renumber the others,
-# or every downstream stream would shift.  Code 4 belonged to a stage
-# that no longer draws randomness.
+# or every downstream stream would shift.  Codes 4 and 5 (the
+# classifier's "clusters") belonged to stages that no longer draw.
 DOMAINS = {
     "maps": 0,
     "mixing": 1,
     "noise": 2,
     "engine": 3,
-    "clusters": 5,
 }
 
 

@@ -190,6 +190,9 @@ class AlgoConfig:
         is also the single-tuple baseline's cost floor for falling back
         to single-set extraction; otherwise that floor is
         ``engine.mode_switch_threshold``.
+    seed
+        Seeds the single-tuple baseline's peer tuples only: the "jpji"
+        engine and the labelling draw nothing.
     """
 
     max_outer: int = 5

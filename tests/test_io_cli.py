@@ -484,6 +484,31 @@ def test_cli_pipeline_outputs(cli_dirs):
     assert report["features"], "evaluate should inline the feature table"
 
 
+def test_cli_decompose_seed_draws_only_jithica_tuples(tmp_path):
+    """Two jpji results directories differ only in results.json's seed echo."""
+    sim = tmp_path / "data"
+    code = cli.main(
+        [
+            "simulate", "--subjects", "10", "--joint", "2", "--pjoint", "1",
+            "--individual", "1", "--clusters", "2", "--voxels", "1024",
+            "--time", "100", "--seed", "5", "--out", str(sim),
+        ]
+    )
+    assert code == cli.EXIT_OK
+
+    def decompose(algorithm, seed):
+        out = tmp_path / f"{algorithm}-{seed}"
+        args = ["decompose", str(sim), "--out", str(out), "--seed", str(seed)]
+        assert cli.main(args + ["--algorithm", algorithm]) == cli.EXIT_OK
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        results = json.loads(files.pop(Path("results.json")))
+        assert results["config"].pop("seed") == seed
+        return files, results
+
+    assert decompose("jpji", 1) == decompose("jpji", 7)
+    assert decompose("jithica", 1)[0] != decompose("jithica", 7)[0]
+
+
 def test_cli_report_tables(cli_dirs, tmp_path):
     root, sim, res = cli_dirs
     res2 = root / "run_jithica"
