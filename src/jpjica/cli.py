@@ -114,7 +114,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (JpjicaError, ValueError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
-    # Each subject is mixed, written and dropped in turn; the manifest comes last.
+    # save_dataset's worker threads mix, write and drop the subjects (two binary
+    # ones at a time); the manifest comes last.
     try:
         jio.save_dataset(args.out, subjects, truth, spec.to_dict(), binary=args.binary)
     except OSError as exc:

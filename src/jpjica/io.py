@@ -14,9 +14,10 @@ import json
 import os
 import struct
 import unicodedata
+from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +35,12 @@ from .types import (
 
 FORMAT_VERSION = "1"
 _MAGIC = b"JPJI"
+# Subjects save_dataset makes and writes at once, by file suffix.  Binary:
+# two, so one subject's noise draw or file write (numpy and the kernel drop
+# the GIL for both) runs beside the other's, at one more T x V matrix.
+# CSV: one, as np.savetxt formats under the GIL and a second writer only
+# contends for it (two made noiseless CSV set-up slower; CHANGES.md).
+_SUBJECTS_IN_FLIGHT = {".bin": 2, ".csv": 1}
 
 
 def save_matrix(path: str | Path, arr: np.ndarray) -> None:
@@ -151,36 +158,57 @@ def _ext(binary: bool) -> str:
 
 def save_dataset(
     directory: str | Path,
-    datasets: Iterable[SubjectDataset],
+    datasets: Sequence[SubjectDataset],
     truth: GroundTruth | None = None,
     scenario_dict: dict | None = None,
     binary: bool = False,
 ) -> Path:
     """Write observations (and optional ground truth) plus manifest.json.
 
-    ``datasets`` may be a stream: each subject is written and released
-    before the next is taken, and the manifest is written last.
+    Item k of ``datasets`` is read, checked and written on a worker
+    thread, and dropped there: at most two binary subjects or one CSV
+    subject at a time (``_SUBJECTS_IN_FLIGHT``).  A lazy sequence such
+    as ``simulate.stream_dataset``'s therefore makes each subject on the
+    worker too, and at most that many T x V matrices are held.  An
+    existing manifest.json is deleted before the first subject file is
+    written, and the new one is written last, in subject order, so a
+    directory whose writing failed has no manifest.  When a subject
+    fails, subjects not yet started are cancelled, those in flight are
+    finished, and the first error in subject order is raised.
     """
+    if not len(datasets):
+        raise ValueError("a dataset needs at least one subject")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "manifest.json").unlink(missing_ok=True)
     ext = _ext(binary)
-    ids: list[str] = []
-    subjects = []
-    n_voxels = None
-    for ds in datasets:
+
+    def write(k: int) -> tuple[dict, int]:
+        ds = datasets[k]
         _check_subject_id(ds.subject_id)
         fname = f"{ds.subject_id}_obs{ext}"
         save_matrix(directory / fname, ds.observations)
-        ids.append(ds.subject_id)
-        subjects.append(
-            {"id": ds.subject_id, "n_time": ds.n_time, "observations": fname}
-        )
-        if n_voxels is None:
-            n_voxels = ds.n_voxels
-        # Release this matrix before the stream makes the next one.
-        del ds
-    if not ids:
-        raise ValueError("a dataset needs at least one subject")
+        return {"id": ds.subject_id, "n_time": ds.n_time, "observations": fname}, ds.n_voxels
+
+    # Imported here, so decompose and evaluate, which write no dataset, do
+    # not load the pool and the logging module it pulls in.
+    from concurrent.futures import ThreadPoolExecutor
+
+    written: list[tuple[dict, int]] = []
+    most = _SUBJECTS_IN_FLIGHT[ext]
+    pool = ThreadPoolExecutor(most)
+    try:
+        in_flight = deque()
+        for k in range(len(datasets)):
+            in_flight.append(pool.submit(write, k))
+            if len(in_flight) == most:
+                written.append(in_flight.popleft().result())
+        written += [job.result() for job in in_flight]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    subjects = [entry for entry, _ in written]
+    ids = [entry["id"] for entry in subjects]
+    n_voxels = written[0][1]
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "dataset",

@@ -10,8 +10,8 @@ so simulated sources are effectively independent.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +27,8 @@ _MIN_MAP_KURTOSIS = 1.0
 _MAP_TRIES = 100
 # Draws allowed for a map uncorrelated with the pool.
 _POOL_TRIES = 2000
+# Noise is drawn this many bytes of rows at a time (at least one row).
+_NOISE_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -217,31 +219,60 @@ def _smooth_mixing(rng: np.random.Generator, n_time: int, n_cols: int) -> np.nda
 def add_noise(
     observations: np.ndarray, snr_db: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Additive white Gaussian noise at the requested signal-to-noise ratio."""
+    """A copy of ``observations`` plus white Gaussian noise at ``snr_db``.
+
+    Returns a new array and leaves ``observations`` untouched.  The bits
+    are those of ``rng.standard_normal(shape) * sigma + observations``,
+    with sigma from the mean square of ``observations``; the noise is
+    drawn and added a chunk of rows at a time, so the only T x V matrix
+    made is the result.
+    """
     obs = np.asarray(observations, dtype=float)
+    return _noisy(np.empty_like(obs), lambda buf: np.copyto(buf, obs), snr_db, rng)
+
+
+def _noisy(
+    buf: np.ndarray,
+    fill: Callable[[np.ndarray], object],
+    snr_db: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``buf`` filled with a clean matrix, then noise at ``snr_db`` added into it.
+
+    ``fill(buf)`` writes the clean matrix into ``buf``.  It runs twice
+    when there is noise: the signal power is the mean of ``buf`` squared
+    in place, and the clean matrix is then written again.  The noise is
+    drawn into one small buffer, row chunk by row chunk, from ``rng``:
+    the same stream, so the same bits, as one draw of ``buf.shape``.
+    """
+    fill(buf)
     if math.isinf(snr_db):
-        return obs.copy()
-    p_signal = float(np.mean(obs * obs))
+        return buf
+    np.multiply(buf, buf, out=buf)
+    p_signal = float(np.mean(buf))
+    fill(buf)
     sigma = math.sqrt(p_signal / (10.0 ** (snr_db / 10.0)))
-    # In the noise buffer: the same bits as obs + sigma * noise, without
-    # two more T x V temporaries.
-    noisy = rng.standard_normal(obs.shape)
-    noisy *= sigma
-    noisy += obs
-    return noisy
+    rows = max(1, _NOISE_CHUNK_BYTES // max(1, buf[0].nbytes))
+    chunk = np.empty((min(rows, len(buf)),) + buf.shape[1:])
+    for start in range(0, len(buf), rows):
+        noise = chunk[: len(buf) - start]
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        buf[start : start + len(noise)] += noise
+    return buf
 
 
 def generate_dataset(spec: ScenarioSpec) -> tuple[list[SubjectDataset], GroundTruth]:
     """Observations plus ground truth for one scenario.
 
-    The list form of :func:`stream_dataset`: every subject's T x V
-    matrix is held at once.
+    :func:`stream_dataset` as a list: every subject's T x V matrix is
+    made now and held at once.
     """
     subjects, truth = stream_dataset(spec)
     return list(subjects), truth
 
 
-def stream_dataset(spec: ScenarioSpec) -> tuple[Iterator[SubjectDataset], GroundTruth]:
+def stream_dataset(spec: ScenarioSpec) -> tuple[Sequence[SubjectDataset], GroundTruth]:
     """Lazy observations plus ground truth for one scenario.
 
     Joint maps are shared by everyone, each cluster gets its own stack of
@@ -252,28 +283,44 @@ def stream_dataset(spec: ScenarioSpec) -> tuple[Iterator[SubjectDataset], Ground
     map of a single subject.
 
     The maps and every subject's mixing matrix are drawn before this
-    returns, so a scenario that cannot be built raises here.  Each
-    subject's observations are mixed (and made noisy) only when the
-    iterator reaches it.
+    returns, so a scenario that cannot be built raises here.  Item k of
+    the returned sequence mixes (and makes noisy) subject k each time it
+    is read, in the reading thread, from subject k's own noise stream:
+    items may be read in any order, or at once, with the same bits, and
+    only the items read and kept hold a T x V matrix.
     """
     truth = _draw_truth(spec)
-    width = max(2, len(str(spec.n_subjects)))
-    subjects = (
-        SubjectDataset(
-            subject_id=f"sub{k + 1:0{width}d}",
-            observations=_observe(spec, truth, k),
+    return _Subjects(spec, truth), truth
+
+
+@dataclass(frozen=True)
+class _Subjects(Sequence[SubjectDataset]):
+    """The subjects of one scenario, each made when it is read."""
+
+    spec: ScenarioSpec
+    truth: GroundTruth
+
+    def __len__(self) -> int:
+        return self.spec.n_subjects
+
+    def __getitem__(self, k: int) -> SubjectDataset:
+        k = range(len(self))[k]
+        width = max(2, len(str(len(self))))
+        return SubjectDataset(
+            subject_id=f"sub{k + 1:0{width}d}", observations=_observe(self.spec, self.truth, k)
         )
-        for k in range(spec.n_subjects)
-    )
-    return subjects, truth
 
 
 def _observe(spec: ScenarioSpec, truth: GroundTruth, k: int) -> np.ndarray:
-    """Subject k's observations: its mixing times its maps, plus noise."""
-    obs = truth.mixing[k] @ truth.sources[k]
-    if spec.snr_db is not None:
-        obs = add_noise(obs, spec.snr_db, rng_for(spec.seed, "noise", k))
-    return obs
+    """Subject k's observations, its mixing times its maps plus noise, in one T x V array."""
+    mixing, maps = truth.mixing[k], truth.sources[k]
+    snr_db = math.inf if spec.snr_db is None else spec.snr_db
+    return _noisy(
+        np.empty((mixing.shape[0], maps.shape[1])),
+        lambda buf: np.matmul(mixing, maps, out=buf),
+        snr_db,
+        rng_for(spec.seed, "noise", k),
+    )
 
 
 def _draw_truth(spec: ScenarioSpec) -> GroundTruth:

@@ -189,6 +189,12 @@ def student_two_sided_p(t: float, df: float) -> float:
     return incomplete_beta(df / 2.0, 0.5, x)
 
 
+def add_noise_one_shot(obs: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+    """obs plus sigma times one standard-normal draw of its whole shape."""
+    sigma = math.sqrt(float(np.mean(obs * obs)) / 10.0 ** (snr_db / 10.0))
+    return rng.standard_normal(obs.shape) * sigma + obs
+
+
 def welch_statistic(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Welch t and Satterthwaite df computed from first principles."""
     a = np.asarray(a, dtype=float).ravel()

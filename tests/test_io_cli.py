@@ -676,12 +676,16 @@ def _simulate_args(spec: ScenarioSpec) -> list[str]:
     return args
 
 
-@pytest.mark.parametrize("binary", [False, True], ids=["csv", "binary"])
-def test_cli_simulate_files_equal_list_form(tmp_path, binary):
+@pytest.mark.parametrize(
+    "binary, snr_db",
+    [(False, 5.0), (True, 5.0), (False, None), (True, None)],
+    ids=["csv", "binary", "csv-noiseless", "binary-noiseless"],
+)
+def test_cli_simulate_files_equal_list_form(tmp_path, binary, snr_db):
     """Streamed `simulate` writes the bytes save_dataset writes from generate_dataset."""
     spec = ScenarioSpec(
         n_subjects=4, n_joint=2, n_individual=(1, 0, 2, 1), n_clusters=1,
-        n_voxels=256, n_time=(50, 60, 70, 80), snr_db=5.0, seed=9,
+        n_voxels=256, n_time=(50, 60, 70, 80), snr_db=snr_db, seed=9,
     )
     flag = ["--binary"] if binary else []
     streamed = tmp_path / "streamed"
@@ -697,23 +701,78 @@ def test_cli_simulate_files_equal_list_form(tmp_path, binary):
 
 
 def test_cli_simulate_holds_one_subject_at_a_time(tmp_path):
-    """Noisy binary set-up peaks under three T x V matrices plus the maps, not K of them."""
+    """Binary set-up, noisy or not, peaks under three T x V matrices plus the maps, not K of them."""
     k, v, t = 10, 4096, 150
-    spec = ScenarioSpec(
-        n_subjects=k, n_joint=3, n_pjoint=2, n_individual=1, n_voxels=v,
-        n_time=t, snr_db=10.0, seed=3,
+    for snr_db in (10.0, None):
+        spec = ScenarioSpec(
+            n_subjects=k, n_joint=3, n_pjoint=2, n_individual=1, n_voxels=v,
+            n_time=t, snr_db=snr_db, seed=3,
+        )
+        out = tmp_path / f"ds-{snr_db}"
+        tracemalloc.start()
+        try:
+            code = cli.main(_simulate_args(spec) + ["--binary", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        truth, _ = jio.load_truth(out)
+        maps = sum(s.nbytes + a.nbytes for s, a in zip(truth.sources, truth.mixing))
+        assert peak < 3 * t * v * 8 + maps < k * t * v * 8, snr_db
+
+
+def _fail_writing(monkeypatch, names):
+    """Make save_matrix raise OSError for each file name in ``names``."""
+    save_matrix = jio.save_matrix
+
+    def failing(path, arr):
+        if Path(path).name in names:
+            raise OSError(f"no room for {Path(path).name}")
+        save_matrix(path, arr)
+
+    monkeypatch.setattr(jio, "save_matrix", failing)
+
+
+def test_cli_simulate_write_error_stops_at_the_subjects_in_flight(tmp_path, monkeypatch, capsys):
+    """An OSError on the second subject: exit 3, one error line naming it, no manifest.
+
+    The third subject fails too, but the error raised is the first in
+    subject order, and no subject past those in flight when the second
+    failed is made.
+    """
+    made = []
+    observe = simulate._observe
+    monkeypatch.setattr(
+        simulate, "_observe", lambda spec, truth, k: made.append(k) or observe(spec, truth, k)
     )
+    _fail_writing(monkeypatch, {"sub02_obs.bin", "sub03_obs.bin"})
     out = tmp_path / "ds"
-    tracemalloc.start()
-    try:
-        code = cli.main(_simulate_args(spec) + ["--binary", "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == cli.EXIT_OK
-    truth, _ = jio.load_truth(out)
-    maps = sum(s.nbytes + a.nbytes for s, a in zip(truth.sources, truth.mixing))
-    assert peak < 3 * t * v * 8 + maps < k * t * v * 8
+    argv = ["simulate", "--subjects", "8", "--joint", "1", "--voxels", "64", "--time", "20",
+            "--snr-db", "5", "--binary", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: "), err
+    assert "sub02_obs.bin" in err[0]
+    assert not (out / "manifest.json").exists()
+    assert {0, 1} <= set(made) <= {0, 1, 2}, made
+
+
+def test_cli_failed_resimulate_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    """Re-simulating into a dataset directory deletes its manifest before any subject file.
+
+    Otherwise the old manifest would still load over subject files that
+    the failed run had already replaced.
+    """
+    out = tmp_path / "ds"
+    argv = ["simulate", "--subjects", "4", "--joint", "1", "--voxels", "64", "--time", "20",
+            "--binary", "--out", str(out)]
+    assert cli.main(argv + ["--seed", "1"]) == cli.EXIT_OK
+    assert (out / "manifest.json").exists()
+    _fail_writing(monkeypatch, {"sub03_obs.bin"})
+    assert cli.main(argv + ["--seed", "2"]) == cli.EXIT_BAD_INPUT
+    assert not (out / "manifest.json").exists()
+    with pytest.raises(FileNotFoundError):
+        jio.read_subjects(out)
 
 
 def test_cli_exit_code_missing_dataset(tmp_path):

@@ -14,7 +14,7 @@ from jpjica.simulate import (
     generate_spatial_source,
 )
 from jpjica.types import SourceKind, kind_counts
-from oracles import blob_map_mgrid
+from oracles import add_noise_one_shot, blob_map_mgrid
 
 
 def test_spec_validation_errors():
@@ -183,7 +183,7 @@ def test_add_noise_hits_requested_snr():
 
 
 def test_add_noise_same_bits_as_out_of_place_sum():
-    """Noise added in its own buffer equals obs + sigma * noise bit for bit."""
+    """Noise added in place equals obs + sigma * noise bit for bit."""
     obs = np.random.default_rng(8).standard_normal((30, 70)) * 2.5
     before = obs.copy()
     noisy = add_noise(obs, 7.0, np.random.default_rng(9))
@@ -191,6 +191,41 @@ def test_add_noise_same_bits_as_out_of_place_sum():
     want = obs + sigma * np.random.default_rng(9).standard_normal(obs.shape)
     assert noisy.tobytes() == want.tobytes()
     assert obs.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(300, 700), (5, 40000), (7, 9000), (2500,)],
+    ids=["partial-last-chunk", "row-over-chunk", "three-rows-a-chunk", "vector"],
+)
+def test_add_noise_matches_one_shot_draw(shape):
+    """Noise drawn and added a row chunk at a time: the one-shot bits, input untouched."""
+    obs = np.random.default_rng(21).standard_normal(shape) * 1.7 + 0.3
+    before = obs.copy()
+    noisy = add_noise(obs, 4.0, np.random.default_rng(22))
+    assert noisy.tobytes() == add_noise_one_shot(obs, 4.0, np.random.default_rng(22)).tobytes()
+    assert obs.tobytes() == before.tobytes()
+    assert noisy is not obs
+    fortran = np.asfortranarray(obs.reshape(obs.shape[0], -1))
+    noisy = add_noise(fortran, 4.0, np.random.default_rng(22))
+    assert noisy.tobytes() == add_noise_one_shot(fortran, 4.0, np.random.default_rng(22)).tobytes()
+
+
+def test_stream_dataset_items_are_made_on_reading_in_any_order():
+    """Items read in reverse give the list's ids and bits; an index past the end raises."""
+    spec = ScenarioSpec(
+        n_subjects=4, n_joint=2, n_individual=1, n_clusters=1, n_voxels=300, n_time=40,
+        snr_db=3.0, seed=5,
+    )
+    listed, _ = generate_dataset(spec)
+    subjects, _ = simulate.stream_dataset(spec)
+    assert len(subjects) == spec.n_subjects
+    for k in reversed(range(len(subjects))):
+        assert subjects[k].subject_id == listed[k].subject_id
+        assert subjects[k].observations.tobytes() == listed[k].observations.tobytes()
+    assert subjects[-1].subject_id == "sub04"
+    with pytest.raises(IndexError):
+        subjects[spec.n_subjects]
 
 
 def test_noisy_dataset_power_ratio():
