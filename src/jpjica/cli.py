@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--algorithm", choices=("jpji", "jithica"), default="jpji")
     p_dec.add_argument("--components", type=str, default="min",
                        help="'auto' (per-subject), 'min' (shared minimum) or an integer")
-    p_dec.add_argument("--max-iter", type=int, default=5)
+    p_dec.add_argument("--max-iter", type=int, default=3,
+                       help="outer sweeps (default 3); the last one deflates")
     p_dec.add_argument("--sigma0", type=str, default="auto")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--binary", action="store_true")

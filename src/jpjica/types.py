@@ -177,7 +177,8 @@ class AlgoConfig:
 
     max_outer
         Outer sweeps over all (slot, subject) pairs; deflation happens in
-        the last sweep only.
+        the last sweep only.  The default 3 is two non-final sweeps, in
+        which every row settles, plus the deflating one.
     n_components
         "global-min": per-subject BIC order estimate, minimum over
         subjects (every subject reduced to the same order).
@@ -195,7 +196,7 @@ class AlgoConfig:
         engine and the labelling draw nothing.
     """
 
-    max_outer: int = 5
+    max_outer: int = 3
     n_components: int | str = "global-min"
     sigma0: float | str = "auto"
     seed: int = 0

@@ -27,6 +27,7 @@ from jpjica.errors import (
     SingleSubjectWarning,
     ZeroSource,
 )
+from jpjica.metrics import evaluate_run
 from jpjica.numerics import dominant_eigenvector, standardize
 from jpjica.preprocess import _CENTRE_BLOCK_COLS, pca_reduce, whiten
 from jpjica.simulate import ScenarioSpec, generate_dataset
@@ -358,6 +359,28 @@ def test_run_deflation_decorrelates_rows():
         corr = np.abs(s @ s.T) / v
         off = corr - np.diag(np.diag(corr))
         assert off.max() < 0.25
+
+
+@pytest.mark.parametrize(
+    "n_subjects, n_clusters, snr_db, seed",
+    [(10, 2, None, 1), (15, 3, 3.0, 1), (20, 4, -3.0, 2)],
+    ids=["k10-clean", "k15-3dB", "k20-minus3dB"],
+)
+def test_default_budget_matches_five_sweeps(n_subjects, n_clusters, snr_db, seed):
+    """Two non-final sweeps settle the rows: three sweeps label as five do, within 0.25 dB."""
+    spec = ScenarioSpec(
+        n_subjects=n_subjects, n_joint=3, n_pjoint=2, n_individual=1, n_clusters=n_clusters,
+        n_voxels=4096, n_time=150, snr_db=snr_db, seed=seed,
+    )
+    datasets, truth = generate_dataset(spec)
+    default, five = (
+        label_decomposition(run_jpji_ica(datasets, cfg))
+        for cfg in (AlgoConfig(seed=seed), AlgoConfig(seed=seed, max_outer=5))
+    )
+    assert default.config.max_outer == 3
+    assert default.labels == five.labels
+    gap = evaluate_run(truth, default).jsir_db - evaluate_run(truth, five).jsir_db
+    assert abs(gap) <= 0.25
 
 
 def test_run_single_subject_warns_and_self_extracts():

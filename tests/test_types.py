@@ -76,7 +76,7 @@ def test_subject_dataset_rejects_non_finite_in_any_row(where, bad):
 
 def test_algo_config_defaults_and_validation():
     cfg = AlgoConfig()
-    assert cfg.max_outer == 5
+    assert cfg.max_outer == 3
     assert cfg.n_components == "global-min"
     assert cfg.sigma0 == "auto"
     with pytest.raises(ValueError):
