@@ -25,9 +25,9 @@ def run_ji_thica(
     """Run the single-tuple decomposition and attach its labels.
 
     The label of each source is the final-sweep extraction decision:
-    shared by the slot's holders if the tuple cost cleared the threshold
-    (sigma0, or its automatic value), the subject's own otherwise.  The
-    feature table is the engine's, unchanged.
+    shared by the slot's holders if the tuple cost cleared the engine's
+    floor (``engine.mode_switch_threshold``), the subject's own
+    otherwise.  The feature table is the engine's, unchanged.
     """
     decomp = run_jpji_ica(datasets, config, algorithm="jithica")
     k_total = decomp.n_subjects

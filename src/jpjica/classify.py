@@ -96,7 +96,7 @@ def select_sigma_opt(
     v = decomp.sources[0].shape[1]
     n_alpha_typ = max(decomp.n_subjects - 1, 1)
     floor = 2.0 * mode_switch_threshold(WEIGHTS, n_alpha_typ, 1, v, n_partners=n_alpha_typ)
-    ref = _joint_level(features, joint_slots)
+    ref = float(np.nanmean(features.jpjif[joint_slots, :])) if joint_slots else float("nan")
     non_joint = np.delete(features.jpjif, joint_slots, axis=0)
     # NaN marks an unheld entry and fails the comparison.
     points = np.sort(np.log10(np.append(non_joint[non_joint > 0], floor)))
@@ -104,11 +104,6 @@ def select_sigma_opt(
         return floor, ref
     gap = int(np.argmax(np.diff(points)))
     return max(float(10.0 ** ((points[gap] + points[gap + 1]) / 2.0)), floor), ref
-
-
-def _joint_level(features: FeatureTable, joint_slots: list[int]) -> float:
-    """Mean feature of the joint slots' sources; NaN without joint slots."""
-    return float(np.nanmean(features.jpjif[joint_slots, :])) if joint_slots else float("nan")
 
 
 def classify_by_feature(
@@ -202,9 +197,9 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
     whose table is a copy carrying the joint slots, the threshold and the
     joint reference level; the input is not changed.  Single-subject
     input gets individual labels directly (no peer information exists)
-    and keeps the engine's table as it is.
-    An explicit ``config.sigma0`` bypasses the automatic threshold
-    selection.
+    and keeps the engine's table as it is.  The joint slots come from
+    ``detect_joint_slots`` and the threshold from ``select_sigma_opt``;
+    nothing is set by hand.
     """
     features = decomp.features
     if decomp.n_subjects == 1:
@@ -212,11 +207,7 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
         kinds[:, :] = SourceKind.INDIVIDUAL
         return replace(decomp, labels=cluster_subjects(decomp, kinds))
     joint_slots = detect_joint_slots(features, decomp)
-    cfg = decomp.config
-    if isinstance(cfg.sigma0, str):
-        sigma, ref = select_sigma_opt(features, joint_slots, decomp)
-    else:
-        sigma, ref = float(cfg.sigma0), _joint_level(features, joint_slots)
+    sigma, ref = select_sigma_opt(features, joint_slots, decomp)
     kinds = classify_by_feature(features, sigma, joint_slots)
     labels = cluster_subjects(decomp, kinds)
     features = replace(

@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'auto' (per-subject), 'min' (shared minimum) or an integer")
     p_dec.add_argument("--max-iter", type=int, default=3,
                        help="outer sweeps (default 3); the last one deflates")
-    p_dec.add_argument("--sigma0", type=str, default="auto")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--binary", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
@@ -136,11 +135,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             components = "global-min"
         else:
             components = int(args.components)
-        sigma0: float | str = args.sigma0 if args.sigma0 == "auto" else float(args.sigma0)
         config = AlgoConfig(
             max_outer=args.max_iter,
             n_components=components,
-            sigma0=sigma0,
             seed=args.seed,
         )
         subjects, _ = jio.read_subjects(args.input)

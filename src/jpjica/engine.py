@@ -89,18 +89,16 @@ def build_cost_matrix(
     z: np.ndarray,
     partners: np.ndarray,
     weights: tuple[float, float, float],
-    alphas: str = "all",
 ) -> CostMatrix:
     """Cumulant cost factor of ``z`` rows against a ring of partner rows.
 
     Ring position alpha contributes the order-2/3/4 cumulant vectors of z
     against partners alpha, (alpha, alpha+1), and (alpha, alpha+1,
     alpha+2), indices wrapping modulo the partner count, each scaled by
-    the square root of its order weight.  ``alphas="first"`` keeps the
-    single position alpha=0 (the one-tuple variant).  This is the only
-    place where the order weights meet the cumulant vectors: the
-    extraction eigen step, the cost trace and the JpJI-feature all read
-    the returned factor.
+    the square root of its order weight (``_cost_factor``).  Self mode
+    builds its single-set cost here, from every moment over the voxels;
+    the joint steps and the feature pass take the ring form,
+    :func:`build_ring_cost`.
 
     The rows of ``z`` and of ``partners`` must be centered; the engine
     only ever passes whitened or deflated data and standardized
@@ -112,19 +110,20 @@ def build_cost_matrix(
         raise PartnerLengthMismatch(
             f"partner rows have {partners.shape[1]} samples, z has {z.shape[1]}"
         )
-    if alphas not in ("all", "first"):
-        raise ValueError("alphas must be 'all' or 'first'")
-    return CostMatrix(_cost_factor(cumulant_vectors_ring(z, partners), weights, alphas))
+    return CostMatrix(_cost_factor(cumulant_vectors_ring(z, partners), weights))
 
 
 def _cost_factor(
     cvs: tuple[np.ndarray, np.ndarray, np.ndarray],
     weights: tuple[float, float, float],
-    alphas: str,
 ) -> np.ndarray:
-    """Weighted C x 3n factor of the cumulant vectors; ring position 0 only for "first"."""
-    n = 1 if alphas == "first" else cvs[0].shape[1]
-    return np.hstack([np.sqrt(w) * cv[:, :n] for w, cv in zip(weights, cvs)])
+    """Weighted C x 3n factor of the cumulant vectors.
+
+    The only place where the order weights meet the cumulant vectors:
+    both cost builders, and through them the extraction eigen steps, the
+    cost trace and the JpJI-feature, read this factor.
+    """
+    return np.hstack([np.sqrt(w) * cv for w, cv in zip(weights, cvs)])
 
 
 def build_ring_cost(
@@ -133,22 +132,22 @@ def build_ring_cost(
     ring: np.ndarray,
     order2: tuple[np.ndarray, np.ndarray, np.ndarray],
     weights: tuple[float, float, float],
-    alphas: str = "all",
     frame: np.ndarray | None = None,
 ) -> CostMatrix:
     """Cost factor of the rows ``frame @ z`` against the partners ``est[ring]``.
 
     The joint-step form of :func:`build_cost_matrix`, equal to
-    ``build_cost_matrix(frame @ z, est[ring], weights, alphas)``.
+    ``build_cost_matrix(frame @ z, est[ring], weights)``.
     ``order2 = (cv2, q01, q02)`` are the order-2 vectors of z's rows
     against the partners and the partners' pair moments, taken from the
-    whitened cross-covariance (:func:`ring_order2`), so only the
-    order-3/4 products walk the voxels, gathering the partner rows from
-    ``est`` block by block.  Every cumulant vector is linear in the rows
-    of z, so the factor of ``frame @ z`` is ``frame`` times that of z.
+    whitened cross-covariance (:func:`ring_order2`) or a Gram matrix, so
+    only the order-3/4 products walk the voxels, gathering the partner
+    rows from ``est`` block by block.  Every cumulant vector is linear in
+    the rows of z, so the factor of ``frame @ z`` is ``frame`` times that
+    of z.
     """
     m3, m4 = ring_products(z, est, ring)
-    g = _cost_factor(ring_cumulants(*order2, m3, m4), weights, alphas)
+    g = _cost_factor(ring_cumulants(*order2, m3, m4), weights)
     return CostMatrix(g if frame is None else frame @ g)
 
 
@@ -221,8 +220,7 @@ def build_features(
                 gram[ring, np.roll(ring, -1)],
                 gram[ring, np.roll(ring, -2)],
             )
-            m3, m4 = ring_products(s[i : i + 1], s, ring)
-            cm = CostMatrix(_cost_factor(ring_cumulants(*order2, m3, m4), weights, "all"))
+            cm = build_ring_cost(s[i : i + 1], s, ring, order2, weights)
             contr = cm.contributions.sum(axis=1)
             jpjif[c, k] = contr.sum()
             contributions[c, k] = contr
@@ -415,18 +413,18 @@ def run_jpji_ica(
         the ring holds every other holder by decreasing |covariance|
         with the subject's current estimate, read from ``xcov`` and
         ``coef`` (as ``build_features`` orders its rings), so nothing is
-        drawn; the cost sums over all ring positions, and the floor is
-        the automatic ``mode_switch_threshold``.
+        drawn, and the cost sums over all ring positions.
         After the last sweep each subject's rows are re-matched to the
         consensus slots, by correlations read from ``coef`` and ``xcov``
         (see ``_align_rows``).
     ``"jithica"``
         the single-tuple variant: the ring is up to three peers drawn
-        from ``config.seed``, and only ring position 0 enters the cost; an
-        explicit ``config.sigma0`` is the floor, else the automatic one.  Rows are not re-matched.
+        from ``config.seed``, and the engine keeps only ring position 0
+        of the ring cost's factor (one tuple).  Rows are not re-matched.
 
-    A ring cost at or above the floor keeps the joint eigen step; below
-    it, or without peers, the row is extracted in self mode.
+    A ring cost at or above the floor ``mode_switch_threshold`` (of the
+    cost's ring positions and partners) keeps the joint eigen step;
+    below it, or without peers, the row is extracted in self mode.
 
     ``datasets`` is iterated once, and each subject is checked against
     the first one's voxel count, reduced and whitened before the next is
@@ -448,11 +446,6 @@ def run_jpji_ica(
     if algorithm not in ("jpji", "jithica"):
         raise ValueError(f"unknown algorithm: {algorithm!r}")
     single = algorithm == "jithica"
-    alphas = "first" if single else "all"
-    align = not single
-    fixed_floor: float | None = None
-    if single and not isinstance(config.sigma0, str):
-        fixed_floor = float(config.sigma0)
 
     # Unlike a loop variable, map holds no subject once it is reduced.
     pre = list(
@@ -522,13 +515,15 @@ def run_jpji_ica(
                         assoc = np.abs(xcov[c][peers] @ coef[c][k])
                         ring = peers[np.argsort(-assoc, kind="stable")]
                     order2 = ring_order2(xcov[c], coef[c], ring, rows[k])
-                    cm = build_ring_cost(z0[k], est[c], ring, order2, WEIGHTS, alphas, frame)
+                    cm = build_ring_cost(z0[k], est[c], ring, order2, WEIGHTS, frame)
+                    if single:
+                        # Ring position 0 of each order.  Copied: the eigen
+                        # step and cost trace round differently on a strided view.
+                        cm = CostMatrix(np.ascontiguousarray(cm.g[:, :: ring.size]))
                     lam, u_new = dominant_eigenvector(cm.g)
-                    floor = fixed_floor
-                    if floor is None:
-                        floor = mode_switch_threshold(
-                            WEIGHTS, cm.n_alpha, orders[k], v, n_partners=ring.size
-                        )
+                    floor = mode_switch_threshold(
+                        WEIGHTS, cm.n_alpha, orders[k], v, n_partners=ring.size
+                    )
                     if lam >= floor:
                         mode = "joint"
                         trace_vals = [cost(u0, cm), lam]
@@ -558,7 +553,7 @@ def run_jpji_ica(
                 if final:
                     final_traces[k].append(traces[-1])
 
-    if align:
+    if not single:
         _align_rows(est, u_work, final_traces, orders, coef, xcov)
     # A row's final cost is the last of its record's trace values.
     self_mode = np.zeros((n_slots, n_sub), dtype=bool)

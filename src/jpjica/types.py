@@ -7,7 +7,6 @@ matrices are time-by-voxel: rows are time points, columns are samples.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -173,7 +172,10 @@ class AlgoConfig:
 
     The cumulant-order weights, the inner stopping rule and the joint
     tolerance are fixed: ``engine.WEIGHTS``, ``engine.EPS0`` and
-    ``classify.TAU_JOINT``.
+    ``classify.TAU_JOINT``.  The thresholds come from the data: the
+    engine's joint/self cost floor is ``engine.mode_switch_threshold``,
+    and the feature threshold sigma between partially joint and
+    individual sources is ``classify.select_sigma_opt``'s.
 
     max_outer
         Outer sweeps over all (slot, subject) pairs; deflation happens in
@@ -184,13 +186,6 @@ class AlgoConfig:
         subjects (every subject reduced to the same order).
         "auto-bic": per-subject BIC order (orders may differ).
         int: fixed order for every subject.
-    sigma0
-        Joint/individual decision threshold for the single-tuple baseline
-        or an explicit feature threshold for classification; "auto"
-        derives it from the data.  A float must be finite and >= 0.  It
-        is also the single-tuple baseline's cost floor for falling back
-        to single-set extraction; otherwise that floor is
-        ``engine.mode_switch_threshold``.
     seed
         Seeds the single-tuple baseline's peer tuples only: the "jpji"
         engine and the labelling draw nothing.
@@ -198,7 +193,6 @@ class AlgoConfig:
 
     max_outer: int = 3
     n_components: int | str = "global-min"
-    sigma0: float | str = "auto"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -209,11 +203,6 @@ class AlgoConfig:
                 raise ValueError("n_components must be an int, 'global-min' or 'auto-bic'")
         elif self.n_components < 1:
             raise ValueError("n_components must be >= 1")
-        if isinstance(self.sigma0, str):
-            if self.sigma0 != "auto":
-                raise ValueError("sigma0 must be a float or 'auto'")
-        elif not 0 <= self.sigma0 < math.inf:
-            raise ValueError("sigma0 must be finite and >= 0")
 
 
 @dataclass

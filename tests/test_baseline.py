@@ -59,14 +59,20 @@ def test_partially_joint_invisible_to_baseline():
             assert lab.kind in (SourceKind.JOINT, SourceKind.INDIVIDUAL)
 
 
-def test_explicit_sigma_extremes():
-    # a huge threshold forces self-mode everywhere: everything individual
-    decomp, _ = _run(seed=5, sigma0=1e9)
+def test_explicit_sigma_extremes(monkeypatch):
+    """The engine's cost floor at its extremes reaches both fallbacks."""
+    import jpjica.engine as engine
+
+    # an unreachable floor forces self-mode everywhere: everything individual
+    monkeypatch.setattr(engine, "mode_switch_threshold", lambda *a, **kw: np.inf)
+    decomp, _ = _run(seed=5)
     for labs in decomp.labels:
         assert all(l.kind is SourceKind.INDIVIDUAL for l in labs)
     assert decomp.self_mode.all()
-    # a tiny threshold accepts every tuple: everything joint
-    decomp, _ = _run(seed=5, sigma0=1e-12)
+    # a zero floor accepts every tuple: everything joint
+    monkeypatch.setattr(engine, "mode_switch_threshold", lambda *a, **kw: 0.0)
+    decomp, _ = _run(seed=5)
+    assert not decomp.self_mode.any()
     for labs in decomp.labels:
         assert all(l.kind is SourceKind.JOINT for l in labs)
 

@@ -30,7 +30,7 @@ def _slot_major(sources):
     return est
 
 
-def _stub_decomp(sources, config=None):
+def _stub_decomp(sources):
     """Minimal decomposition wrapper around ready-made source estimates.
 
     Its feature table is built the engine's way, from slot-major rows.
@@ -40,7 +40,6 @@ def _stub_decomp(sources, config=None):
     costs = np.full((n_slots, k), np.nan)
     for j, s in enumerate(sources):
         costs[: s.shape[0], j] = 1.0
-    config = config or AlgoConfig()
     return Decomposition(
         subject_ids=[f"s{j}" for j in range(k)],
         whiteners=[np.eye(s.shape[0]) for s in sources],
@@ -50,7 +49,7 @@ def _stub_decomp(sources, config=None):
         extraction_costs=costs,
         self_mode=np.zeros((n_slots, k), dtype=bool),
         traces=[],
-        config=config,
+        config=AlgoConfig(),
         features=build_features(
             _slot_major(sources), [s.shape[0] for s in sources], WEIGHTS
         ),
@@ -289,19 +288,23 @@ def test_select_sigma_separates_individual_features_above_the_floor():
     assert all(kind is SourceKind.INDIVIDUAL for kind in kinds[5])
 
 
-def test_label_decomposition_explicit_sigma_runs_no_kmeans(monkeypatch):
-    import jpjica.classify as classify
+def test_label_decomposition_attaches_the_automatic_threshold():
+    """The labelled copy carries the joint slots, the automatic sigma and the joint level.
 
-    def no_kmeans(*args, **kwargs):
-        raise AssertionError("k-means ran")
-
-    monkeypatch.setattr(classify, "kmeans", no_kmeans)
-    decomp = _stub_decomp(_three_kind_sources(), AlgoConfig(sigma0=1e9))
+    The joint level is the mean feature of the joint slot's sources, and
+    the engine's table is left as it was.
+    """
+    decomp = _stub_decomp(_three_kind_sources())
     labelled = label_decomposition(decomp)
-    assert labelled.features.sigma_opt == 1e9
+    sigma, _ = select_sigma_opt(decomp.features, [0], decomp)
     assert labelled.features.joint_slots == [0]
+    assert labelled.features.sigma_opt == sigma
     joint_mean = float(np.mean(decomp.features.jpjif[0]))
     assert labelled.features.jpjif_joint == pytest.approx(joint_mean, rel=1e-12)
+    assert decomp.features.sigma_opt is None and decomp.features.joint_slots == []
+    for k, labs in enumerate(labelled.labels):
+        half = set(range(3)) if k < 3 else set(range(3, 6))
+        assert [l.peers for l in labs] == [set(range(6)) - {k}, half - {k}, set()]
 
 
 def test_classify_by_feature_mapping():
@@ -454,13 +457,3 @@ def test_label_decomposition_end_to_end_counts():
         assert kinds.count(SourceKind.JOINT) == 1
         assert kinds.count(SourceKind.INDIVIDUAL) == 1
 
-
-def test_label_decomposition_explicit_sigma_bypasses_selection():
-    spec = ScenarioSpec(
-        n_subjects=5, n_joint=1, n_individual=1, n_clusters=1,
-        n_voxels=1024, n_time=60, seed=12,
-    )
-    datasets, _ = generate_dataset(spec)
-    decomp = run_jpji_ica(datasets, AlgoConfig(seed=12, sigma0=3.5))
-    decomp = label_decomposition(decomp)
-    assert decomp.features.sigma_opt == 3.5

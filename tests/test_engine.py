@@ -12,6 +12,7 @@ from jpjica.baseline import run_ji_thica
 from jpjica.classify import label_decomposition
 from jpjica.engine import (
     WEIGHTS,
+    CostMatrix,
     build_cost_matrix,
     build_features,
     cost,
@@ -63,11 +64,12 @@ def test_cost_matrix_matches_outer_product_oracle():
 
 
 def test_cost_matrix_first_alpha_only():
+    """Every n-th column of the factor is ring position 0: the single-tuple cost."""
     rng = np.random.default_rng(3)
     z = _centered(rng, (3, 150))
     partners = _centered(rng, (4, 150))
     weights = (0.5, 0.75, 1.0)
-    cm = build_cost_matrix(z, partners, weights, alphas="first")
+    cm = CostMatrix(build_cost_matrix(z, partners, weights).g[:, :: partners.shape[0]])
     assert cm.n_alpha == 1
     ring = [partners[0], partners[1], partners[2]]
     want = np.zeros((3, 3))
@@ -78,8 +80,6 @@ def test_cost_matrix_first_alpha_only():
         want_contr[0, j] = weights[j] * float(cvec @ cvec)
     np.testing.assert_allclose(cm.g @ cm.g.T, want, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(cm.contributions, want_contr, rtol=1e-10, atol=1e-14)
-    with pytest.raises(ValueError):
-        build_cost_matrix(z, partners, weights, alphas="second")
     with pytest.raises(PartnerLengthMismatch):
         build_cost_matrix(z, partners[:, :-1], weights)
 
@@ -399,76 +399,98 @@ def test_run_jithica_uses_single_tuple(monkeypatch):
     """Every ring extraction follows the algorithm's policy.
 
     Five subjects at ``global-min`` give each extraction four peers:
-    jithica draws a tuple of min(3, 4) of them and scores ring position 0
-    only, jpji uses all K-1 peers over every position.  Each trace makes
-    one joint cost build; the generic build serves only self-mode
-    extraction and the feature pass, over every position.
+    jithica draws a tuple of min(3, 4) of them and keeps ring position 0
+    only, so its floor is that of one position; jpji uses all K-1 peers
+    over every position.  Each trace makes one ring cost build and reads
+    one floor.  The generic build serves only self-mode extraction, and
+    the feature pass scores every position under both policies.
     """
     import jpjica.engine as engine
 
     real_ring, real_build = engine.build_ring_cost, engine.build_cost_matrix
-    ring_calls, other_calls, nested = [], [], []
+    real_floor = engine.mode_switch_threshold
+    ring_sizes, n_alphas, nested = [], [], []
 
-    def ring_cost(z, est, ring, order2, weights, alphas="all", frame=None):
-        assert not nested
-        ring_calls.append((len(ring), alphas))
-        return real_ring(z, est, ring, order2, weights, alphas, frame)
+    def ring_cost(z, est, ring, order2, weights, frame=None):
+        assert nested in ([], ["build_features"])
+        if not nested:
+            ring_sizes.append(len(ring))
+        return real_ring(z, est, ring, order2, weights, frame)
 
-    def build(z, partners, weights, alphas="all"):
-        assert nested, "the generic cost build runs only in self mode and the feature pass"
-        other_calls.append(alphas)
-        return real_build(z, partners, weights, alphas=alphas)
+    def build(z, partners, weights):
+        assert nested == ["inner_extract"], "the generic cost build runs only in self mode"
+        return real_build(z, partners, weights)
 
-    def inside(fn):
+    def floor(weights, n_alpha, *args, **kwargs):
+        n_alphas.append(n_alpha)
+        return real_floor(weights, n_alpha, *args, **kwargs)
+
+    def inside(name):
+        fn = getattr(engine, name)
+
         def wrapped(*args, **kwargs):
-            nested.append(fn)
+            nested.append(name)
             try:
                 return fn(*args, **kwargs)
             finally:
                 nested.pop()
 
-        return wrapped
+        monkeypatch.setattr(engine, name, wrapped)
 
     monkeypatch.setattr(engine, "build_ring_cost", ring_cost)
     monkeypatch.setattr(engine, "build_cost_matrix", build)
-    monkeypatch.setattr(engine, "inner_extract", inside(engine.inner_extract))
-    monkeypatch.setattr(engine, "build_features", inside(engine.build_features))
-    for algorithm, policy in [("jithica", (3, "first")), ("jpji", (4, "all"))]:
-        ring_calls.clear()
-        other_calls.clear()
+    monkeypatch.setattr(engine, "mode_switch_threshold", floor)
+    inside("inner_extract")
+    inside("build_features")
+    for algorithm, size, n_alpha in [("jithica", 3, 1), ("jpji", 4, 4)]:
+        ring_sizes.clear()
+        n_alphas.clear()
         decomp, _, _ = _small_run(seed=6, algorithm=algorithm)
         assert decomp.algorithm == algorithm
         assert decomp.extraction_costs.shape[1] == 5
-        assert len(ring_calls) == len(decomp.traces)
-        assert set(ring_calls) == {policy}
-        assert set(other_calls) == {"all"}
+        assert len(ring_sizes) == len(n_alphas) == len(decomp.traces)
+        assert set(ring_sizes) == {size}
+        assert set(n_alphas) == {n_alpha}
+        assert {c.shape for c in decomp.features.contributions.ravel()} == {(4,)}
     with pytest.raises(ValueError):
         _small_run(seed=6, algorithm="other")
 
 
 def _record_ring_costs(monkeypatch):
-    """Record every joint cost build: inputs copied at call time, and the factor."""
+    """Record every joint cost build of the sweeps: inputs copied at call time, and the factor.
+
+    The feature pass after the sweeps builds its ring costs the same way;
+    those calls are not recorded.
+    """
     import jpjica.engine as engine
 
-    real = engine.build_ring_cost
-    calls = []
+    real, real_features = engine.build_ring_cost, engine.build_features
+    calls, in_features = [], []
 
-    def ring_cost(z, est, ring, order2, weights, alphas="all", frame=None):
-        cm = real(z, est, ring, order2, weights, alphas, frame)
-        calls.append(
-            dict(
-                z=z.copy(),
-                partners=est[ring].copy(),
-                order2=tuple(o.copy() for o in order2),
-                frame=None if frame is None else frame.copy(),
-                weights=weights,
-                alphas=alphas,
-                g=cm.g,
+    def ring_cost(z, est, ring, order2, weights, frame=None):
+        cm = real(z, est, ring, order2, weights, frame)
+        if not in_features:
+            calls.append(
+                dict(
+                    z=z.copy(),
+                    partners=est[ring].copy(),
+                    order2=tuple(o.copy() for o in order2),
+                    frame=None if frame is None else frame.copy(),
+                    weights=weights,
+                    g=cm.g,
+                )
             )
-        )
         return cm
 
+    def features(*args, **kwargs):
+        in_features.append(True)
+        try:
+            return real_features(*args, **kwargs)
+        finally:
+            in_features.pop()
+
     monkeypatch.setattr(engine, "build_ring_cost", ring_cost)
+    monkeypatch.setattr(engine, "build_features", features)
     return calls
 
 
@@ -511,7 +533,7 @@ def test_order2_terms_from_cross_covariance_match_voxel_products(monkeypatch, ra
         close(frame @ cv2, (frame @ z) @ p.T / v)
         close(q01, np.array([p[a] @ p[(a + 1) % n] for a in range(n)]) / v)
         close(q02, np.array([p[a] @ p[(a + 2) % n] for a in range(n)]) / v)
-        want = build_cost_matrix(frame @ z, p, call["weights"], alphas=call["alphas"]).g
+        want = build_cost_matrix(frame @ z, p, call["weights"]).g
         close(call["g"], want)
 
 

@@ -1349,22 +1349,11 @@ def test_cli_exit_code_bad_components(cli_dirs, tmp_path):
     assert code == cli.EXIT_BAD_INPUT
 
 
-@pytest.mark.parametrize("sigma0", ["nan", "-5", "inf"])
-def test_cli_decompose_rejects_bad_sigma0(cli_dirs, tmp_path, capsys, sigma0):
-    """A non-finite or negative threshold would mislabel every source: exit 3, nothing written."""
-    _, sim, _ = cli_dirs
-    out = tmp_path / "y"
-    code = cli.main(["decompose", str(sim), "--out", str(out), "--sigma0", sigma0])
-    assert code == cli.EXIT_BAD_INPUT
-    assert "sigma0" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_decompose_has_no_tuning_flags(cli_dirs, tmp_path):
-    """The order weights, stopping rule, joint tolerance and cluster count are constants."""
+    """Order weights, stopping rule, joint tolerance, cluster count: constants; sigma: derived."""
     _, sim, _ = cli_dirs
     for flag in (["--weights", "1,1,1"], ["--eps0", "1e-3"], ["--tau-joint", "0.2"],
-                 ["--n-clusters", "3"]):
+                 ["--n-clusters", "3"], ["--sigma0", "3.5"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(["decompose", str(sim), "--out", str(tmp_path / "y"), *flag])
         assert exc.value.code == 2
@@ -1375,10 +1364,12 @@ def test_cli_evaluate_accepts_results_with_removed_config_keys(cli_dirs, tmp_pat
     """The config echo holds the AlgoConfig fields; an older echo with more keys still loads."""
     _, sim, res = cli_dirs
     manifest = json.loads((res / "results.json").read_text())
-    assert set(manifest["config"]) == {"max_outer", "n_components", "sigma0", "seed"}
+    assert set(manifest["config"]) == {"max_outer", "n_components", "seed"}
     old = tmp_path / "old"
     shutil.copytree(res, old)
-    manifest["config"].update(weights=[0.5, 0.75, 1.0], eps0=1e-6, tau_joint=0.15, n_clusters=None)
+    manifest["config"].update(
+        weights=[0.5, 0.75, 1.0], eps0=1e-6, tau_joint=0.15, n_clusters=None, sigma0="auto"
+    )
     (old / "results.json").write_text(json.dumps(manifest))
     assert cli.main(["evaluate", str(old), str(sim)]) == cli.EXIT_OK
     assert jio.load_report(old / "report.json")["results"]["config"] == manifest["config"]

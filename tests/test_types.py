@@ -1,4 +1,6 @@
 """Domain type invariants and input validation."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -78,19 +80,16 @@ def test_algo_config_defaults_and_validation():
     cfg = AlgoConfig()
     assert cfg.max_outer == 3
     assert cfg.n_components == "global-min"
-    assert cfg.sigma0 == "auto"
+    assert [f.name for f in fields(AlgoConfig)] == ["max_outer", "n_components", "seed"]
     with pytest.raises(ValueError):
         AlgoConfig(max_outer=0)
     with pytest.raises(ValueError):
         AlgoConfig(n_components="bogus")
     with pytest.raises(ValueError):
         AlgoConfig(n_components=0)
-    with pytest.raises(ValueError):
-        AlgoConfig(sigma0="none")
-    for bad in (np.nan, np.inf, -np.inf, -5.0, -1e-300):
-        with pytest.raises(ValueError, match="sigma0"):
-            AlgoConfig(sigma0=bad)
-    assert AlgoConfig(sigma0=0.0).sigma0 == 0.0
+    # Every threshold comes from the data: there is none to set.
+    with pytest.raises(TypeError):
+        AlgoConfig(sigma0=1.0)
 
 
 def test_slot_rows_maps_held_slots_in_order():
