@@ -31,7 +31,6 @@ from .numerics import (
     bh_fdr,
     covariance,
     dominant_eigenvector,
-    kmeans,
 )
 from .preprocess import (
     PreprocessedSubject,
@@ -92,7 +91,6 @@ __all__ = [
     "inner_extract",
     "jsir",
     "jsir_db",
-    "kmeans",
     "label_decomposition",
     "match_sources",
     "pca_reduce",

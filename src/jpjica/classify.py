@@ -7,7 +7,9 @@ a ring of the slot's other holders, ordered by association; its
 breakdown over ring positions (one per peer) carries the signature that
 separates the three types: a joint source draws near-equal contributions
 from every peer, a partially joint source only from its cluster, an
-individual source from nobody.  Nothing here draws from ``config.seed``.
+individual source from nobody.  Who shares a partially joint source is
+read off the correlations of the slot's estimates (``cluster_subjects``).
+Nothing here draws from ``config.seed``.
 """
 from __future__ import annotations
 
@@ -16,8 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .engine import WEIGHTS, mode_switch_threshold
-from .errors import DegenerateCorrelation, TooFewPoints
-from .numerics import kmeans, silhouette
+from .errors import DegenerateCorrelation
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
 
 # Relative tolerance of the per-peer contribution uniformity test that
@@ -128,17 +129,16 @@ def classify_by_feature(
 def cluster_subjects(
     decomp: Decomposition, kinds: np.ndarray
 ) -> list[list[SourceLabel]]:
-    """Peer sets per source via clustering of cross-subject correlations.
+    """Peer sets per source from a correlation graph of each slot's nominees.
 
     A source of a joint slot is shared by the slot's holders.  For each
-    slot with partially joint nominees the holders are clustered on the
-    rows of the pairwise |correlation| matrix of their estimates (the
-    silhouette picks the cluster count, see ``_cluster_rows``), and a
-    nominee shares its source with its cluster mates that are nominees
-    too.  Every other source is its subject's alone.  The labels hold
-    these peer sets only, and ``SourceLabel.kind`` reads the kind off
-    them: a joint slot held by some subjects only is partially joint
-    among them, and a nominee without mates is individual.
+    slot with partially joint nominees, a nominee shares its source with
+    the nominees in its connected component of the slot's peer graph
+    (see ``_peer_components``).  Every other source is its subject's
+    alone.  The labels hold these peer sets only, and
+    ``SourceLabel.kind`` reads the kind off them: a joint slot held by
+    some subjects only is partially joint among them, and a nominee
+    linked to nobody is individual.
     """
     k_total = decomp.n_subjects
     slot_rows = decomp.slot_rows
@@ -154,40 +154,41 @@ def cluster_subjects(
         # partially joint nominees have nobody to pair with either way.
         if k_total == 2 or len(pj) < 2:
             continue
-        rows = np.stack([decomp.sources[k][slot_rows[c, k]] for k in holders])
+        rows = np.stack([decomp.sources[k][slot_rows[c, k]] for k in pj])
         corr = np.abs(rows @ rows.T) / v
         if not np.isfinite(corr).all():
             raise DegenerateCorrelation(f"slot {c}: correlation undefined")
-        assign = _cluster_rows(corr)
-        groups = {holders[i]: int(assign[i]) for i in range(len(holders))}
-        for k in pj:
-            sharers[(c, k)] = frozenset(j for j in pj if groups[j] == groups[k])
+        component = _peer_components(corr)
+        for i, k in enumerate(pj):
+            sharers[(c, k)] = frozenset(pj[j] for j in np.flatnonzero(component == component[i]))
     labels: list[list[SourceLabel]] = [[] for _ in range(k_total)]
     for (c, k), group in sorted(sharers.items()):
         labels[k].append(SourceLabel(peers=group - {k}, n_subjects=k_total, subject=k))
     return labels
 
 
-def _cluster_rows(corr: np.ndarray) -> np.ndarray:
-    """Cluster correlation-profile rows; silhouette picks the group count.
+def _peer_components(corr: np.ndarray) -> np.ndarray:
+    """Connected components of the links between rows of a |corr| matrix.
 
-    A sharing cluster has at least five members, so n holders form at
-    most n // 5 clusters; the counts 2 .. max(3, n // 5) are tried.
-    The k-means keeps its fixed default seed.
+    Two rows link when their |corr| lies above a bar: the midpoint of
+    the widest gap between neighbours among the sorted pairwise values,
+    with 0 and 1 added as anchors (``select_sigma_opt``'s rule, applied
+    to correlations).  With one pair the bar links it at |corr| >= 0.5.
+    Returns each row's component, named by its first row.
     """
     n = corr.shape[0]
-    best_assign, best_score = None, -np.inf
-    for k in range(2, min(n, max(3, n // 5) + 1)):
-        try:
-            assign, _, _ = kmeans(corr, k)
-        except TooFewPoints:
-            continue
-        score = silhouette(corr, assign)
-        if score > best_score:
-            best_assign, best_score = assign, score
-    if best_assign is None:
-        return np.zeros(n, dtype=int)
-    return best_assign
+    points = np.sort(np.concatenate([corr[np.triu_indices(n, 1)], [0.0, 1.0]]))
+    gap = int(np.argmax(np.diff(points)))
+    linked = corr > (points[gap] + points[gap + 1]) / 2.0
+    component = np.full(n, -1)
+    for start in range(n):
+        if component[start] < 0:
+            component[start], stack = start, [start]
+            while stack:
+                for j in np.flatnonzero(linked[stack.pop()] & (component < 0)):
+                    component[j] = start
+                    stack.append(j)
+    return component
 
 
 def label_decomposition(decomp: Decomposition) -> Decomposition:

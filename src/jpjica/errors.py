@@ -25,10 +25,6 @@ class OrderExceedsRank(JpjicaError):
     """Requested model order exceeds the rank of the data."""
 
 
-class TooFewPoints(JpjicaError):
-    """Fewer distinct points than requested clusters."""
-
-
 class InsufficientSamples(JpjicaError):
     """A statistical test needs more observations per group."""
 

@@ -1,4 +1,4 @@
-"""Low-level statistical kernels: cumulants, eigen, assignment, clustering, tests.
+"""Low-level statistical kernels: cumulants, eigen, assignment, tests.
 
 All estimators treat the columns of a matrix (or the entries of a
 vector) as equally weighted samples; moments are population-normalized
@@ -23,15 +23,11 @@ from .errors import (
     InvalidQ,
     NonFiniteData,
     PartnerLengthMismatch,
-    TooFewPoints,
     ZeroSource,
 )
 
 # Working-set budget of the ring kernel's per-block buffer (see _ring_block_width).
 _RING_BLOCK_BYTES = 2**19
-# k-means restarts, and Lloyd iterations per restart.
-_KMEANS_RESTARTS = 20
-_KMEANS_MAX_ITER = 100
 # Lentz's continued fraction for the incomplete beta: the relative step
 # that ends it (above one ulp of 1, so rounding cannot keep it going),
 # its guard against division by zero, and an iteration cap above the
@@ -280,104 +276,6 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(col4row)
         return col4row[order], order
     return np.arange(nr), col4row
-
-
-def kmeans(
-    points: np.ndarray, k: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Seeded k-means with multiple restarts; best inertia wins.
-
-    Initialization is distance-weighted (k-means++ style) per restart;
-    iteration stops when assignments are stable.  Labels are renumbered
-    by first occurrence, so the output is deterministic for a fixed seed.
-
-    Returns (labels, centers, inertia).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
-    if np.unique(pts, axis=0).shape[0] < k:
-        raise TooFewPoints(f"need at least {k} distinct points")
-    rng = np.random.default_rng(seed)
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(_KMEANS_RESTARTS):
-        centers = _kpp_init(pts, k, rng)
-        labels = np.zeros(n, dtype=int)
-        for _ in range(_KMEANS_MAX_ITER):
-            d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-            for j in range(k):
-                sel = new_labels == j
-                if sel.any():
-                    centers[j] = pts[sel].mean(axis=0)
-                else:
-                    centers[j] = pts[d2.min(axis=1).argmax()]
-            if (new_labels == labels).all():
-                labels = new_labels
-                break
-            labels = new_labels
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
-        if best is None or inertia < best[0] - 1e-12:
-            best = (inertia, labels.copy(), centers.copy())
-    inertia, labels, centers = best
-    remap: dict[int, int] = {}
-    for lab in labels:
-        if int(lab) not in remap:
-            remap[int(lab)] = len(remap)
-    for j in range(k):
-        if j not in remap:
-            remap[j] = len(remap)
-    new_labels = np.array([remap[int(l)] for l in labels], dtype=int)
-    new_centers = np.empty_like(centers)
-    for old, new in remap.items():
-        new_centers[new] = centers[old]
-    return new_labels, new_centers, inertia
-
-
-def _kpp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]), dtype=float)
-    centers[0] = pts[rng.integers(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
-    return centers
-
-
-def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette width; singleton clusters score zero."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    labels = np.asarray(labels, dtype=int)
-    uniq = np.unique(labels)
-    if uniq.size < 2:
-        return 0.0
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    scores = np.zeros(pts.shape[0])
-    for i in range(pts.shape[0]):
-        same = labels == labels[i]
-        if same.sum() <= 1:
-            continue
-        a = d[i, same].sum() / (same.sum() - 1)
-        b = np.inf
-        for lab in uniq:
-            if lab == labels[i]:
-                continue
-            sel = labels == lab
-            b = min(b, d[i, sel].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
-    return float(scores.mean())
 
 
 def welch_t_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

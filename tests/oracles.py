@@ -206,24 +206,6 @@ def welch_statistic(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return t, df
 
 
-def best_bipartition_inertia(points: np.ndarray) -> float:
-    """Globally optimal 2-cluster within-cluster sum of squares."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
-    if n > 16:
-        raise ValueError("exhaustive search limited to 16 points")
-    best = math.inf
-    for mask in range(1, 2 ** (n - 1)):
-        sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-        ga, gb = pts[sel], pts[~sel]
-        inertia = float(((ga - ga.mean(axis=0)) ** 2).sum())
-        inertia += float(((gb - gb.mean(axis=0)) ** 2).sum())
-        best = min(best, inertia)
-    return best
-
-
 def bh_select(p_values: np.ndarray, q: float) -> np.ndarray:
     """Step-up selection by explicit scan over candidate thresholds."""
     p = np.asarray(p_values, dtype=float).ravel()

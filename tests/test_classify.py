@@ -10,6 +10,7 @@ from jpjica.classify import (
     label_decomposition,
     select_sigma_opt,
 )
+from jpjica.errors import DegenerateCorrelation
 from jpjica.engine import WEIGHTS, build_cost_matrix, build_features, run_jpji_ica
 from jpjica.metrics import evaluate_run
 from jpjica.numerics import standardize
@@ -58,6 +59,14 @@ def _stub_decomp(sources):
 
 def _sharp(rng, v):
     return standardize(rng.laplace(size=v) ** 3)
+
+
+def _rows_with_corr(corr, v=1500, seed=9):
+    """One standardized source row per subject; their pairwise correlations are ``corr``."""
+    noise = np.random.default_rng(seed).standard_normal((len(corr), v))
+    q, _ = np.linalg.qr((noise - noise.mean(axis=1, keepdims=True)).T)
+    rows = np.linalg.cholesky(np.asarray(corr, dtype=float)) @ q.T * np.sqrt(v)
+    return [row[None, :] for row in rows]
 
 
 def test_slot_map_rejects_costs_that_disagree_with_sources(tmp_path):
@@ -338,9 +347,49 @@ def test_cluster_subjects_recovers_peer_sets():
         assert labels[k][0].peers == want
 
 
+@pytest.mark.parametrize(
+    "corr, nominees, peer_sets",
+    [
+        ([[1, 0.6, 0], [0.6, 1, 0], [0, 0, 1]], [0, 1], [{0, 1}, {0, 1}, {2}]),
+        ([[1, 0.4, 0], [0.4, 1, 0], [0, 0, 1]], [0, 1], [{0}, {1}, {2}]),
+        (
+            [[1, 0.7, 0.1, 0], [0.7, 1, 0.7, 0], [0.1, 0.7, 1, 0], [0, 0, 0, 1]],
+            [0, 1, 2],
+            [{0, 1, 2}] * 3 + [{3}],
+        ),
+        (np.eye(3), [0, 1, 2], [{0}, {1}, {2}]),
+    ],
+    ids=["pair-at-0.6-links", "pair-at-0.4-does-not", "chain-links-through", "uncorrelated"],
+)
+def test_cluster_subjects_links_nominees_above_the_gap_bar(corr, nominees, peer_sets):
+    """Nominees link above the midpoint of the widest |corr| gap (0 and 1 anchor it).
+
+    One pair's bar works out to |corr| >= 0.5.  A peer set is a connected
+    component, so a chain a-b, b-c joins a and c below the bar; nominees
+    linked to nobody are individual.
+    """
+    k_total = len(corr)
+    decomp = _stub_decomp(_rows_with_corr(corr))
+    kinds = np.full((1, k_total), SourceKind.INDIVIDUAL, dtype=object)
+    kinds[0, nominees] = SourceKind.PARTIALLY_JOINT
+    labels = cluster_subjects(decomp, kinds)
+    assert [labels[k][0].peers | {k} for k in range(k_total)] == peer_sets
+    for k in range(k_total):
+        want = SourceKind.PARTIALLY_JOINT if len(peer_sets[k]) > 1 else SourceKind.INDIVIDUAL
+        assert labels[k][0].kind is want
+
+
+def test_cluster_subjects_rejects_a_non_finite_row():
+    decomp = _stub_decomp(_rows_with_corr(np.eye(3)))
+    decomp.sources[1][0, 7] = np.nan
+    kinds = np.full((1, 3), SourceKind.PARTIALLY_JOINT, dtype=object)
+    with pytest.raises(DegenerateCorrelation):
+        cluster_subjects(decomp, kinds)
+
+
 @pytest.mark.parametrize("seed, snr_db", [(1, None), (2, 3.0)], ids=["clean", "3dB"])
 def test_four_clusters_of_five_get_their_own_peer_sets(seed, snr_db):
-    """K=20 in four sharing clusters: the silhouette may pick four groups, not merge them."""
+    """K=20 in four sharing clusters: each cluster's nominees link into a peer set of its own."""
     spec = ScenarioSpec(
         n_subjects=20, n_joint=3, n_pjoint=2, n_individual=1, n_clusters=4,
         n_voxels=4096, n_time=150, snr_db=snr_db, seed=seed,
@@ -366,12 +415,16 @@ def test_four_clusters_of_five_get_their_own_peer_sets(seed, snr_db):
         (20, 3, 2, 1, 2, 4000, None, 1, 1),
         (20, 3, 2, 1, 4, 4096, 3.0, 3, 3),
         (15, 3, 2, 1, 3, 4096, 3.0, 2, 3),
+        (20, 3, 2, 1, 4, 4096, -3.0, 1, 1),
+        (15, 3, 2, 1, 3, 4096, -6.0, 1, 1),
+        (10, 3, 0, 2, 1, 16384, None, 1, 1),
     ],
     ids=[
         "k25-no-individual-clean", "k25-no-individual-3dB",
         "k10-no-individual-clean", "k10-no-individual-3dB",
         "k10-no-pjoint", "k10-no-joint", "k15-all-kinds", "k2-joint-individual",
         "k20-v4000", "k20-four-clusters-3dB", "k15-three-clusters-3dB",
+        "k20-four-clusters-minus3dB", "k15-three-clusters-minus6dB", "k10-no-pjoint-v16384",
     ],
 )
 def test_scenario_grid_gets_every_count_and_peer_set(
@@ -382,8 +435,11 @@ def test_scenario_grid_gets_every_count_and_peer_set(
     Without individual maps every non-joint feature clears the null
     floor and the features sit together, so the threshold falls in the
     floor's gap and no individual class is made up.  A voxel count that
-    is not a perfect square (4000) draws its maps on a cut grid.  The
-    last two cases pin runs that a random ring (engine seed 3) mislabelled.
+    is not a perfect square (4000) draws its maps on a cut grid.  Two
+    cases pin runs that a random ring (engine seed 3) mislabelled.  The
+    last three pin runs that an earlier k-means labeller got wrong: at
+    -3 and -6 dB, and at V=16384, where individual features lie above
+    sigma and are told apart only because they link to nobody.
     """
     spec = ScenarioSpec(
         n_subjects=n_subjects, n_joint=n_joint, n_pjoint=n_pjoint,

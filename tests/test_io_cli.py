@@ -1350,7 +1350,7 @@ def test_cli_exit_code_bad_components(cli_dirs, tmp_path):
 
 
 def test_cli_decompose_has_no_tuning_flags(cli_dirs, tmp_path):
-    """Order weights, stopping rule, joint tolerance, cluster count: constants; sigma: derived."""
+    """Order weights, stopping rule, joint tolerance: constants; sigma and peer sets: derived."""
     _, sim, _ = cli_dirs
     for flag in (["--weights", "1,1,1"], ["--eps0", "1e-3"], ["--tau-joint", "0.2"],
                  ["--n-clusters", "3"], ["--sigma0", "3.5"]):

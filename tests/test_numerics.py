@@ -1,4 +1,4 @@
-"""Cumulant, eigen, assignment, clustering and test-statistic kernels vs oracles."""
+"""Cumulant, eigen, assignment and test-statistic kernels vs oracles."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from jpjica.errors import (
     InvalidQ,
     NonFiniteData,
-    TooFewPoints,
     ZeroSource,
 )
 from jpjica.numerics import (
@@ -16,10 +15,8 @@ from jpjica.numerics import (
     cumulant_vectors_ring,
     dominant_eigenvector,
     excess_kurtosis,
-    kmeans,
     linear_sum_assignment,
     ring_products,
-    silhouette,
     standardize,
     t_two_sided_p,
     welch_t_columns,
@@ -28,7 +25,6 @@ from jpjica.preprocess import C_MAX
 from oracles import (
     LengthMismatch,
     OrderOutOfRange,
-    best_bipartition_inertia,
     bh_select,
     cross_cumulant,
     cumulant_partition,
@@ -305,45 +301,6 @@ def test_assignment_rejects_non_finite_cost(bad):
     cost[1, 2] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
         linear_sum_assignment(cost)
-
-
-def test_kmeans_reaches_global_optimum_on_small_sets():
-    rng = np.random.default_rng(4)
-    for trial in range(8):
-        n = int(rng.integers(4, 11))
-        pts = np.concatenate([rng.normal(0, 1, n // 2), rng.normal(6, 1, n - n // 2)])
-        rng.shuffle(pts)
-        labels, centers, inertia = kmeans(pts, 2, seed=trial)
-        want = best_bipartition_inertia(pts)
-        assert inertia == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-
-def test_kmeans_deterministic_and_first_occurrence_labels():
-    rng = np.random.default_rng(8)
-    pts = rng.standard_normal((20, 2))
-    la, ca, ia = kmeans(pts, 3, seed=5)
-    lb, cb, ib = kmeans(pts, 3, seed=5)
-    np.testing.assert_array_equal(la, lb)
-    np.testing.assert_allclose(ca, cb)
-    assert la[0] == 0
-    seen = []
-    for lab in la:
-        if lab not in seen:
-            seen.append(int(lab))
-    assert seen == sorted(seen)
-    with pytest.raises(TooFewPoints):
-        kmeans(np.ones((5, 1)), 2, seed=0)
-
-
-def test_silhouette_two_tight_clusters_near_one():
-    pts = np.array([0.0, 0.01, 0.02, 10.0, 10.01, 10.02])
-    labels = np.array([0, 0, 0, 1, 1, 1])
-    assert silhouette(pts, labels) > 0.99
-    # swapped labels on one point should hurt
-    worse = labels.copy()
-    worse[2] = 1
-    assert silhouette(pts, worse) < silhouette(pts, labels)
-    assert silhouette(pts, np.zeros(6, dtype=int)) == 0.0
 
 
 def test_two_sample_t_matches_incomplete_beta_oracle():
