@@ -3,13 +3,14 @@
 Works on a finished decomposition and reads the JpJI-feature table the
 engine attached to it (``Decomposition.features``, computed once by
 ``engine.build_features``).  The feature of a source is its cost against
-a ring of the slot's other holders, ordered by association; its
-breakdown over ring positions (one per peer) carries the signature that
-separates the three types: a joint source draws near-equal contributions
-from every peer, a partially joint source only from its cluster, an
-individual source from nobody.  Who shares a partially joint source is
-read off the correlations of the slot's estimates (``cluster_subjects``).
-Nothing here draws from ``config.seed``.
+a ring of the slot's other holders, ordered by association.  Who shares
+a source is read off one graph per slot, built from the |corr| of the
+slot's estimates (``_peer_components``): a slot is joint when the graph
+over all its holders is connected (``detect_joint_slots``), and the
+other slots' partially joint nominees share a source with their
+connected component (``cluster_subjects``).  The feature sets the
+threshold between partially joint and individual nominees
+(``select_sigma_opt``).  Nothing here draws from ``config.seed``.
 """
 from __future__ import annotations
 
@@ -21,58 +22,19 @@ from .engine import WEIGHTS, mode_switch_threshold
 from .errors import DegenerateCorrelation
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
 
-# Relative tolerance of the per-peer contribution uniformity test that
-# detects joint sources.
-TAU_JOINT = 0.15
 
+def detect_joint_slots(decomp: Decomposition) -> list[int]:
+    """Slots whose sources are shared by all their holders.
 
-def detect_joint_slots(
-    features: FeatureTable, decomp: Decomposition
-) -> list[int]:
-    """Slots whose sources are shared by all subjects.
-
-    A (slot, subject) pair votes joint when the per-position
-    contributions are uniform, i.e. the feature stays within tolerance
-    ``TAU_JOINT`` of n_alpha times the weakest contribution, and the
-    feature clears the null floor.  The weakest position is the
-    discriminator: one partner outside the sharing set leaves its ring
-    position near zero no matter how the remaining positions are
-    arranged.  A slot is joint on a strict majority of votes.
+    A slot with at least two holders is joint when its peer graph over
+    all of them (``_peer_components``) is connected.  With two holders
+    that is one link, so the pair is joint at |corr| >= 0.5.
     """
-    v = decomp.sources[0].shape[1]
     rows = decomp.slot_rows
     out: list[int] = []
-    for c in range(features.jpjif.shape[0]):
-        votes, holders = 0, 0
-        for k in range(features.jpjif.shape[1]):
-            contr = features.contributions[c, k]
-            if contr is None:
-                continue
-            holders += 1
-            n_alpha = contr.shape[0]
-            total = features.jpjif[c, k]
-            floor = mode_switch_threshold(WEIGHTS, n_alpha, 1, v, n_partners=n_alpha)
-            if n_alpha < 2:
-                # Two subjects: no uniformity to test.  Kurtosis couples to
-                # the residual correlation allowed between distinct maps, so
-                # magnitude alone is unreliable; require the pair to share
-                # the majority of its variance as well.
-                peer_rows = [
-                    decomp.sources[j][rows[c, j]]
-                    for j in range(features.jpjif.shape[1])
-                    if j != k and rows[c, j] >= 0
-                ]
-                if total >= floor and peer_rows:
-                    y = decomp.sources[k][rows[c, k]]
-                    rho = float(peer_rows[0] @ y) / v
-                    if rho * rho >= 0.5:
-                        votes += 1
-                continue
-            expected = n_alpha * float(np.min(contr))
-            scale = max(total, expected, 1e-300)
-            if total >= floor and abs(total - expected) <= TAU_JOINT * scale:
-                votes += 1
-        if holders and votes * 2 > holders:
+    for c in range(rows.shape[0]):
+        holders = np.flatnonzero(rows[c] >= 0).tolist()
+        if len(holders) >= 2 and not _peer_components(decomp, c, holders).any():
             out.append(c)
     return out
 
@@ -141,8 +103,6 @@ def cluster_subjects(
     linked to nobody is individual.
     """
     k_total = decomp.n_subjects
-    slot_rows = decomp.slot_rows
-    v = decomp.sources[0].shape[1]
     sharers: dict[tuple[int, int], frozenset[int]] = {}
     for c in range(kinds.shape[0]):
         holders = [k for k in range(k_total) if kinds[c, k] is not None]
@@ -150,15 +110,9 @@ def cluster_subjects(
         for k in holders:
             joint = kinds[c, k] is SourceKind.JOINT
             sharers[(c, k)] = frozenset(holders) if joint else frozenset({k})
-        # With two subjects a proper peer subset cannot exist; lone
-        # partially joint nominees have nobody to pair with either way.
-        if k_total == 2 or len(pj) < 2:
+        if len(pj) < 2:
             continue
-        rows = np.stack([decomp.sources[k][slot_rows[c, k]] for k in pj])
-        corr = np.abs(rows @ rows.T) / v
-        if not np.isfinite(corr).all():
-            raise DegenerateCorrelation(f"slot {c}: correlation undefined")
-        component = _peer_components(corr)
+        component = _peer_components(decomp, c, pj)
         for i, k in enumerate(pj):
             sharers[(c, k)] = frozenset(pj[j] for j in np.flatnonzero(component == component[i]))
     labels: list[list[SourceLabel]] = [[] for _ in range(k_total)]
@@ -167,15 +121,23 @@ def cluster_subjects(
     return labels
 
 
-def _peer_components(corr: np.ndarray) -> np.ndarray:
-    """Connected components of the links between rows of a |corr| matrix.
+def _peer_components(decomp: Decomposition, c: int, members: list[int]) -> np.ndarray:
+    """Connected components of slot ``c``'s peer graph over subjects ``members``.
 
-    Two rows link when their |corr| lies above a bar: the midpoint of
-    the widest gap between neighbours among the sorted pairwise values,
-    with 0 and 1 added as anchors (``select_sigma_opt``'s rule, applied
-    to correlations).  With one pair the bar links it at |corr| >= 0.5.
-    Returns each row's component, named by its first row.
+    Two members link when the |corr| of their slot-``c`` sources lies
+    above a bar: the midpoint of the widest gap between neighbours among
+    the sorted pairwise values, with 0 and 1 added as anchors
+    (``select_sigma_opt``'s rule, applied to correlations).  With one
+    pair the bar links it at |corr| >= 0.5.  Returns each member's
+    component, named by its first member; raises DegenerateCorrelation
+    when a correlation is not finite.
     """
+    v = decomp.sources[0].shape[1]
+    row_of = decomp.slot_rows[c]
+    rows = np.stack([decomp.sources[k][row_of[k]] for k in members])
+    corr = np.abs(rows @ rows.T) / v
+    if not np.isfinite(corr).all():
+        raise DegenerateCorrelation(f"slot {c}: correlation undefined")
     n = corr.shape[0]
     points = np.sort(np.concatenate([corr[np.triu_indices(n, 1)], [0.0, 1.0]]))
     gap = int(np.argmax(np.diff(points)))
@@ -199,15 +161,17 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
     joint reference level; the input is not changed.  Single-subject
     input gets individual labels directly (no peer information exists)
     and keeps the engine's table as it is.  The joint slots come from
-    ``detect_joint_slots`` and the threshold from ``select_sigma_opt``;
-    nothing is set by hand.
+    the peer graph (``detect_joint_slots``), the threshold from the
+    other slots' features (``select_sigma_opt``) and the peer sets from
+    the graph over each slot's nominees (``cluster_subjects``); nothing
+    is set by hand.
     """
     features = decomp.features
     if decomp.n_subjects == 1:
         kinds = np.empty_like(features.jpjif, dtype=object)
         kinds[:, :] = SourceKind.INDIVIDUAL
         return replace(decomp, labels=cluster_subjects(decomp, kinds))
-    joint_slots = detect_joint_slots(features, decomp)
+    joint_slots = detect_joint_slots(decomp)
     sigma, ref = select_sigma_opt(features, joint_slots, decomp)
     kinds = classify_by_feature(features, sigma, joint_slots)
     labels = cluster_subjects(decomp, kinds)

@@ -170,12 +170,13 @@ class GroundTruth:
 class AlgoConfig:
     """Run parameters for the decomposition engine and classifier.
 
-    The cumulant-order weights, the inner stopping rule and the joint
-    tolerance are fixed: ``engine.WEIGHTS``, ``engine.EPS0`` and
-    ``classify.TAU_JOINT``.  The thresholds come from the data: the
-    engine's joint/self cost floor is ``engine.mode_switch_threshold``,
-    and the feature threshold sigma between partially joint and
-    individual sources is ``classify.select_sigma_opt``'s.
+    The cumulant-order weights and the inner stopping rule are fixed:
+    ``engine.WEIGHTS`` and ``engine.EPS0``.  The thresholds come from the
+    data: the engine's joint/self cost floor is
+    ``engine.mode_switch_threshold``, the feature threshold sigma between
+    partially joint and individual sources is
+    ``classify.select_sigma_opt``'s, and the joint slots and peer sets
+    come from each slot's |corr| graph (``classify.detect_joint_slots``).
 
     max_outer
         Outer sweeps over all (slot, subject) pairs; deflation happens in
@@ -223,8 +224,9 @@ class FeatureTable:
 
     jpjif[c, k] is the cost of slot c's source of subject k against an
     association-ordered ring of the slot's other holders, computed by the
-    engine; contributions[c, k] holds the per-peer-position (alpha)
-    breakdown whose uniformity identifies joint sources.
+    engine; contributions[c, k] holds its breakdown over ring positions
+    (alpha), one per peer.  Labelling reads jpjif only; the breakdown is
+    kept as the feature's record.
     """
 
     jpjif: np.ndarray

@@ -75,7 +75,7 @@ def test_slot_map_rejects_costs_that_disagree_with_sources(tmp_path):
     decomp = _stub_decomp([np.stack([_sharp(rng, 400) for _ in range(2)]) for _ in range(3)])
     decomp.extraction_costs[1, 2] = np.nan
     with pytest.raises(ValueError, match="held slots"):
-        detect_joint_slots(decomp.features, decomp)
+        detect_joint_slots(decomp)
     with pytest.raises(ValueError, match="held slots"):
         jio.save_decomposition(tmp_path / "res", decomp)
 
@@ -171,29 +171,26 @@ def test_build_features_and_joint_detection():
     assert np.isfinite(feats.jpjif).all()
     # joint features dwarf partially joint, which dwarf individual
     assert feats.jpjif[0].min() > feats.jpjif[1].max() > feats.jpjif[2].max()
-    assert detect_joint_slots(feats, decomp) == [0]
+    assert detect_joint_slots(decomp) == [0]
     # determinism: rebuilding from the same rows is identical
     feats2 = build_features(_slot_major(sources), [3] * 6, WEIGHTS)
     np.testing.assert_array_equal(feats.jpjif, feats2.jpjif)
 
 
-def test_detect_joint_slots_needs_uniform_contributions():
+def test_detect_joint_slots_needs_every_holder_linked():
     sources = _three_kind_sources(seed=4)
     decomp = _stub_decomp(sources)
-    feats = decomp.features
-    joint = detect_joint_slots(feats, decomp)
+    joint = detect_joint_slots(decomp)
     assert 1 not in joint and 2 not in joint
 
 
-def test_detect_joint_slots_floor_blocks_noise():
+def test_detect_joint_slots_finds_none_in_uncorrelated_noise():
     rng = np.random.default_rng(5)
     v = 2000
-    # every slot is pure independent noise: uniformity holds trivially in
-    # distribution, but the magnitude floor must reject it
+    # every slot is pure independent noise: no pair of holders links
     sources = [np.stack([standardize(rng.standard_normal(v)) for _ in range(2)]) for _ in range(5)]
     decomp = _stub_decomp(sources)
-    feats = decomp.features
-    assert detect_joint_slots(feats, decomp) == []
+    assert detect_joint_slots(decomp) == []
 
 
 def test_detect_joint_two_subjects_requires_shared_variance():
@@ -207,15 +204,18 @@ def test_detect_joint_two_subjects_requires_shared_variance():
     s0 = np.stack([shared, own_a])
     s1 = np.stack([shared, own_b])
     decomp = _stub_decomp([s0, s1])
-    feats = decomp.features
-    assert detect_joint_slots(feats, decomp) == [0]
+    assert detect_joint_slots(decomp) == [0]
+    # one pair is joint at |corr| >= 0.5, the gap bar of a single link
+    for rho, want in ((0.6, [0]), (0.4, [])):
+        pair = _stub_decomp(_rows_with_corr([[1, rho], [rho, 1]]))
+        assert detect_joint_slots(pair) == want
 
 
 def test_select_sigma_separates_feature_classes():
     sources = _three_kind_sources(seed=7)
     decomp = _stub_decomp(sources)
     feats = decomp.features
-    joint = detect_joint_slots(feats, decomp)
+    joint = detect_joint_slots(decomp)
     sigma, ref = select_sigma_opt(feats, joint, decomp)
     assert feats.jpjif[2].max() < sigma < feats.jpjif[1].min()
     assert ref == pytest.approx(float(np.nanmean(feats.jpjif[joint, :])), rel=1e-12)
@@ -418,6 +418,7 @@ def test_four_clusters_of_five_get_their_own_peer_sets(seed, snr_db):
         (20, 3, 2, 1, 4, 4096, -3.0, 1, 1),
         (15, 3, 2, 1, 3, 4096, -6.0, 1, 1),
         (10, 3, 0, 2, 1, 16384, None, 1, 1),
+        (4, 2, 1, 1, 2, 4096, None, 1, 1),
     ],
     ids=[
         "k25-no-individual-clean", "k25-no-individual-3dB",
@@ -425,6 +426,7 @@ def test_four_clusters_of_five_get_their_own_peer_sets(seed, snr_db):
         "k10-no-pjoint", "k10-no-joint", "k15-all-kinds", "k2-joint-individual",
         "k20-v4000", "k20-four-clusters-3dB", "k15-three-clusters-3dB",
         "k20-four-clusters-minus3dB", "k15-three-clusters-minus6dB", "k10-no-pjoint-v16384",
+        "k4-two-clusters-of-two",
     ],
 )
 def test_scenario_grid_gets_every_count_and_peer_set(
@@ -436,15 +438,18 @@ def test_scenario_grid_gets_every_count_and_peer_set(
     floor and the features sit together, so the threshold falls in the
     floor's gap and no individual class is made up.  A voxel count that
     is not a perfect square (4000) draws its maps on a cut grid.  Two
-    cases pin runs that a random ring (engine seed 3) mislabelled.  The
-    last three pin runs that an earlier k-means labeller got wrong: at
-    -3 and -6 dB, and at V=16384, where individual features lie above
-    sigma and are told apart only because they link to nobody.
+    cases pin runs that a random ring (engine seed 3) mislabelled.  Three
+    pin runs that an earlier k-means labeller got wrong: at -3 and
+    -6 dB, and at V=16384, where individual features lie above sigma and
+    are told apart only because they link to nobody.  The last, clusters
+    of two, pins a partially joint slot that an earlier vote on ring
+    uniformity called joint.
     """
     spec = ScenarioSpec(
         n_subjects=n_subjects, n_joint=n_joint, n_pjoint=n_pjoint,
         n_individual=n_individual, n_clusters=n_clusters,
         n_voxels=n_voxels, n_time=150, snr_db=snr_db, seed=seed,
+        allow_small_clusters=n_subjects < 5 * n_clusters,
     )
     datasets, truth = generate_dataset(spec)
     decomp = label_decomposition(run_jpji_ica(datasets, AlgoConfig(seed=engine_seed)))
@@ -482,7 +487,7 @@ def test_cluster_subjects_relabels_lone_nominee():
 
 
 def test_cluster_subjects_joint_slot_of_some_holders_is_partially_joint():
-    """A joint vote means shared by the slot's holders; a subset of subjects is a partial share."""
+    """A joint slot is shared by its holders; a subset of subjects is a partial share."""
     rng = np.random.default_rng(11)
     v = 1500
     common, extra = _sharp(rng, v), _sharp(rng, v)

@@ -1224,7 +1224,7 @@ def test_cli_ragged_auto_components_end_to_end(tmp_path):
 
 
 def test_cli_ragged_slot_held_by_one_cluster_is_partially_joint(tmp_path):
-    """A slot only the sharing cluster holds is voted joint by its holders.
+    """A slot only the sharing cluster holds is joint among its holders.
 
     The five subjects with a partially joint map have one more source
     than the other five, so ``--components auto`` gives ragged orders and
@@ -1350,7 +1350,11 @@ def test_cli_exit_code_bad_components(cli_dirs, tmp_path):
 
 
 def test_cli_decompose_has_no_tuning_flags(cli_dirs, tmp_path):
-    """Order weights, stopping rule, joint tolerance: constants; sigma and peer sets: derived."""
+    """Order weights, stopping rule: constants; sigma, joint slots and peer sets: derived.
+
+    The joint tolerance is gone with the vote it tuned, so --tau-joint
+    is refused like any unknown flag.
+    """
     _, sim, _ = cli_dirs
     for flag in (["--weights", "1,1,1"], ["--eps0", "1e-3"], ["--tau-joint", "0.2"],
                  ["--n-clusters", "3"], ["--sigma0", "3.5"]):
