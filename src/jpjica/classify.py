@@ -23,18 +23,21 @@ from .errors import DegenerateCorrelation
 from .types import Decomposition, FeatureTable, SourceKind, SourceLabel
 
 
-def detect_joint_slots(decomp: Decomposition) -> list[int]:
+def detect_joint_slots(
+    decomp: Decomposition, corr: list[np.ndarray] | None = None
+) -> list[int]:
     """Slots whose sources are shared by all their holders.
 
     A slot with at least two holders is joint when its peer graph over
     all of them (``_peer_components``) is connected.  With two holders
-    that is one link, so the pair is joint at |corr| >= 0.5.
+    that is one link, so the pair is joint at |corr| >= 0.5.  ``corr``
+    is ``_slot_correlations(decomp)``, formed here when not given.
     """
-    rows = decomp.slot_rows
+    corr = _slot_correlations(decomp) if corr is None else corr
     out: list[int] = []
-    for c in range(rows.shape[0]):
-        holders = np.flatnonzero(rows[c] >= 0).tolist()
-        if len(holders) >= 2 and not _peer_components(decomp, c, holders).any():
+    for c, held in enumerate(decomp.slot_rows >= 0):
+        holders = np.flatnonzero(held)
+        if holders.size >= 2 and not _peer_components(corr[c][np.ix_(holders, holders)]).any():
             out.append(c)
     return out
 
@@ -89,20 +92,22 @@ def classify_by_feature(
 
 
 def cluster_subjects(
-    decomp: Decomposition, kinds: np.ndarray
+    decomp: Decomposition, kinds: np.ndarray, corr: list[np.ndarray] | None = None
 ) -> list[list[SourceLabel]]:
     """Peer sets per source from a correlation graph of each slot's nominees.
 
     A source of a joint slot is shared by the slot's holders.  For each
     slot with partially joint nominees, a nominee shares its source with
     the nominees in its connected component of the slot's peer graph
-    (see ``_peer_components``).  Every other source is its subject's
-    alone.  The labels hold these peer sets only, and
-    ``SourceLabel.kind`` reads the kind off them: a joint slot held by
-    some subjects only is partially joint among them, and a nominee
-    linked to nobody is individual.
+    (see ``_peer_components``), read off the slot's |corr| matrix
+    ``corr[c]`` (``_slot_correlations(decomp)``, formed here when not
+    given).  Every other source is its subject's alone.  The labels hold
+    these peer sets only, and ``SourceLabel.kind`` reads the kind off
+    them: a joint slot held by some subjects only is partially joint
+    among them, and a nominee linked to nobody is individual.
     """
     k_total = decomp.n_subjects
+    corr = _slot_correlations(decomp) if corr is None else corr
     sharers: dict[tuple[int, int], frozenset[int]] = {}
     for c in range(kinds.shape[0]):
         holders = [k for k in range(k_total) if kinds[c, k] is not None]
@@ -112,7 +117,7 @@ def cluster_subjects(
             sharers[(c, k)] = frozenset(holders) if joint else frozenset({k})
         if len(pj) < 2:
             continue
-        component = _peer_components(decomp, c, pj)
+        component = _peer_components(corr[c][np.ix_(pj, pj)])
         for i, k in enumerate(pj):
             sharers[(c, k)] = frozenset(pj[j] for j in np.flatnonzero(component == component[i]))
     labels: list[list[SourceLabel]] = [[] for _ in range(k_total)]
@@ -121,23 +126,36 @@ def cluster_subjects(
     return labels
 
 
-def _peer_components(decomp: Decomposition, c: int, members: list[int]) -> np.ndarray:
-    """Connected components of slot ``c``'s peer graph over subjects ``members``.
+def _slot_correlations(decomp: Decomposition) -> list[np.ndarray]:
+    """K x K |corr| of each slot's sources; NaN where a subject does not hold the slot.
 
-    Two members link when the |corr| of their slot-``c`` sources lies
-    above a bar: the midpoint of the widest gap between neighbours among
-    the sorted pairwise values, with 0 and 1 added as anchors
-    (``select_sigma_opt``'s rule, applied to correlations).  With one
-    pair the bar links it at |corr| >= 0.5.  Returns each member's
-    component, named by its first member; raises DegenerateCorrelation
-    when a correlation is not finite.
+    One slot's rows are stacked at a time, and the joint test and the
+    peer sets slice the same matrix.  Raises DegenerateCorrelation when
+    a correlation is not finite.
     """
     v = decomp.sources[0].shape[1]
-    row_of = decomp.slot_rows[c]
-    rows = np.stack([decomp.sources[k][row_of[k]] for k in members])
-    corr = np.abs(rows @ rows.T) / v
-    if not np.isfinite(corr).all():
-        raise DegenerateCorrelation(f"slot {c}: correlation undefined")
+    out = []
+    for c, row_of in enumerate(decomp.slot_rows):
+        holders = np.flatnonzero(row_of >= 0)
+        rows = np.stack([decomp.sources[k][row_of[k]] for k in holders])
+        held = np.abs(rows @ rows.T) / v
+        if not np.isfinite(held).all():
+            raise DegenerateCorrelation(f"slot {c}: correlation undefined")
+        corr = np.full((decomp.n_subjects, decomp.n_subjects), np.nan)
+        corr[np.ix_(holders, holders)] = held
+        out.append(corr)
+    return out
+
+
+def _peer_components(corr: np.ndarray) -> np.ndarray:
+    """Connected components of a peer graph, given the |corr| of its members.
+
+    Two members link when their |corr| lies above a bar: the midpoint of
+    the widest gap between neighbours among the sorted pairwise values,
+    with 0 and 1 added as anchors (``select_sigma_opt``'s rule, applied
+    to correlations).  With one pair the bar links it at |corr| >= 0.5.
+    Returns each member's component, named by its first member.
+    """
     n = corr.shape[0]
     points = np.sort(np.concatenate([corr[np.triu_indices(n, 1)], [0.0, 1.0]]))
     gap = int(np.argmax(np.diff(points)))
@@ -163,18 +181,19 @@ def label_decomposition(decomp: Decomposition) -> Decomposition:
     and keeps the engine's table as it is.  The joint slots come from
     the peer graph (``detect_joint_slots``), the threshold from the
     other slots' features (``select_sigma_opt``) and the peer sets from
-    the graph over each slot's nominees (``cluster_subjects``); nothing
-    is set by hand.
+    the graph over each slot's nominees (``cluster_subjects``); both
+    graphs slice one |corr| matrix per slot.  Nothing is set by hand.
     """
     features = decomp.features
     if decomp.n_subjects == 1:
         kinds = np.empty_like(features.jpjif, dtype=object)
         kinds[:, :] = SourceKind.INDIVIDUAL
         return replace(decomp, labels=cluster_subjects(decomp, kinds))
-    joint_slots = detect_joint_slots(decomp)
+    corr = _slot_correlations(decomp)
+    joint_slots = detect_joint_slots(decomp, corr)
     sigma, ref = select_sigma_opt(features, joint_slots, decomp)
     kinds = classify_by_feature(features, sigma, joint_slots)
-    labels = cluster_subjects(decomp, kinds)
+    labels = cluster_subjects(decomp, kinds, corr)
     features = replace(
         features, joint_slots=sorted(joint_slots), sigma_opt=sigma, jpjif_joint=ref
     )

@@ -19,7 +19,7 @@ from . import io as jio
 from .baseline import run_ji_thica
 from .classify import label_decomposition
 from .engine import run_jpji_ica
-from .errors import JpjicaError
+from .errors import JpjicaError, MismatchedVoxelCount
 from .metrics import acc_c, acc_k, evaluate_run
 from .simulate import ScenarioSpec, stream_dataset
 from .types import AlgoConfig, slot_rows
@@ -169,12 +169,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    # The sources of both sides stay on disk until evaluate_run reads them,
+    # one subject at a time.
     try:
         bundle = jio.load_decomposition(args.results)
         truth, ds_manifest = jio.load_truth(args.dataset)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load inputs: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _cannot_load(exc)
     if truth is None:
         print("error: dataset has no ground truth", file=sys.stderr)
         return EXIT_NO_TRUTH
@@ -182,20 +183,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print("error: results carry no labels", file=sys.stderr)
         return EXIT_BAD_INPUT
     ds_ids = [entry["id"] for entry in ds_manifest["subjects"]]
-    if bundle.subject_ids != ds_ids or len(truth.sources) != len(ds_ids) or any(
-        b.shape[1] != t.shape[1] for b, t in zip(bundle.sources, truth.sources)
-    ):
-        print(
-            "error: results and dataset disagree on subjects or voxels",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
+    if bundle.subject_ids != ds_ids or len(truth.sources) != len(ds_ids):
+        return _disagree()
     try:
         features_rows = _feature_rows(bundle)
     except ValueError as exc:
         print(f"error: inconsistent results: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    evaluation = evaluate_run(truth, bundle).to_dict()
+    try:
+        evaluation = evaluate_run(truth, bundle).to_dict()
+    except MismatchedVoxelCount:
+        return _disagree()
+    except (ValueError, OSError) as exc:
+        return _cannot_load(exc)
     matching = evaluation.pop("matching")
     report = {
         "dataset": {
@@ -228,10 +228,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cannot_load(exc: Exception) -> int:
+    print(f"error: cannot load inputs: {exc}", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
+def _disagree() -> int:
+    print("error: results and dataset disagree on subjects or voxels", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
 def _feature_rows(bundle: jio.ResultsBundle) -> list[dict]:
     """Report rows of the held (slot, subject) pairs, those with a finite jpjif, in slot order."""
     feats = bundle.features
-    row_of = slot_rows(~np.isnan(feats.jpjif), [s.shape[0] for s in bundle.sources])
+    row_of = slot_rows(~np.isnan(feats.jpjif), [len(labels) for labels in bundle.labels])
     return [
         {
             "slot": int(c),

@@ -174,14 +174,15 @@ def ring_order2(
 
 
 def build_features(
-    est: list[np.ndarray], orders: Sequence[int], weights: tuple[float, float, float]
+    sources: Sequence[np.ndarray], weights: tuple[float, float, float]
 ) -> FeatureTable:
-    """JpJI-feature table for every (slot, subject) of slot-major sources.
+    """JpJI-feature table for every (slot, subject) of subject-major sources.
 
-    ``est[c]`` is slot c's K x V matrix of centered unit-variance
-    sources, laid out as in ``run_jpji_ica``; only the rows of subjects
-    holding the slot (``orders[k] > c``) are read, and unheld entries of
-    the table are NaN.
+    ``sources[k]`` holds subject k's centered unit-variance sources of
+    slots 0 .. ``sources[k].shape[0] - 1``, one row each, as
+    ``run_jpji_ica`` extracts them; slot c is held by the subjects with
+    more than c rows, and unheld entries of the table are NaN.  One
+    slot's rows are stacked at a time.
 
     The feature of a source is its ring cost: ``contributions[c, k]``
     holds, per ring position alpha, the summed contributions of
@@ -200,13 +201,14 @@ def build_features(
     with each peer and the peers' pair moments), so only the order-3/4
     products walk the voxels (``ring_products``).
     """
-    n_slots, n_sub = len(est), len(orders)
+    orders = np.array([s.shape[0] for s in sources])
+    n_slots, n_sub = int(orders.max()), len(sources)
     jpjif = np.full((n_slots, n_sub), np.nan)
     kurt = np.full((n_slots, n_sub), np.nan)
     contributions = np.empty((n_slots, n_sub), dtype=object)
     for c in range(n_slots):
-        holders = np.flatnonzero(np.asarray(orders) > c)
-        s = est[c][holders]
+        holders = np.flatnonzero(orders > c)
+        s = np.stack([sources[k][c] for k in holders])
         gram = s @ s.T
         # The rows have unit variance, so the Gram matrix ranks the peers
         # by association; a stable sort keeps ties in subject order.
@@ -384,28 +386,28 @@ def run_jpji_ica(
     whitened rows are uncorrelated with unit variance, so this regresses
     those sources out of the data without copying it.  The new row is
     ``u @ P``, normalized, so each subject's rows come out orthonormal.
-    After the last sweep each estimate is overwritten
-    by its final source, ``build_features`` computes the JpJI-feature
-    table once from these rows (its order-2 terms from each slot's Gram
-    matrix), and the slots are ordered by decreasing
-    mean ``jpjif`` over their holders, then by decreasing kurtosis of
-    the first holder's source.  The table is returned as
-    ``Decomposition.features``.
+    After the last sweep each subject's sources are formed from its
+    final rows, ``build_features`` computes the JpJI-feature table once
+    from them (its order-2 terms from each slot's Gram matrix), and the
+    slots are ordered by decreasing mean ``jpjif`` over their holders,
+    then by decreasing kurtosis of the first holder's source.  The table
+    is returned as ``Decomposition.features``.
 
-    The current estimates are stored slot-major: ``est[c]`` is slot c's
-    K x V matrix of standardized estimates, and the row of a subject
-    holding fewer than c + 1 sources stays zero.  Beside each estimate
-    the engine keeps its coefficients on the whitened rows and its
-    covariance with all of them (``coef[c]``, ``xcov[c]``).  ``put``
-    writes an estimate as its coefficients times the subject's whitened
-    rows, scaled to unit variance through the cross-covariance, so no
-    estimate is standardized over the voxels.  Each extraction takes a
-    ring from the other holders of the slot; its order-2 terms come
-    from ``coef`` and ``xcov`` (``ring_order2``), and the order-3/4 walk
-    gathers the partner rows from ``est[c]`` block by block
-    (``build_ring_cost``), against ``z0[k]`` and left-multiplied by
-    ``P`` in the last sweep.  The new estimate is written back at once,
-    so later extractions in the slot see it.
+    One K x V buffer ``est`` holds the standardized estimates of the
+    slot being swept, one row per subject.  Beside every estimate of
+    every slot the engine keeps its coefficients on the whitened rows
+    and its covariance with all of them (``coef[c]``, ``xcov[c]``).
+    ``put`` writes an estimate as its coefficients times the subject's
+    whitened rows, scaled to unit variance through the cross-covariance,
+    so no estimate is standardized over the voxels.  At the start of
+    slot c every holder's row of ``est`` is rewritten, so rows left from
+    earlier slots are never read.  Each extraction takes a ring from the
+    other holders of the slot; its order-2 terms come from ``coef`` and
+    ``xcov`` (``ring_order2``), and the order-3/4 walk gathers the
+    partner rows from ``est`` block by block (``build_ring_cost``),
+    against ``z0[k]`` and left-multiplied by ``P`` in the last sweep.
+    The new estimate is written back at once, so later extractions in
+    the slot see it.
 
     ``algorithm`` fixes one policy before the sweeps:
 
@@ -434,12 +436,13 @@ def run_jpji_ica(
     from ``io.read_subjects`` is reduced from disk, one T x B column
     block at a time, so none of its T x V matrix is held.
     Under "global-min" the whitened reductions are only truncated.  Once
-    every estimate is final, the whitened data and the cross-covariance
-    terms kept beside the estimates are freed.  Peak memory is thus the
-    larger of K*C*V for the whitened reductions plus the subject being
-    reduced (one T x B block for a binary subject, its T x V matrix
-    otherwise), and 2*K*C*V: the whitened data and the estimates
-    during the sweeps, then the estimates and the stacked sources.
+    the rows are final, the cross-covariance terms kept beside the
+    estimates are freed, and each subject's sources replace its whitened
+    data.  Peak memory is thus the larger of K*C*V for the whitened
+    reductions plus the subject being reduced (one T x B block for a
+    binary subject, its T x V matrix otherwise), and K*C*V + K*V: the
+    whitened data and ``est`` during the sweeps, then the sources and
+    the feature pass's stack of one slot's rows.
     """
     if config is None:
         config = AlgoConfig()
@@ -462,33 +465,33 @@ def run_jpji_ica(
     z0 = [p.z for p in pre]
     cross, rows = _cross_covariance(z0)
     u_work = [np.eye(o) for o in orders]
-    # One K x V array per slot, not one (n_slots, K, V) block: once glibc
-    # has unmapped a freed block of up to 32 MiB it serves later blocks of
-    # that size from its heap and keeps them after free.  A 30 MiB block
-    # (K=10, V=65536, 6 slots) raised the peak RSS of repeated decompose
-    # runs in one process from 269 to 305 MB on x86-64 Linux.
-    est = [np.zeros((n_sub, v)) for _ in range(n_slots)]
-    # est[c][j] = coef[c][j] @ Z for the stacked whitened rows Z, and
-    # xcov[c] = coef[c] @ cross (see ring_order2).
+    # The estimates of the slot being swept, one row per subject: est[j] =
+    # coef[c][j] @ Z for the stacked whitened rows Z, and xcov[c] =
+    # coef[c] @ cross (see ring_order2).  A slot's sweep rewrites every
+    # holder's row before reading any, and no other row is read.
+    est = np.zeros((n_sub, v))
     coef = [np.zeros((n_sub, cross.shape[0])) for _ in range(n_slots)]
     xcov = [np.zeros((n_sub, cross.shape[0])) for _ in range(n_slots)]
     traces: list[TraceRecord] = []
     # The last sweep's record of each subject's rows, in slot order.
     final_traces: list[list[TraceRecord]] = [[] for _ in range(n_sub)]
 
-    def put(c: int, j: int, a: np.ndarray) -> None:
-        """Set est[c][j] to ``b @ z0[j]``, with its coefficients b and covariances.
+    def unit(j: int, a: np.ndarray) -> np.ndarray:
+        """``a / sqrt(a R_jj a)``: the coefficients of ``a @ z0[j]`` at unit variance.
 
-        ``b = a / sqrt(a R_jj a)`` scales the row to unit variance, its
-        norm taken from the diagonal block ``R_jj`` of the whitened
+        The norm comes from the diagonal block ``R_jj`` of the whitened
         cross-covariance rather than from the voxels.  The rows of z0[j]
         are centered and uncorrelated with unit variance, and ``a`` is a
         unit row, so the scale is 1 to rounding and the estimate is
         standardized without a pass over it.
         """
         r_jj = cross[rows[j], rows[j]]
-        b = a / np.sqrt(a @ r_jj @ a)
-        np.matmul(b, z0[j], out=est[c][j])
+        return a / np.sqrt(a @ r_jj @ a)
+
+    def put(c: int, j: int, a: np.ndarray) -> None:
+        """Set est[j] to ``b @ z0[j]`` for ``b = unit(j, a)``, and coef[c][j] and xcov[c][j]."""
+        b = unit(j, a)
+        np.matmul(b, z0[j], out=est[j])
         coef[c][j, rows[j]] = b
         xcov[c][j] = b @ cross[rows[j]]
 
@@ -515,7 +518,7 @@ def run_jpji_ica(
                         assoc = np.abs(xcov[c][peers] @ coef[c][k])
                         ring = peers[np.argsort(-assoc, kind="stable")]
                     order2 = ring_order2(xcov[c], coef[c], ring, rows[k])
-                    cm = build_ring_cost(z0[k], est[c], ring, order2, WEIGHTS, frame)
+                    cm = build_ring_cost(z0[k], est, ring, order2, WEIGHTS, frame)
                     if single:
                         # Ring position 0 of each order.  Copied: the eigen
                         # step and cost trace round differently on a strided view.
@@ -554,7 +557,7 @@ def run_jpji_ica(
                     final_traces[k].append(traces[-1])
 
     if not single:
-        _align_rows(est, u_work, final_traces, orders, coef, xcov)
+        _align_rows(u_work, final_traces, orders, coef, xcov)
     # A row's final cost is the last of its record's trace values.
     self_mode = np.zeros((n_slots, n_sub), dtype=bool)
     final_costs = np.full((n_slots, n_sub), np.nan)
@@ -562,32 +565,40 @@ def run_jpji_ica(
         for t in records:
             self_mode[t.slot, t.subject] = t.mode == "self"
             final_costs[t.slot, t.subject] = t.costs[-1]
-    # est[c][k] is a positive multiple of u_work[k][c] @ z0[k] already
-    # (put, then _align_rows permuting both alike), and negation is exact.
     for k in range(n_sub):
         for c in range(orders[k]):
             u = u_work[k][c]
             if _fix_sign(u) is not u:
                 u *= -1.0
-                est[c][k] *= -1.0
     subject_ids = [p.subject_id for p in pre]
     whiteners = [p.w_total for p in pre]
     row_means = [p.mean for p in pre]
-    # Every estimate is final: free the whitened data and what was kept
-    # beside it (put's closure too) before the sources are stacked.
-    del pre, z0, cross, coef, xcov
-    feats = build_features(est, orders, WEIGHTS)
+    del pre, est, coef, xcov
+    # Each subject's final sources, by put's arithmetic on its final rows,
+    # so each is the estimate the last sweep wrote, negated where the sign
+    # fix negated the row (negation is exact).  z0[k] is freed once its
+    # rows exist, and the sources, of its size, take its place.
+    sources = []
+    for k in range(n_sub):
+        src = np.empty((orders[k], v))
+        for c in range(orders[k]):
+            np.matmul(unit(k, u_work[k][c]), z0[k], out=src[c])
+        sources.append(src)
+        z0[k] = None
+    del z0, cross
+    feats = build_features(sources, WEIGHTS)
     # Unheld entries are NaN: the mean runs over the holders, and the
     # first finite kurtosis is the first holder's.
     mean_f = np.nanmean(feats.jpjif, axis=1)
     kurt_first = [row[np.isfinite(row)][0] for row in feats.kurtosis]
     slot_order = sorted(range(n_slots), key=lambda c: (-mean_f[c], -kurt_first[c], c))
     inverse = {c: i for i, c in enumerate(slot_order)}
-    demixing, sources = [], []
+    demixing = []
     for k in range(n_sub):
         own = [c for c in slot_order if c < orders[k]]
         demixing.append(u_work[k][own])
-        sources.append(np.stack([est[c][k] for c in own]))
+        if own != sorted(own):
+            sources[k] = sources[k][own]
     for t in traces:
         t.slot = inverse[t.slot]
     return Decomposition(
@@ -608,7 +619,6 @@ def run_jpji_ica(
 
 
 def _align_rows(
-    est: list[np.ndarray],
     u_work: list[np.ndarray],
     final_traces: list[list[TraceRecord]],
     orders: list[int],
@@ -625,16 +635,16 @@ def _align_rows(
     row belongs: solve, per subject, the assignment that maximizes total
     squared correlation between its rows and the slot consensus.
 
-    ``est``, ``coef`` and ``xcov`` hold the slot-major estimates, their
-    coefficients on the stacked whitened rows Z and their covariances
-    with Z, as kept by ``run_jpji_ica``.  The correlation of estimate
-    ``est[c][d]`` with ``est[i][k]`` is ``xcov[c][d] @ coef[i][k]``, so
-    one K x o product per slot correlates the subject's o rows with
-    every subject's row in that slot and no voxel is read; the rows of
-    slots a subject does not hold are zero and add nothing, and the
-    subject's own row is zeroed.  The rows of ``est``, ``coef`` and
-    ``xcov`` move together, so the second pass sees the first pass's
-    swaps.  ``final_traces[k]`` holds the last sweep's records of
+    ``coef[c]`` and ``xcov[c]`` hold the coefficients of slot c's
+    estimates on the stacked whitened rows Z and their covariances with
+    Z, as kept by ``run_jpji_ica``.  The correlation of subject d's
+    slot-c estimate with subject k's slot-i estimate is
+    ``xcov[c][d] @ coef[i][k]``, so one K x o product per slot
+    correlates the subject's o rows with every subject's row in that
+    slot and no voxel is read; the rows of slots a subject does not hold
+    are zero and add nothing, and the subject's own row is zeroed.  The
+    rows of ``coef``, ``xcov`` and ``u_work[k]`` move together, so the
+    second pass sees the first pass's swaps.  ``final_traces[k]`` holds the last sweep's records of
     subject k's rows in slot order; each record moves, and takes the
     slot, with its row.
     """
@@ -658,7 +668,7 @@ def _align_rows(
             perm[slots] = picked
             if np.any(perm != np.arange(o)):
                 changed = True
-                for held in (est, coef, xcov):
+                for held in (coef, xcov):
                     moved = [held[p][k].copy() for p in perm]
                     for c in range(o):
                         held[c][k] = moved[c]

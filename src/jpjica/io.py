@@ -144,6 +144,29 @@ def _load_finite(path: Path) -> np.ndarray:
     return arr
 
 
+class MatrixFiles(Sequence):
+    """Finite matrices left on disk, each read when it is asked for.
+
+    Item k is the matrix at ``paths[k]``, which must have ``rows[k]``
+    rows.  Nothing read is kept here: each access reads the file again.
+    A NaN/Inf or another row count raises ValueError naming the file.
+    """
+
+    def __init__(self, paths: Sequence[Path], rows: Sequence[int]) -> None:
+        self.paths, self.rows = list(paths), list(rows)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        arr = _load_finite(self.paths[k])
+        if arr.shape[0] != self.rows[k]:
+            raise ValueError(
+                f"{self.paths[k]}: {arr.shape[0]} rows where {self.rows[k]} are expected"
+            )
+        return arr
+
+
 def _check_subject_id(sid: str) -> None:
     """Reject an id that is empty or holds a path or CSV separator or a control character."""
     if not sid or any(ch in "/\\,|" or unicodedata.category(ch) == "Cc" for ch in sid):
@@ -281,7 +304,9 @@ def load_truth(directory: str | Path) -> tuple[GroundTruth | None, dict]:
     """Ground truth and manifest of a dataset directory.
 
     The observation matrices are never read; :func:`read_subjects` reads
-    them.
+    them.  The true sources stay on disk as :class:`MatrixFiles`, each
+    read when it is asked for; the mixing matrices and labels are read
+    now.
     """
     directory = Path(directory)
     manifest = _load_dataset_manifest(directory)
@@ -313,16 +338,17 @@ def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
     """Ground truth of a manifest, or None.
 
     A malformed block, NaN/Inf, a label whose kind is not the one its
-    peers imply, or a count that is not its labels' raises ValueError.
+    peers imply, or a count that is not its labels' raises ValueError;
+    so does a sources matrix without one row per label, when it is read.
     """
     gt = manifest.get("ground_truth")
     if gt is None:
         return None
     try:
         idx_of = {entry["id"]: k for k, entry in enumerate(manifest["subjects"])}
-        sources, mixing, labels = [], [], []
+        paths, mixing, labels = [], [], []
         for k, entry in enumerate(gt["subjects"]):
-            sources.append(_load_finite(directory / entry["sources"]))
+            paths.append(directory / entry["sources"])
             mixing.append(_load_finite(directory / entry["mixing"]))
             labels.append(
                 [
@@ -352,6 +378,7 @@ def _truth_from_manifest(directory: Path, manifest: dict) -> GroundTruth | None:
         pj, iv = counts[SourceKind.PARTIALLY_JOINT], counts[SourceKind.INDIVIDUAL]
         if (pj, iv) != (pjoint[k], individual[k]):
             raise ValueError("per-subject count mismatch")
+    sources = MatrixFiles(paths, [len(labs) for labs in labels])
     return GroundTruth(sources=sources, mixing=mixing, labels=labels)
 
 
@@ -443,10 +470,10 @@ def save_decomposition(
 
 @dataclass
 class ResultsBundle:
-    """In-memory view of a results directory."""
+    """View of a results directory; its sources stay on disk (:class:`MatrixFiles`)."""
 
     subject_ids: list[str]
-    sources: list[np.ndarray]
+    sources: Sequence[np.ndarray]
     demixing: list[np.ndarray]
     whiteners: list[np.ndarray]
     means: list[np.ndarray]
@@ -458,20 +485,25 @@ class ResultsBundle:
 def load_decomposition(directory: str | Path) -> ResultsBundle:
     """Read a results directory back into arrays and labels.
 
-    A ``results.json`` missing ``subject_ids``, ``files`` or a file entry,
-    or a sources matrix holding NaN/Inf, raises ValueError.
+    The sources stay on disk as :class:`MatrixFiles`, each read when it
+    is asked for, and must have the row counts ``results.json`` lists
+    under ``orders``.  A ``results.json`` missing ``subject_ids``,
+    ``orders``, ``files`` or a file entry raises ValueError, and so does
+    a sources matrix holding NaN/Inf or another row count, when it is
+    read.
     """
     directory = Path(directory)
     manifest = _load_json(directory / "results.json")
     if manifest.get("kind") != "results":
         raise ValueError(f"{directory}: manifest is not a results manifest")
     _check_version(manifest)
-    sources, demixing, whiteners, means = [], [], [], []
+    paths, demixing, whiteners, means = [], [], [], []
     try:
         ids = list(manifest["subject_ids"])
+        orders = manifest["orders"]
         for sid in ids:
             entry = manifest["files"][sid]
-            sources.append(_load_finite(directory / entry["sources"]))
+            paths.append(directory / entry["sources"])
             demixing.append(load_matrix(directory / entry["demixing"]))
             whiteners.append(load_matrix(directory / entry["whitener"]))
             means.append(load_matrix(directory / entry["mean"]).ravel())
@@ -479,8 +511,15 @@ def load_decomposition(directory: str | Path) -> ResultsBundle:
         raise ValueError(
             f"{directory}: malformed results.json ({type(exc).__name__}: {exc})"
         ) from exc
+    if not (
+        isinstance(orders, list)
+        and len(orders) == len(ids)
+        and all(isinstance(o, int) and o >= 1 for o in orders)
+    ):
+        raise ValueError(
+            f"{directory}: malformed results.json (orders needs one positive integer per subject)"
+        )
     idx_of = {sid: k for k, sid in enumerate(ids)}
-    orders = [s.shape[0] for s in sources]
     n_slots = max(orders)
     jpjif = np.full((n_slots, len(ids)), np.nan)
     kurt = np.full((n_slots, len(ids)), np.nan)
@@ -521,7 +560,7 @@ def load_decomposition(directory: str | Path) -> ResultsBundle:
     )
     return ResultsBundle(
         subject_ids=ids,
-        sources=sources,
+        sources=MatrixFiles(paths, orders),
         demixing=demixing,
         whiteners=whiteners,
         means=means,

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CountMismatchWarning
+from .errors import CountMismatchWarning, MismatchedVoxelCount
 from .numerics import linear_sum_assignment
 from .types import Decomposition, GroundTruth, SourceKind, SourceLabel, kind_counts
 
@@ -38,28 +38,42 @@ def _std_rows(x: np.ndarray) -> np.ndarray:
 def match_sources(
     true_sources: Sequence[np.ndarray], est_sources: Sequence[np.ndarray]
 ) -> list[SubjectMatch]:
-    """Per-subject assignment maximizing total absolute correlation."""
-    out: list[SubjectMatch] = []
-    for t, e in zip(true_sources, est_sources):
-        ts = _std_rows(np.asarray(t, dtype=float))
-        es = _std_rows(np.asarray(e, dtype=float))
-        if ts.shape[0] != es.shape[0]:
-            warnings.warn(
-                f"{ts.shape[0]} true vs {es.shape[0]} estimated sources;"
-                " extra rows stay unmatched",
-                CountMismatchWarning,
-            )
-        corr = ts @ es.T / ts.shape[1]
-        rows, cols = linear_sum_assignment(-np.abs(corr))
-        est_of_true = np.full(ts.shape[0], -1, dtype=int)
-        correlation = np.zeros(ts.shape[0])
-        sign = np.ones(ts.shape[0])
-        for i, j in zip(rows, cols):
-            est_of_true[i] = j
-            correlation[i] = abs(float(corr[i, j]))
-            sign[i] = 1.0 if corr[i, j] >= 0 else -1.0
-        out.append(SubjectMatch(est_of_true=est_of_true, correlation=correlation, sign=sign))
-    return out
+    """Per-subject assignment maximizing total absolute correlation.
+
+    Each subject's pair is asked for once, and matched and dropped
+    before the next is asked for, so sequences that read each matrix on
+    access (``io.MatrixFiles``) hold one subject's pair at a time.
+    Subjects past the shorter sequence are ignored.  A pair with
+    different voxel counts raises MismatchedVoxelCount.
+    """
+    n = min(len(true_sources), len(est_sources))
+    return [_match(k, true_sources[k], est_sources[k]) for k in range(n)]
+
+
+def _match(k: int, t: np.ndarray, e: np.ndarray) -> SubjectMatch:
+    """Match subject k's true rows ``t`` to its estimated rows ``e``."""
+    t, e = np.asarray(t, dtype=float), np.asarray(e, dtype=float)
+    if t.shape[1] != e.shape[1]:
+        raise MismatchedVoxelCount(
+            f"subject {k}: {t.shape[1]} true vs {e.shape[1]} estimated voxels"
+        )
+    ts, es = _std_rows(t), _std_rows(e)
+    if ts.shape[0] != es.shape[0]:
+        warnings.warn(
+            f"{ts.shape[0]} true vs {es.shape[0]} estimated sources;"
+            " extra rows stay unmatched",
+            CountMismatchWarning,
+        )
+    corr = ts @ es.T / ts.shape[1]
+    rows, cols = linear_sum_assignment(-np.abs(corr))
+    est_of_true = np.full(ts.shape[0], -1, dtype=int)
+    correlation = np.zeros(ts.shape[0])
+    sign = np.ones(ts.shape[0])
+    for i, j in zip(rows, cols):
+        est_of_true[i] = j
+        correlation[i] = abs(float(corr[i, j]))
+        sign[i] = 1.0 if corr[i, j] >= 0 else -1.0
+    return SubjectMatch(est_of_true=est_of_true, correlation=correlation, sign=sign)
 
 
 def jsir_db(rho: float) -> float:
@@ -162,6 +176,10 @@ def evaluate_run(truth: GroundTruth, decomp: Decomposition) -> EvaluationReport:
 
     Only ``decomp.sources`` and ``decomp.labels`` are read, so an
     ``io.ResultsBundle`` loaded from a results directory serves as well.
+    The true and estimated sources are read once, one subject at a time
+    (``match_sources``), so with the sources that ``io.load_truth`` and
+    ``io.load_decomposition`` leave on disk one subject's pair is held
+    at a time.
     """
     if decomp.labels is None:
         raise ValueError("decomposition must be labeled before evaluation")

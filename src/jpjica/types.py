@@ -147,9 +147,12 @@ class GroundTruth:
 
     The labels' peer sets are the one record of which subjects share a
     map; kinds and per-kind counts follow from them (``kind_counts``).
+    ``sources`` is a list, or a sequence that leaves the matrices on disk
+    (``io.MatrixFiles``, as ``io.load_truth`` gives), which checks each
+    one's row count as it reads it; only a list's are checked here.
     """
 
-    sources: list[np.ndarray]
+    sources: Sequence[np.ndarray]
     mixing: list[np.ndarray]
     labels: list[list[SourceLabel]]
 
@@ -157,8 +160,9 @@ class GroundTruth:
         k = len(self.sources)
         if not (len(self.mixing) == len(self.labels) == k):
             raise ValueError("sources, mixing and labels must align per subject")
-        for s, a, labs in zip(self.sources, self.mixing, self.labels):
-            if s.shape[0] != a.shape[1] or len(labs) != s.shape[0]:
+        held = self.sources if isinstance(self.sources, list) else [None] * k
+        for s, a, labs in zip(held, self.mixing, self.labels):
+            if a.shape[1] != len(labs) or (s is not None and s.shape[0] != len(labs)):
                 raise ValueError("per-subject source count mismatch")
 
     @property

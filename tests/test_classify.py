@@ -34,7 +34,7 @@ def _slot_major(sources):
 def _stub_decomp(sources):
     """Minimal decomposition wrapper around ready-made source estimates.
 
-    Its feature table is built the engine's way, from slot-major rows.
+    Its feature table is built the engine's way, from subject-major rows.
     """
     k = len(sources)
     n_slots = max(s.shape[0] for s in sources)
@@ -51,9 +51,7 @@ def _stub_decomp(sources):
         self_mode=np.zeros((n_slots, k), dtype=bool),
         traces=[],
         config=AlgoConfig(),
-        features=build_features(
-            _slot_major(sources), [s.shape[0] for s in sources], WEIGHTS
-        ),
+        features=build_features(sources, WEIGHTS),
     )
 
 
@@ -108,7 +106,7 @@ def test_jpji_feature_empty_partners_uses_self():
     y = _sharp(rng, 800)
     other = np.stack([_sharp(rng, 800), _sharp(rng, 800)])
     # subject 0 holds two slots, subject 1 only the first
-    feats = build_features([other, np.stack([y, np.zeros(800)])], [2, 1], WEIGHTS)
+    feats = build_features([np.stack([other[0], y]), other[1:]], WEIGHTS)
     contr = feats.contributions[1, 0]
     want = build_cost_matrix(y[None, :], y[None, :], WEIGHTS).contributions.sum(axis=1)
     assert contr.shape == (1,)
@@ -133,7 +131,7 @@ def test_build_features_matches_cost_matrix_oracle_with_ragged_orders():
         for o in orders
     ]
     est = _slot_major(sources)
-    feats = build_features(est, orders, WEIGHTS)
+    feats = build_features(sources, WEIGHTS)
     for c in range(len(est)):
         holders = [k for k, o in enumerate(orders) if o > c]
         s = est[c][holders]
@@ -173,7 +171,7 @@ def test_build_features_and_joint_detection():
     assert feats.jpjif[0].min() > feats.jpjif[1].max() > feats.jpjif[2].max()
     assert detect_joint_slots(decomp) == [0]
     # determinism: rebuilding from the same rows is identical
-    feats2 = build_features(_slot_major(sources), [3] * 6, WEIGHTS)
+    feats2 = build_features(sources, WEIGHTS)
     np.testing.assert_array_equal(feats.jpjif, feats2.jpjif)
 
 

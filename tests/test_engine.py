@@ -190,8 +190,8 @@ def test_align_rows_undoes_a_swap_with_ragged_orders():
         ]
         for k, o in enumerate(orders)
     ]
-    _align_rows(est, u_eff, records, orders, coef, xcov)
-    np.testing.assert_array_equal(np.stack(est), np.stack(want))
+    _align_rows(u_eff, records, orders, coef, xcov)
+    np.testing.assert_array_equal(np.stack([b @ stacked for b in coef]), np.stack(want))
     np.testing.assert_array_equal(np.stack(coef), np.stack(want_coef))
     np.testing.assert_array_equal(np.stack(xcov), np.stack(want_xcov))
     np.testing.assert_array_equal(u_eff[0], np.eye(3))
@@ -552,10 +552,10 @@ def test_final_frames_equal_sequential_deflation(monkeypatch):
     real_align = engine._align_rows
     extracted = []
 
-    def align(est, u_work, *args):
+    def align(u_work, *args):
         # The last sweep's rows, in slot order, before any re-matching.
         extracted.extend(u.copy() for u in u_work)
-        return real_align(est, u_work, *args)
+        return real_align(u_work, *args)
 
     monkeypatch.setattr(engine, "_align_rows", align)
     decomp, _, datasets = _small_run(seed=5)
@@ -585,8 +585,7 @@ def test_slots_ordered_by_mean_feature(algorithm):
         decomp, _, _ = _small_run(seed=seed, algorithm=algorithm)
         feats = decomp.features
         assert np.all(np.diff(np.nanmean(feats.jpjif, axis=1)) <= 0)
-        est = [np.stack([s[c] for s in decomp.sources]) for c in range(decomp.n_slots)]
-        again = build_features(est, [decomp.n_slots] * 5, WEIGHTS)
+        again = build_features(decomp.sources, WEIGHTS)
         assert np.array_equal(again.jpjif, feats.jpjif)
         assert np.array_equal(again.kurtosis, feats.kurtosis)
     ragged = run_jpji_ica(_ragged_datasets(), AlgoConfig(seed=0, n_components="auto-bic"))
@@ -742,6 +741,32 @@ def test_engine_frees_whitened_data_before_stacking_sources(tmp_path):
     k, v = spec.n_subjects, spec.n_voxels
     assert [s.shape[0] for s in decomp.sources] == [4] * k
     assert peak < 2.5 * k * 4 * v * 8 + spec.n_time * _CENTRE_BLOCK_COLS * 8
+
+
+def test_engine_holds_one_slot_of_estimates(tmp_path):
+    """A binary run of K=16 subjects at C=6 peaks below 1.5 K*C*V doubles.
+
+    The whitened data take K*C*V.  The estimates of the slot being swept
+    add K*V, and so does the feature pass's stack of one slot's rows,
+    after each subject's sources have taken the place of its whitened
+    data.  An estimate array per slot would add another K*C*V.
+    """
+    spec = ScenarioSpec(
+        n_subjects=16, n_joint=3, n_pjoint=2, n_individual=1, n_clusters=2,
+        n_voxels=4 * _CENTRE_BLOCK_COLS, n_time=40, seed=4,
+    )
+    jio.save_dataset(tmp_path, generate_dataset(spec)[0], binary=True)
+    subjects = list(jio.read_subjects(tmp_path)[0])
+    decomp = None
+
+    def run():
+        nonlocal decomp
+        decomp = run_jpji_ica(subjects, AlgoConfig(seed=0, max_outer=1))
+
+    peak = _traced_peak(run)
+    k, c, v = spec.n_subjects, 6, spec.n_voxels
+    assert [s.shape[0] for s in decomp.sources] == [c] * k
+    assert peak < 1.5 * k * c * v * 8
 
 
 @pytest.mark.parametrize(

@@ -721,6 +721,30 @@ def test_cli_simulate_holds_one_subject_at_a_time(tmp_path):
         assert peak < 3 * t * v * 8 + maps < k * t * v * 8, snr_db
 
 
+def test_cli_evaluate_holds_one_subject_at_a_time(tmp_path):
+    """evaluate peaks below K*C*V doubles, what the estimated sources alone would take.
+
+    It reads, matches and drops one subject's true and estimated sources
+    at a time; holding either side whole would take K*C*V.
+    """
+    spec = ScenarioSpec(
+        n_subjects=16, n_joint=3, n_pjoint=2, n_individual=1, n_voxels=16384,
+        n_time=40, seed=4,
+    )
+    sim, res = tmp_path / "ds", tmp_path / "res"
+    assert cli.main(_simulate_args(spec) + ["--binary", "--out", str(sim)]) == cli.EXIT_OK
+    assert cli.main(["decompose", str(sim), "--out", str(res), "--binary"]) == cli.EXIT_OK
+    tracemalloc.start()
+    try:
+        code = cli.main(["evaluate", str(res), str(sim)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert json.loads((res / "results.json").read_text())["orders"] == [6] * spec.n_subjects
+    assert peak < spec.n_subjects * 6 * spec.n_voxels * 8
+
+
 def _fail_writing(monkeypatch, names):
     """Make save_matrix raise OSError for each file name in ``names``."""
     save_matrix = jio.save_matrix
@@ -1362,6 +1386,32 @@ def test_cli_decompose_has_no_tuning_flags(cli_dirs, tmp_path):
             cli.main(["decompose", str(sim), "--out", str(tmp_path / "y"), *flag])
         assert exc.value.code == 2
     assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("target", ["truth-sources", "results-sources"])
+def test_cli_evaluate_rejects_non_finite_last_subject(cli_dirs, tmp_path, capsys, target):
+    """A NaN in the last subject's true or estimated sources, read after the
+    other subjects are matched: exit 3, one error line, no report."""
+    _, sim, res = cli_dirs
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(sim, data)
+    shutil.copytree(res, run)
+    (run / "report.json").unlink()
+    if target == "results-sources":
+        results = json.loads((run / "results.json").read_text())
+        path = run / results["files"][results["subject_ids"][-1]]["sources"]
+    else:
+        truth = json.loads((data / "manifest.json").read_text())["ground_truth"]
+        path = data / truth["subjects"][-1]["sources"]
+    arr = jio.load_matrix(path)
+    arr[0, 0] = np.nan
+    jio.save_matrix(path, arr)
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(run), str(data)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load inputs:") and len(err.splitlines()) == 1
+    assert path.name in err and "NaN/Inf" in err
+    assert not (run / "report.json").exists()
 
 
 def test_cli_evaluate_accepts_results_with_removed_config_keys(cli_dirs, tmp_path):
